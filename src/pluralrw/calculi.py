@@ -22,9 +22,10 @@ Dropping dominated matchers can shorten the disjunctions an instantiated
 body carries, so individual values may surface at a smaller depth than
 they would with the full matcher set; the limit is unchanged.
 
-Sets are monotone in depth. A sweep at depth d that creates no memo entry
-differing from its depth d-1 counterpart proves a global fixpoint, which
-is how unbounded streams and saturation detection terminate.
+Sets are not monotone in depth: dropping a dominated matcher can lengthen
+a ?-chain, so a value can vanish and resurface later. The fixpoint test
+needs no monotonicity: a sweep at depth d that changes no memo entry from
+depth d-1 makes every later sweep repeat it; unbounded streams stop there.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class Enumerator:
         cached = self._rule_cache.get(fname)
         if cached is None:
             cached = []
-            for rule in self.program.rules_for(fname):
+            for _i, rule in self.program.rules_by_root.get(fname, ()):
                 doms = tuple(
                     frozenset(p.varset & rule.rhs.varset) for p in rule.args
                 )
@@ -479,7 +480,7 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
     choices = node.choices
     theta = node.subst
     rule = None
-    for r in program.rules_for(e.name):
+    for _i, r in program.rules_by_root.get(e.name, ()):
         if len(choices) == len(r.args):
             candidate_alts: dict = {}
             for combo in choices:
@@ -540,7 +541,7 @@ class DenotationStream:
         self.expr = expr
         self.cfg = cfg
         self._depth_next = 0
-        self._prev: FrozenSet[Term] = frozenset()
+        self._yielded: set = set()
         self._buffer: List[Term] = []
         self._history: List[FrozenSet[Term]] = []
         self.done = False
@@ -564,11 +565,12 @@ class DenotationStream:
         self.enum.begin_sweep()
         current = self.enum.values(self.expr, d)
         self._history.append(current)
-        stratum = sorted(current - self._prev, key=term_key)
+        fresh = current - self._yielded
         if self.cfg.totals_only:
-            stratum = [t for t in stratum if t.total]
+            fresh = [t for t in fresh if t.total]
+        stratum = sorted(fresh, key=term_key)
+        self._yielded.update(stratum)
         self._buffer.extend(stratum)
-        self._prev = current
         self._depth_next = d + 1
         if d > 0 and self.enum.sweep_clean and self.enum.confirm_fixpoint(d):
             self.done = True

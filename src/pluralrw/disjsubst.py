@@ -168,24 +168,22 @@ def _tuples_over(thetas: Sequence[Mapping[str, Term]], names: Sequence[str]):
 def is_compressible(thetas: Iterable[Mapping[str, Term]]) -> bool:
     """Whether the variable-image tuples of the set form a full product.
 
-    Uses the recombination criterion: for every way of picking one member
+    The recombination criterion: for every way of picking one member
     substitution per variable there must be a member realizing exactly the
-    picked images, coordinate by coordinate. Singletons and
-    single-variable domains are immediate.
+    picked images, coordinate by coordinate. The realized tuples always lie
+    in the product of the per-variable image columns, so that holds exactly
+    when there are as many distinct tuples as the product has elements.
+    Empty sets, singletons and single-variable domains are immediate.
     """
     pool = [dict(t) for t in thetas]
     names = sorted(set().union(*pool) if pool else set())
     if len(pool) <= 1 or len(names) <= 1:
         return True
-    rows = sorted(set(_tuples_over(pool, names)), key=lambda r: tuple(map(term_key, r)))
-    if len(rows) <= 1:
-        return True
-    rowset = set(rows)
-    for picks in product(rows, repeat=len(names)):
-        recombined = tuple(picks[i][i] for i in range(len(names)))
-        if recombined not in rowset:
-            return False
-    return True
+    rows = set(_tuples_over(pool, names))
+    size = 1
+    for i in range(len(names)):
+        size *= len({r[i] for r in rows})
+    return len(rows) == size
 
 
 def compressible_completion(thetas: Iterable[Mapping[str, Term]]) -> List[PSubst]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from collections import deque
 from itertools import product
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,8 @@ from .calculi import (
     Enumerator,
 )
 from .disjsubst import image_of, is_compressible
-from .rewriting import one_step
+# one_step is bound here for perfbench/layers.py, which traces it by module
+from .rewriting import BREADTH_FIRST, ReachStream, SearchStrategy, one_step  # noqa: F401
 from .syntax import Program, assemble_program, format_program, format_term
 from .terms import APP, BOT, Term, app, apply_subst, term_key, var
 from .transform import is_class_cab, pst_optimized, pst_simple
@@ -284,27 +284,9 @@ def _bounded_reach(program, expr, bound, node_cap=NODE_CAP):
     without bound, and walking those chains buys nothing. complete means
     nothing was cut, so the result is the full run-time denotation."""
     fnames = frozenset(program.signature.functions)
-    visited = {expr}
-    queue = deque(((expr, 0),))
-    out = set()
-    complete = True
-    while queue:
-        cur, n = queue.popleft()
-        if cur.total and cur.symbols.isdisjoint(fnames):
-            out.add(cur)
-        succs = [s.result for s in one_step(program, cur)]
-        if n >= bound:
-            if any(s not in visited for s in succs):
-                complete = False
-            continue
-        for s in succs:
-            if s not in visited:
-                if s.size > SIZE_CAP or len(visited) >= node_cap:
-                    complete = False
-                    continue
-                visited.add(s)
-                queue.append((s, n + 1))
-    return frozenset(out), complete
+    search = ReachStream(program, expr, SearchStrategy(BREADTH_FIRST, bound), node_cap, SIZE_CAP)
+    out = frozenset(e for e, _n in search if e.total and e.symbols.isdisjoint(fnames))
+    return out, not (search.exhausted or search.capped)
 
 
 _GROW_FACTORS = (1, 2, 4)
@@ -610,7 +592,7 @@ def check_right_linear(program: Program, expr: Term, depth: int) -> CheckReport:
     and never gate anything."""
     from .terms import is_linear
 
-    if not all(is_linear(r.rhs) for r in program.rules):
+    if not all(is_linear((r.rhs,)) for r in program.rules):
         return CheckReport("rightlinear", False, refused=True)
     ct, sat_c, cap_c = _denotation(program, CALL_TIME, expr, depth)
     beta, sat_b, cap_b = _denotation(program, BETA, expr, depth)

@@ -31,7 +31,6 @@ run-time` always means plain rewriting of the loaded rules.
 import argparse
 import re
 import sys
-from collections import deque
 from typing import Iterator, List, Optional, Tuple
 
 from .calculi import (
@@ -44,6 +43,7 @@ from .calculi import (
 from .rewriting import (
     BREADTH_FIRST,
     DEPTH_FIRST,
+    ReachStream,
     RewriteStep,
     SearchStrategy,
     one_step,
@@ -85,30 +85,18 @@ class CommandError(Exception):
 
 def _find_path(program: Program, start: Term, target: Term,
                bound: Optional[int]) -> Optional[List[RewriteStep]]:
-    # breadth-first parent links, so the reported derivation is shortest
-    if target == start:
-        return []
-    parents = {start: None}
-    queue = deque(((start, 0),))
-    while queue:
-        cur, n = queue.popleft()
-        if bound is not None and n >= bound:
-            continue
-        for step in one_step(program, cur):
-            r = step.result
-            if r in parents:
-                continue
-            parents[r] = (cur, step)
-            if r == target:
-                chain: List[RewriteStep] = []
-                node = r
-                while parents[node] is not None:
-                    prev, st = parents[node]
-                    chain.append(st)
-                    node = prev
-                chain.reverse()
-                return chain
-            queue.append((r, n + 1))
+    # breadth-first parent links, so the reported derivation is shortest;
+    # each link is the first one_step step that produces its expression
+    search = ReachStream(program, start, SearchStrategy(BREADTH_FIRST, bound))
+    parents = search.parents
+    for _e in search:
+        if target in parents:
+            steps, node = [], target
+            while parents[node] is not None:
+                prev = parents[node]
+                steps.append(next(s for s in one_step(program, prev) if s.result is node))
+                node = prev
+            return steps[::-1]
     return None
 
 

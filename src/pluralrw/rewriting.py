@@ -5,15 +5,25 @@ set of reachable expressions is the whole story. This module provides
 the one-step relation, bounded reachability search in breadth-first or
 depth-first order, and the run-time denotation assembled from shells of
 reachable expressions.
+
+Every search is a ReachStream, which memoizes successors per interned
+subterm for the life of that one search. They are a pure function of the
+program and the term: none for a term without function symbols, else
+each child's successors left to right, wrapped back into the term, then
+the contracta at its root in program order. That is `one_step`'s order,
+so the search visits what calling `one_step` on every state would, in
+the same order; yet a subterm shared by many states is matched once, and
+a successor costs one application per new ancestor.
 """
 
+import sys
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import Program
 from .terms import (
-    APP,
     Term,
+    app,
     apply_subst,
     down_closure,
     match_value,
@@ -86,6 +96,14 @@ def _redexes(t: Term) -> Iterator[Tuple[Tuple[int, ...], Term]]:
     yield (), t
 
 
+def _root_steps(program: Program, t: Term) -> Iterator[Tuple[int, Dict[str, Term], Term]]:
+    # (rule index, matcher, contractum) for each rule rewriting t at its root
+    for idx, rule in program.rules_by_root.get(t.name, ()):
+        m = match_value(rule.lhs, t)
+        if m is not None:
+            yield idx, m, apply_subst(rule.rhs, m)
+
+
 def one_step(program: Program, expr: Term) -> List[RewriteStep]:
     """All single rewrite steps out of expr, in a deterministic order:
     leftmost-innermost positions, rules in program order (user rules
@@ -93,70 +111,82 @@ def one_step(program: Program, expr: Term) -> List[RewriteStep]:
     """
     if not expr.total:
         raise ValueError("rewriting inputs must be total expressions")
-    sig = program.signature
-    steps: List[RewriteStep] = []
-    for pos, sub in _redexes(expr):
-        if sub.kind != APP or not sig.is_function(sub.name):
-            continue
-        for idx, rule in enumerate(program.all_rules):
-            if rule.name != sub.name:
-                continue
-            m = match_value(rule.lhs, sub)
-            if m is None:
-                continue
-            result = replace_at(expr, pos, apply_subst(rule.rhs, m))
-            steps.append(RewriteStep(idx, pos, m, result))
-    return steps
+    return [RewriteStep(idx, pos, m, replace_at(expr, pos, contractum))
+            for pos, sub in _redexes(expr) for idx, m, contractum in _root_steps(program, sub)]
 
 
 class ReachStream:
     """Iterator of (expression, derivation length) pairs, deduplicated.
 
-    Breadth-first yields by increasing derivation length, so the length
-    reported for each expression is the shortest one. Depth-first
-    backtracks; lengths are those of the first visit. After the stream
-    is drained, `exhausted` tells whether the bound cut off at least one
-    expression that was never reached another way.
+    Breadth-first yields by increasing derivation length, so each length
+    is the shortest; depth-first backtracks, with first-visit lengths.
+    Each expression is expanded before it is yielded, so `parents` (each
+    expression seen -> the one it was first reached from, None for the
+    start) already holds its successors. Expressions larger than size_cap
+    or past node_cap seen are turned away. Once drained, `exhausted` tells
+    whether the bound cut off one never reached another way, and `capped`
+    whether a cap turned one away.
     """
 
-    __slots__ = ("exhausted", "_it")
+    __slots__ = ("exhausted", "capped", "parents", "_program", "_fnames", "_strategy",
+                 "_node_cap", "_size_cap", "_todo", "_suppressed", "_memo")
 
-    def __init__(self, program: Program, expr: Term, strategy: SearchStrategy):
-        self.exhausted = False
-        self._it = self._walk(program, expr, strategy)
+    def __init__(self, program: Program, expr: Term, strategy: SearchStrategy,
+                 node_cap: int = sys.maxsize, size_cap: int = sys.maxsize):
+        self.exhausted = self.capped = False
+        self.parents: Dict[Term, Optional[Term]] = {expr: None}
+        self._program, self._strategy = program, strategy
+        self._fnames = frozenset(program.signature.functions)
+        self._node_cap, self._size_cap = node_cap, size_cap
+        self._todo = deque(((expr, 0),))
+        self._suppressed, self._memo = set(), {}  # both dropped once drained
 
     def __iter__(self):
         return self
 
-    def __next__(self):
-        return next(self._it)
+    def __next__(self) -> Tuple[Term, int]:
+        if self._todo:
+            return self._expand()
+        if self._memo is not None:  # drained just now: settle, drop the memo
+            self.exhausted = any(s not in self.parents for s in self._suppressed)
+            self._memo = self._suppressed = None
+        raise StopIteration
 
-    def _walk(self, program: Program, expr: Term, strategy: SearchStrategy):
-        bound = strategy.bound
-        visited = {expr}
-        suppressed: set = set()
-        if strategy.kind == BREADTH_FIRST:
-            queue = deque(((expr, 0),))
-            pop = queue.popleft
-            push = queue.append
-            order = iter
+    def _expand(self) -> Tuple[Term, int]:
+        parents = self.parents
+        if self._strategy.kind == DEPTH_FIRST:
+            cur, n = self._todo.pop()
+            succs = reversed(self._successors(cur))  # leftmost ends on top
         else:
-            queue = deque(((expr, 0),))
-            pop = queue.pop
-            push = queue.append
-            order = reversed  # keep leftmost successors on top of the stack
-        while queue:
-            cur, n = pop()
-            yield cur, n
-            succs = [s.result for s in one_step(program, cur)]
-            if bound is not None and n >= bound:
-                suppressed.update(s for s in succs if s not in visited)
+            cur, n = self._todo.popleft()
+            succs = self._successors(cur)
+        if self._strategy.bound is not None and n >= self._strategy.bound:
+            self._suppressed.update(s for s in succs if s not in parents)
+            return cur, n
+        for s in succs:
+            if s in parents:
                 continue
-            for s in order(succs):
-                if s not in visited:
-                    visited.add(s)
-                    push((s, n + 1))
-        self.exhausted = not suppressed.issubset(visited)
+            if s.size > self._size_cap or len(parents) >= self._node_cap:
+                self.capped = True
+                continue
+            parents[s] = cur
+            self._todo.append((s, n + 1))
+        return cur, n
+
+    def _successors(self, t: Term) -> Tuple[Term, ...]:
+        # the results of one_step(program, t), in its order, memoized
+        got = self._memo.get(t)
+        if got is None:
+            got = ()
+            if not t.symbols.isdisjoint(self._fnames):
+                kids, name = t.children, t.name
+                got = tuple(
+                    [app(name, kids[:i] + (r,) + kids[i + 1:])
+                     for i, c in enumerate(kids) for r in self._successors(c)]
+                    + [contractum for _i, _m, contractum in _root_steps(self._program, t)]
+                )
+            self._memo[t] = got
+        return got
 
 
 def reachable(program: Program, expr: Term,

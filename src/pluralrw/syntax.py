@@ -218,11 +218,12 @@ class Program:
     """A validated program: user rules, inferred signature, plurality map.
 
     `rules` holds the user rules in source order; `all_rules` appends the
-    built-in rules for `?` and `if_then`. `plurality[f]` is a tuple over
-    {"sg","pl"}, one entry per argument, defaulting to all-singular.
+    built-in rules for `?` and `if_then`; `rules_by_root[f]` holds f's
+    (index into all_rules, rule) pairs in that order. `plurality[f]` is a
+    tuple over {"sg","pl"}, one entry per argument, default all-singular.
     """
 
-    __slots__ = ("name", "signature", "rules", "all_rules", "plurality", "_by_name")
+    __slots__ = ("name", "signature", "rules", "all_rules", "rules_by_root", "plurality")
 
     def __init__(self, name: str, signature: Signature, rules: Sequence[Rule], plurality: dict):
         self.name = name
@@ -231,12 +232,9 @@ class Program:
         self.all_rules = self.rules + BUILTIN_RULES
         self.plurality = dict(plurality)
         by_name: dict = {}
-        for r in self.all_rules:
-            by_name.setdefault(r.name, []).append(r)
-        self._by_name = {k: tuple(v) for k, v in by_name.items()}
-
-    def rules_for(self, fname: str) -> Tuple[Rule, ...]:
-        return self._by_name.get(fname, ())
+        for i, r in enumerate(self.all_rules):
+            by_name.setdefault(r.name, []).append((i, r))
+        self.rules_by_root = {k: tuple(v) for k, v in by_name.items()}
 
     def plurality_of(self, fname: str) -> Tuple[str, ...]:
         got = self.plurality.get(fname)

@@ -276,6 +276,21 @@ def test_stream_unbounded_depth_stops_at_fixpoint():
     assert stream.complete
 
 
+def test_stream_yields_each_value_once_though_sets_are_not_monotone():
+    # at depth 2 the argument's only total value is c(1), so X binds it
+    # alone; at depth 3 the values of f(0) join c(1) on X's ?-chain, and
+    # choosing c(1) in both copies then takes a level more
+    p = prog("f(X) -> 1 .\nf(0) -> 0 .\nf(X) -> c(d(X,X)) .")
+    e = ex(p, "f(f(0) ? c(1))")
+    twice = ex(p, "c(d(c(1),c(1)))")
+    enum = Enumerator(p, ALPHA)
+    assert twice in enum.values(e, 2) and twice not in enum.values(e, 3)
+    stream = enumerate_values(p, ALPHA, e, EnumConfig(depth=None, totals_only=True))
+    got = list(stream)
+    assert stream.complete and twice in got
+    assert len(got) == len(set(got)) == 18
+
+
 def test_stream_reports_bound_exhaustion():
     cfg = EnumConfig(depth=4, totals_only=True)
     stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), cfg)
