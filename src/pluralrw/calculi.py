@@ -13,14 +13,24 @@ beta-plural arguments pass any compressible subset up to the configured
 width). The instantiated right-hand side is then evaluated at depth k-1.
 
 Matchers are restricted to the pattern variables that the rule body
-actually uses, and every mode keeps only maximal matchers under pointwise
-approximation; both steps preserve the computed denotation (a dominated
-matcher binds a shorter disjunction whose value set the dominating one
-already yields, and value sets are down-closed) while keeping the subset
-enumeration of the beta modes from exploding over dominated elements.
+actually uses. Singular and alpha-plural arguments keep only the maximal
+matchers under pointwise approximation; both steps preserve the computed
+denotation (a dominated matcher binds a shorter disjunction whose value set
+the dominating one already yields, and value sets are down-closed).
 Dropping dominated matchers can shorten the disjunctions an instantiated
 body carries, so individual values may surface at a smaller depth than
 they would with the full matcher set; the limit is unchanged.
+
+Beta-plural arguments cannot prune first: they enumerate the compressible
+subsets of all matchers, because dominated matchers can be compressible
+together where their dominators are not. {X/a,Y/_|_} and {X/c,Y/_|_}
+compress to X/(a?c), while their dominators {X/a,Y/b} and {X/c,Y/d} do
+not; pruning before choosing subsets would lose X/(a?c).
+
+Derivations are not recorded while values are computed. build_trace
+rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
+for a constructor, and for a call the first pick, in evaluation order,
+whose instantiated body holds the value one level down.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
@@ -43,14 +53,16 @@ from .disjsubst import (
 )
 from .syntax import PL, SG, Program, format_term
 from .terms import (
+    APP,
     BOT,
+    BOTTOM,
+    VAR,
     Term,
     app,
     apply_subst,
     down_closure,
     match_value,
     term_key,
-    var,
 )
 
 CALL_TIME = "call-time"
@@ -119,17 +131,41 @@ class EnumConfig:
         self.totals_only = totals_only
 
 
+def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str, ...]:
+    """How each argument of fname is passed under the mode: SG or PL."""
+    if mode == CALL_TIME or fname in ("?", "if_then"):
+        return (SG,) * arity
+    if mode in (ALPHA, BETA):
+        return (PL,) * arity
+    return program.plurality_of(fname)
+
+
+def _premises(rule, choices):
+    """(argument index, premise value) per matcher passed: the rule's
+    pattern under the matcher, with pattern variables the body ignores
+    cut to bottom."""
+    for i, combo in enumerate(choices):
+        pattern = rule.args[i]
+        ignored = pattern.varset - rule.rhs.varset
+        for m in combo:
+            padded = dict.fromkeys(ignored, BOT)
+            padded.update(m)
+            yield i, apply_subst(pattern, padded)
+
+
 class TraceNode:
-    """One step of a derivation: tag, statement source =>> value, the
-    parameter-passing substitution for OR steps, premise subtrees (for OR
-    steps the last child derives the instantiated rule body)."""
+    """One step of a derivation: tag, statement source =>> value, and for
+    OR steps the rule applied, the parameter-passing substitution and the
+    matchers passed per argument. Children are the premise subtrees; for
+    OR steps the last child derives the instantiated rule body."""
 
-    __slots__ = ("tag", "source", "value", "subst", "choices", "children")
+    __slots__ = ("tag", "source", "value", "rule", "subst", "choices", "children")
 
-    def __init__(self, tag, source, value, subst=None, choices=None, children=()):
+    def __init__(self, tag, source, value, rule=None, subst=None, choices=None, children=()):
         self.tag = tag
         self.source = source
         self.value = value
+        self.rule = rule
         self.subst = subst
         self.choices = choices
         self.children = tuple(children)
@@ -169,7 +205,6 @@ class Enumerator:
         program: Program,
         mode: str,
         plural_width: int = 4,
-        record: bool = False,
         value_budget: Optional[int] = None,
     ):
         if mode not in MODES:
@@ -178,10 +213,8 @@ class Enumerator:
         self.mode = mode
         self.width = plural_width
         self.sig = program.signature
-        self._record = record
         self._budget = value_budget
         self._memo: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
-        self._wit: Dict[Tuple[Term, int], dict] = {}
         self._dirty = True
         self._support: set = set()
         self._alpha = mode in (ALPHA, COMBINED_ALPHA)
@@ -212,13 +245,6 @@ class Enumerator:
                 break
         return not self._dirty
 
-    def _tags(self, fname: str, arity: int) -> Tuple[str, ...]:
-        if self.mode == CALL_TIME or fname in ("?", "if_then"):
-            return (SG,) * arity
-        if self.mode in (ALPHA, BETA):
-            return (PL,) * arity
-        return self.program.plurality_of(fname)
-
     def _rules(self, fname: str):
         cached = self._rule_cache.get(fname)
         if cached is None:
@@ -227,7 +253,8 @@ class Enumerator:
                 doms = tuple(
                     frozenset(p.varset & rule.rhs.varset) for p in rule.args
                 )
-                cached.append((rule, doms, self._tags(fname, len(rule.args))))
+                tags = _arg_tags(self.program, self.mode, fname, len(rule.args))
+                cached.append((rule, doms, tags))
             self._rule_cache[fname] = cached
         return cached
 
@@ -237,63 +264,17 @@ class Enumerator:
         if got is not None:
             return got
         self._support.add(expr)
-        wit = None
-        if (
-            expr.kind == 2
-            and not self._record
-            and expr.symbols.isdisjoint(self._fnames)
-        ):
+        if expr.kind != APP:
+            result = _BOTTOM_ONLY if expr.kind == BOTTOM else frozenset((BOT, expr))
+        elif expr.symbols.isdisjoint(self._fnames):
             # function-free expressions are their own down-closure at any depth
             result = down_closure(expr)
-        elif (
-            expr.kind == 2
-            and not self._record
-            and self.sig.is_function(expr.name)
-        ):
-            # union the per-pick result sets by reference; repeated unions of
-            # the same parts (the common case once low levels stabilize) come
-            # out of the cache as the same object, so the unchanged-set check
-            # below stays an identity test instead of a big-set comparison
-            parts: List[FrozenSet[Term]] = []
-            if k >= 1:
-                for rule, doms, tags in self._rules(expr.name):
-                    self._apply_rule(expr, rule, doms, tags, k, parts, None)
-            if not parts:
-                result = _BOTTOM_ONLY
-            else:
-                uniq: List[FrozenSet[Term]] = []
-                seen_ids = set()
-                for p in parts:
-                    pid = id(p)
-                    if pid not in seen_ids:
-                        seen_ids.add(pid)
-                        uniq.append(p)
-                if len(uniq) == 1:
-                    result = uniq[0]
-                else:
-                    ckey = frozenset(uniq)
-                    result = self._union_cache.get(ckey)
-                    if result is None:
-                        result = frozenset().union(*uniq)
-                        self._union_cache[ckey] = result
+        elif self.sig.is_function(expr.name):
+            result = self._union(
+                [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
+            )
         else:
-            out = {BOT}
-            wit = {BOT: ("B",)} if self._record else None
-            if expr.kind == 1:
-                out.add(expr)
-                if wit is not None:
-                    wit[expr] = ("RR",)
-                result = frozenset(out)
-            elif expr.kind == 2:
-                if self.sig.is_function(expr.name):
-                    if k >= 1:
-                        for rule, doms, tags in self._rules(expr.name):
-                            self._apply_rule(expr, rule, doms, tags, k, out, wit)
-                    result = frozenset(out)
-                else:
-                    result = self._constructor_values(expr, k, out, wit)
-            else:
-                result = frozenset(out)
+            result = self._constructor_values(expr, k)
         if self._budget is not None and len(result) > self._budget:
             raise BudgetExceeded(
                 "value set of size %d exceeds the budget %d" % (len(result), self._budget)
@@ -308,84 +289,105 @@ class Enumerator:
         else:
             self._dirty = True
         self._memo[key] = result
-        if wit is not None:
-            self._wit[key] = wit
         return result
 
-    def _constructor_values(self, expr, k, out, wit):
+    def _union(self, parts: List[FrozenSet[Term]]) -> FrozenSet[Term]:
+        # union the per-pick result sets by reference; repeated unions of
+        # the same parts (the common case once low levels stabilize) come
+        # out of the cache as the same object, so the unchanged-set check
+        # in values stays an identity test instead of a big-set comparison
+        uniq = list({id(p): p for p in parts}.values())
+        if not uniq:
+            return _BOTTOM_ONLY
+        if len(uniq) == 1:
+            return uniq[0]
+        ckey = frozenset(uniq)
+        result = self._union_cache.get(ckey)
+        if result is None:
+            result = frozenset().union(*uniq)
+            self._union_cache[ckey] = result
+        return result
+
+    def _constructor_values(self, expr, k):
         child_sets = [self.values(c, k) for c in expr.children]
-        if k > 0 and wit is None:
+        if k > 0:
             prev = self._memo.get((expr, k - 1))
             if prev is not None and all(
                 cs is self._memo.get((c, k - 1))
                 for cs, c in zip(child_sets, expr.children)
             ):
                 return prev
+        out = {BOT}
         budget = self._budget
         for combo in product(*child_sets):
-            t = app(expr.name, combo)
-            if t not in out:
-                out.add(t)
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceeded("constructor product exceeds the budget")
-                if wit is not None:
-                    wit[t] = ("DC", combo)
+            out.add(app(expr.name, combo))
+            if budget is not None and len(out) > budget:
+                raise BudgetExceeded("constructor product exceeds the budget")
         return frozenset(out)
 
-    def _apply_rule(self, expr, rule, doms, tags, k, sink, wit):
-        # sink is a list collecting per-pick value-set references when wit is
-        # None, and a mutable result set fed term by term when recording
+    def _picks(self, expr, k):
+        """Every way to unfold the call expr at depth k, in evaluation
+        order: (rule, one (matchers, ?-combination) choice per argument,
+        theta, instantiated body). A rule stops at its first argument, left
+        to right, that no value at depth k-1 matches."""
+        if k < 1:
+            return
         kprev = k - 1
-        per_arg: List[list] = []
-        for i, pattern in enumerate(rule.args):
-            vset = self.values(expr.children[i], kprev)
-            dom_i = doms[i]
-            singular = tags[i] == SG
-            if pattern.kind == 1 and pattern.name not in dom_i:
-                # body ignores this argument; every value matches trivially
-                per_arg.append([(({},), DisjSubst({}))])
-                continue
-            if pattern.kind == 1 and (singular or self._alpha):
-                # variable pattern: matchers are the values themselves, and
-                # only maximal ones matter here; skip the dict detour
-                name = pattern.name
-                top = self._max_cache.get(vset)
-                if top is None:
-                    top = _maximal_terms(vset)
-                    self._max_cache[vset] = top
-                if singular:
-                    choices = [
-                        (({name: t},), DisjSubst({name: (t,)})) for t in top
-                    ]
-                else:
-                    combo = tuple({name: t} for t in top)
-                    choices = [(combo, question_combine_set(combo))]
+        for rule, doms, tags in self._rules(expr.name):
+            per_arg: List[list] = []
+            for i, pattern in enumerate(rule.args):
+                vset = self.values(expr.children[i], kprev)
+                choices = self._choices(pattern, doms[i], tags[i] == SG, vset)
+                if not choices:
+                    break
                 per_arg.append(choices)
-                continue
+            else:
+                picks = 0
+                for pick in product(*per_arg):
+                    if self._budget is not None:
+                        picks += 1
+                        if picks > self._budget:
+                            raise BudgetExceeded("substitution picks overrun the budget")
+                    alts: dict = {}
+                    for _, ds in pick:
+                        alts.update(ds.alts)
+                    theta = DisjSubst(alts)
+                    yield rule, pick, theta, theta.apply(rule.rhs)
+
+    def _choices(self, pattern, dom, singular, vset):
+        """What one argument can pass: (matchers, ?-combination) pairs,
+        empty when no value in vset matches the pattern."""
+        if pattern.kind == VAR and pattern.name not in dom:
+            # body ignores this argument; every value matches trivially
+            return [(({},), DisjSubst({}))]
+        if pattern.kind == VAR and (singular or self._alpha):
+            # variable pattern: the maximal values are the maximal
+            # matchers; skip matching and the dict-based maximality sweep
+            top = self._max_cache.get(vset)
+            if top is None:
+                top = self._max_cache[vset] = _maximal_terms(vset)
+            name = pattern.name
+            maximal = [{name: t} for t in top]
+        else:
             matchers: List[PSubst] = []
             seen = set()
             for t in vset:
                 m = match_value(pattern, t)
                 if m is None:
                     continue
-                if dom_i != frozenset(m):
-                    m = {x: img for x, img in m.items() if x in dom_i}
+                if dom != frozenset(m):
+                    m = {x: img for x, img in m.items() if x in dom}
                 frozen = frozenset(m.items())
                 if frozen not in seen:
                     seen.add(frozen)
                     matchers.append(m)
             if not matchers:
-                return
+                return []
             if self._budget is not None and len(matchers) > _MATCHER_GUARD:
                 raise BudgetExceeded(
                     "%d matchers for one argument overrun the budget" % len(matchers)
                 )
-            if singular:
-                choices = [((m,), DisjSubst.plain(m)) for m in maximal_substs(matchers)]
-            elif self._alpha:
-                combo = tuple(maximal_substs(matchers))
-                choices = [(combo, question_combine_set(combo))]
-            else:
+            if not (singular or self._alpha):
                 choices = []
                 seen_ds = set()
                 for combo in compressible_subsets(matchers, self.width):
@@ -393,64 +395,41 @@ class Enumerator:
                     if ds not in seen_ds:
                         seen_ds.add(ds)
                         choices.append((combo, ds))
-            per_arg.append(choices)
-        picks = 0
-        for pick in product(*per_arg):
-            if self._budget is not None:
-                picks += 1
-                if picks > self._budget:
-                    raise BudgetExceeded("substitution picks overrun the budget")
-            alts: dict = {}
-            for _, ds in pick:
-                alts.update(ds.alts)
-            theta = DisjSubst(alts)
-            inst = theta.apply(rule.rhs)
-            vals = self.values(inst, kprev)
-            if wit is None:
-                sink.append(vals)
-                continue
-            for v in vals:
-                if v not in sink:
-                    sink.add(v)
-                    wit[v] = (
-                        self._or_tag,
-                        rule,
-                        tuple(c for c, _ in pick),
-                        theta,
-                        inst,
-                    )
-
-    # trace reconstruction from recorded witnesses
+                return choices
+            maximal = maximal_substs(matchers)
+        if singular:
+            return [((m,), DisjSubst.plain(m)) for m in maximal]
+        combo = tuple(maximal)
+        return [(combo, question_combine_set(combo))]
 
     def build_trace(self, expr: Term, k: int, value: Term) -> TraceNode:
-        if not self._record:
-            raise ValueError("enumerator was not recording")
-        spec = self._wit[(expr, k)][value]
-        tag = spec[0]
-        if tag == "B":
+        """A derivation of expr =>> value at depth k, rebuilt from the memo.
+
+        A call takes the first pick, in evaluation order, whose body holds
+        the value at depth k-1; other nodes follow from the value's shape.
+        Raises ValueError when value is not in values(expr, k)."""
+        if value is BOT:
             return TraceNode("B", expr, BOT)
-        if tag == "RR":
+        if expr.kind == VAR and value is expr:
             return TraceNode("RR", expr, value)
-        if tag == "DC":
-            combo = spec[1]
+        if expr.kind == APP and self.sig.is_function(expr.name):
+            for rule, pick, theta, inst in self._picks(expr, k):
+                if value in self.values(inst, k - 1):
+                    choices = tuple(c for c, _ in pick)
+                    kids = [
+                        self.build_trace(expr.children[i], k - 1, v)
+                        for i, v in _premises(rule, choices)
+                    ]
+                    kids.append(self.build_trace(inst, k - 1, value))
+                    return TraceNode(self._or_tag, expr, value, rule, theta, choices, kids)
+        elif expr.kind == APP and value.kind == APP and value.name == expr.name:
             kids = [
-                self.build_trace(expr.children[i], k, combo[i])
-                for i in range(len(combo))
+                self.build_trace(c, k, v) for c, v in zip(expr.children, value.children)
             ]
             return TraceNode("DC", expr, value, children=kids)
-        _, rule, choices, theta, inst = spec
-        kids = []
-        for i, combo in enumerate(choices):
-            pattern = rule.args[i]
-            for m in combo:
-                padded = dict(m)
-                for x in pattern.varset - frozenset(m):
-                    if x not in rule.rhs.varset:
-                        padded[x] = BOT
-                premise_val = apply_subst(pattern, padded)
-                kids.append(self.build_trace(expr.children[i], k - 1, premise_val))
-        kids.append(self.build_trace(inst, k - 1, value))
-        return TraceNode(tag, expr, value, theta, choices, kids)
+        raise ValueError(
+            "%s is not a value of %s at depth %d" % (format_term(value), format_term(expr), k)
+        )
 
 
 def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
@@ -459,10 +438,10 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
     if node.tag == "B":
         return node.value is BOT
     if node.tag == "RR":
-        return node.source.kind == 1 and node.value is node.source
+        return node.source.kind == VAR and node.value is node.source
     if node.tag == "DC":
         e, t = node.source, node.value
-        if e.kind != 2 or t.kind != 2 or e.name != t.name or sig.is_function(e.name):
+        if e.kind != APP or t.kind != APP or e.name != t.name or sig.is_function(e.name):
             return False
         if len(node.children) != len(e.children):
             return False
@@ -474,31 +453,15 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
         )
     if node.tag != _OR_TAG[mode]:
         return False
-    e = node.source
-    if e.kind != 2 or not sig.is_function(e.name):
+    e, rule, choices, theta = node.source, node.rule, node.choices, node.subst
+    if e.kind != APP or not sig.is_function(e.name):
         return False
-    choices = node.choices
-    theta = node.subst
-    rule = None
-    for _i, r in program.rules_by_root.get(e.name, ()):
-        if len(choices) == len(r.args):
-            candidate_alts: dict = {}
-            for combo in choices:
-                candidate_alts.update(question_combine_set(combo).alts)
-            if DisjSubst(candidate_alts) == theta:
-                inst = theta.apply(r.rhs)
-                if node.children and node.children[-1].source is inst:
-                    rule = r
-                    break
-    if rule is None:
+    if not any(r is rule for _i, r in program.rules_by_root.get(e.name, ())):
         return False
-    tags = (
-        (SG,) * len(rule.args)
-        if mode == CALL_TIME or e.name in ("?", "if_then")
-        else (PL,) * len(rule.args)
-        if mode in (ALPHA, BETA)
-        else program.plurality_of(e.name)
-    )
+    if len(choices) != len(rule.args):
+        return False
+    tags = _arg_tags(program, mode, e.name, len(rule.args))
+    alts: dict = {}
     for i, combo in enumerate(choices):
         if not combo:
             return False
@@ -506,16 +469,13 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
             return False
         if mode in (BETA, COMBINED_BETA) and not is_compressible(combo):
             return False
+        alts.update(question_combine_set(combo).alts)
+    if DisjSubst(alts) != theta:
+        return False
+    if not node.children or node.children[-1].source is not theta.apply(rule.rhs):
+        return False
     premises = node.children[:-1]
-    expected = []
-    for i, combo in enumerate(choices):
-        pattern = rule.args[i]
-        for m in combo:
-            padded = dict(m)
-            for x in pattern.varset - frozenset(m):
-                if x not in rule.rhs.varset:
-                    padded[x] = BOT
-            expected.append((i, apply_subst(pattern, padded)))
+    expected = list(_premises(rule, choices))
     if len(premises) != len(expected):
         return False
     for kid, (arg_index, premise_value) in zip(premises, expected):
@@ -630,7 +590,7 @@ def derives(
 ) -> Optional[TraceNode]:
     """A replayable derivation of expr =>> target within the depth bound,
     or None. The derivation uses the least sufficient depth."""
-    enum = Enumerator(program, mode, cfg.plural_width, record=True)
+    enum = Enumerator(program, mode, cfg.plural_width)
     d = 0
     while cfg.depth is None or d <= cfg.depth:
         enum.begin_sweep()

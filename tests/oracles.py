@@ -6,26 +6,9 @@ definitions, by different algorithms than the package uses.
 
 import random
 from collections import deque
-from itertools import product
 
 from pluralrw.terms import APP, BOT, app, apply_subst, match_value, replace_at, var
-from pluralrw.disjsubst import image_of
 from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
-
-
-def brute_force_compressible(thetas):
-    """Definition form: materialize the full product of per-variable image
-    sets and compare it against the realized image tuples as sets."""
-    pool = [dict(t) for t in thetas]
-    if not pool:
-        return True
-    names = sorted(set().union(*pool))
-    if not names:
-        return True
-    realized = {tuple(image_of(t, x) for x in names) for t in pool}
-    columns = [{image_of(t, x) for t in pool} for x in names]
-    full = set(product(*columns))
-    return realized == full
 
 
 _TERM_POOL = (

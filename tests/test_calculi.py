@@ -1,4 +1,7 @@
+import random
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from pluralrw.calculi import (
@@ -8,6 +11,7 @@ from pluralrw.calculi import (
     COMBINED_ALPHA,
     COMBINED_BETA,
     MODES,
+    BudgetExceeded,
     EnumConfig,
     Enumerator,
     derives,
@@ -16,8 +20,9 @@ from pluralrw.calculi import (
     saturates,
     values_at,
 )
+from pluralrw.harness import VALUE_CAP, GenConfig, gen_ground_expr, gen_program
 from pluralrw.syntax import parse_expression, parse_program
-from pluralrw.terms import BOT, app, down_closure, positions, replace_at, shell, var
+from pluralrw.terms import BOT, app, down_closure, positions, replace_at, shell, term_key, var
 
 def prog(body):
     return parse_program("plural T is\n%s\nendp" % body)
@@ -352,3 +357,42 @@ def test_shared_enumerator_memo_is_consistent():
     again = enum.values(ex(EP3, "g(d(0,0)?d(1,1))"), 8)
     assert again == direct
     assert enum.values(ex(EP3, "h(d(0,0)?d(1,1))"), 8) == warm
+
+
+FACTS = prog("g(a) -> t .\ng(b) -> t .")
+
+
+def test_replay_follows_the_rule_the_trace_names():
+    # both facts agree on theta and body; only the rule tells them apart
+    trace = derives(FACTS, CALL_TIME, ex(FACTS, "g(b)"), ex(FACTS, "t"), EnumConfig(depth=2))
+    assert trace is not None and replay_trace(FACTS, CALL_TIME, trace)
+    assert trace.rule is FACTS.rules[1]
+    trace.rule = FACTS.rules[0]
+    assert not replay_trace(FACTS, CALL_TIME, trace)
+    trace.rule = P1.rules[0]
+    assert not replay_trace(FACTS, CALL_TIME, trace)
+
+
+@pytest.mark.parametrize("force_cab", (False, True))
+def test_every_value_of_harness_programs_has_a_replayable_derivation(force_cab):
+    # sets past the harness's value cap are skipped, as the harness
+    # refuses them: seed 23's f2(f2(0)) outgrows it in every mode but
+    # alpha-plural
+    cfg = EnumConfig(depth=3)
+    skipped = 0
+    for seed in range(1, 31):
+        program = gen_program(GenConfig(seed=seed, force_cab=force_cab))
+        rng = random.Random(seed)
+        for _ in range(3):
+            expr = gen_ground_expr(program, rng, 2)
+            for mode in MODES:
+                try:
+                    got = Enumerator(program, mode, value_budget=VALUE_CAP).values(expr, 3)
+                except BudgetExceeded:
+                    skipped += 1
+                    continue
+                for value in sorted((t for t in got if t.total), key=term_key):
+                    trace = derives(program, mode, expr, value, cfg)
+                    assert trace is not None, (seed, mode, value)
+                    assert replay_trace(program, mode, trace), (seed, mode, value)
+    assert skipped == 4

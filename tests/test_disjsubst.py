@@ -17,7 +17,9 @@ from pluralrw.disjsubst import (
     subst_leq,
 )
 
-from oracles import brute_force_compressible, random_theta_set
+from pluralrw.harness import brute_force_compressible
+
+from oracles import random_theta_set
 
 zero = app("0")
 one = app("1")

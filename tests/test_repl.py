@@ -144,6 +144,24 @@ def test_show_path_for_the_calculi_engine(tmp_path):
     assert "d(0,0)" in path[0]
 
 
+def test_show_path_names_the_fact_it_applied():
+    # every neq fact has the body tt and no variables, so only the rule
+    # itself tells neq(david,laura) -> tt from neq(pepe,paco) -> tt
+    s = Session()
+    s.execute("load programs/clerks.plural")
+    assert s.execute("eval depth = inf nClerks(s(s(z)))") == [
+        "Result: cons(david,cons(laura,nil))"
+    ]
+    path = s.execute("show path")
+    assert path[0].startswith("SAPOR  nClerks(s(s(z))) =>> cons(david,cons(laura,nil))")
+    at = next(i for i, line in enumerate(path) if "SAPOR  neq(david,laura) =>> tt" in line)
+    assert [line.strip() for line in path[at + 1:at + 4]] == [
+        "DC  david =>> david",
+        "DC  laura =>> laura",
+        "DC  tt =>> tt",
+    ]
+
+
 def test_show_path_for_the_rewrite_engine(tmp_path):
     s = Session()
     load(s, tmp_path, P1_BODY)
