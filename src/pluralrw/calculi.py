@@ -196,8 +196,10 @@ class TraceNode:
 class Enumerator:
     """Memoized value-set computation for one (program, mode, width).
 
-    Safe to reuse across expressions and depths; the memo is shared, which
-    keeps iterative deepening and multi-query tests cheap.
+    values may be asked for any expressions and depths; the memo is shared,
+    which keeps multi-query tests cheap. A DenotationStream needs a fresh
+    enumerator: its fixpoint test watches the memo change from one depth
+    to the next, and entries made before the stream began hide that change.
     """
 
     def __init__(
@@ -497,6 +499,8 @@ class DenotationStream:
     it can never yield more (fixpoint), as opposed to hitting the bound."""
 
     def __init__(self, enum: Enumerator, expr: Term, cfg: EnumConfig):
+        if enum._memo:
+            raise ValueError("a DenotationStream needs an Enumerator with an empty memo")
         self.enum = enum
         self.expr = expr
         self.cfg = cfg
@@ -591,15 +595,11 @@ def derives(
     """A replayable derivation of expr =>> target within the depth bound,
     or None. The derivation uses the least sufficient depth."""
     enum = Enumerator(program, mode, cfg.plural_width)
-    d = 0
-    while cfg.depth is None or d <= cfg.depth:
-        enum.begin_sweep()
-        got = enum.values(expr, d)
-        if target in got:
-            trace = enum.build_trace(expr, d, target)
+    stream = DenotationStream(enum, expr, EnumConfig(depth=cfg.depth))
+    for value in stream:
+        if value == target:
+            # a stratum is yielded whole before the next depth is swept
+            trace = enum.build_trace(expr, stream._depth_next - 1, target)
             assert replay_trace(program, mode, trace)
             return trace
-        if d > 0 and enum.sweep_clean and enum.confirm_fixpoint(d):
-            return None
-        d += 1
     return None

@@ -154,7 +154,15 @@ class Session:
         }.get(head)
         if handler is None:
             raise CommandError("unknown command %r (try help)" % head)
-        return handler(rest)
+        try:
+            return handler(rest)
+        except RecursionError:
+            self.drop_stream()
+            raise CommandError("input nested too deeply for the interpreter's recursion limit") from None
+
+    def drop_stream(self):
+        """Forget the active eval, whose stream may be left half advanced."""
+        self._stream = None
 
     def _require_program(self) -> Program:
         if self.program is None:
@@ -395,14 +403,16 @@ def _interact(session: Session) -> int:
     while not session.finished:
         try:
             line = input(PROMPT)
+            for out in session.execute(line):
+                print(out)
         except EOFError:
             print()
             break
-        try:
-            for out in session.execute(line):
-                print(out)
         except CommandError as exc:
             print("Error: %s" % exc)
+        except KeyboardInterrupt:
+            session.drop_stream()
+            print("\nInterrupted.")
     return 0
 
 

@@ -12,6 +12,7 @@ from pluralrw.calculi import (
     COMBINED_BETA,
     MODES,
     BudgetExceeded,
+    DenotationStream,
     EnumConfig,
     Enumerator,
     derives,
@@ -302,6 +303,19 @@ def test_stream_reports_bound_exhaustion():
     list(stream)
     assert stream.done and not stream.complete
     assert stream.saturated_at() is None
+
+
+def test_stream_refuses_an_enumerator_with_a_filled_memo():
+    # memo hits never mark a sweep dirty, so a stream over deeper entries
+    # made earlier would see a clean sweep at depth 1 and stop at z
+    query = ex(FROM, "from(z)")
+    used = Enumerator(FROM, CALL_TIME)
+    used.values(query, 6)
+    with pytest.raises(ValueError):
+        DenotationStream(used, query, EnumConfig(depth=None))
+    stream = DenotationStream(Enumerator(FROM, CALL_TIME), query, EnumConfig(depth=6))
+    assert tset(FROM, ["z", "s(z)", "s(s(z))"]) <= set(stream)
+    assert not stream.complete
 
 
 def test_plateau_within_bound_counts_as_observed_saturation():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pluralrw import harness
 from pluralrw.harness import SUITES, run_suite
 
 SEEDS = (6, 8, 10)
@@ -27,3 +28,39 @@ def test_suite_runs_clean(suite):
     witnesses = []
     assert run_suite(suite, SEEDS, 4, out=witnesses.append) == EXPECTED[suite]
     assert witnesses == []
+
+
+CHECKS = {
+    "hierarchy": "check_hierarchy",
+    "cab": "check_cab_equivalence",
+    "pst": "check_pst_adequacy",
+    "bubbling": "check_bubbling",
+}
+
+
+@pytest.mark.parametrize(
+    "suite,seed",
+    [("hierarchy", 23), ("hierarchy", 30), ("hierarchy", 32), ("cab", 23), ("pst", 23), ("bubbling", 2)],
+)
+def test_deepening_computes_each_denotation_once_per_check(monkeypatch, suite, seed):
+    # on these seeds an inclusion misses at the check's own depth, and the
+    # deepening retry used to enumerate that depth's set a second time;
+    # bubbling seed 2 has a bare-hole context, so its two sides coincide
+    per_check = []
+    denotation = harness._denotation
+    check = getattr(harness, CHECKS[suite])
+
+    def counted(program, mode, expr, depth, cap=harness.VALUE_CAP):
+        per_check[-1].append((mode, expr, depth, cap))
+        return denotation(program, mode, expr, depth, cap)
+
+    def fresh_check(*args):
+        per_check.append([])
+        return check(*args)
+
+    monkeypatch.setattr(harness, "_denotation", counted)
+    monkeypatch.setattr(harness, CHECKS[suite], fresh_check)
+    run_suite(suite, [seed], 4, out=lambda line: None)
+    assert per_check
+    for calls in per_check:
+        assert len(calls) == len(set(calls))

@@ -1,6 +1,6 @@
 import pytest
 
-from pluralrw.repl import BANNER_OK, CommandError, Session, main
+from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
 
 P1_BODY = "f(c(X)) -> d(X,X) ."
 
@@ -203,6 +203,44 @@ def test_unknown_inputs_are_rejected():
         s.execute("semantics nonsense")
     with pytest.raises(CommandError):
         s.execute("depth minus-one")
+
+
+def test_deep_input_is_a_clear_error_not_a_crash():
+    s = Session()
+    s.execute("load programs/clerks.plural")
+    s.execute("eval twoclerks")
+    deep = "s(" * 3000 + "z" + ")" * 3000
+    with pytest.raises(CommandError, match="nested too deeply"):
+        s.execute("eval " + deep)
+    with pytest.raises(CommandError, match="no active eval"):
+        s.execute("more")
+    assert s.execute("eval s(z)") == ["Result: s(z)"]
+
+
+def test_ctrl_c_drops_the_eval_and_returns_to_the_prompt(monkeypatch, capsys):
+    s = Session()
+    s.execute("load programs/clerks.plural")
+    s.execute("eval twoclerks")
+    lines = iter(["more", "more", "quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+    execute = s.execute
+    seen = []
+
+    def interrupted_once(line):
+        seen.append(line)
+        if len(seen) == 1:
+            raise KeyboardInterrupt
+        return execute(line)
+
+    monkeypatch.setattr(s, "execute", interrupted_once)
+    try:
+        assert _interact(s) == 0
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C ended the session")
+    out = capsys.readouterr().out.splitlines()
+    assert "Interrupted." in out
+    assert "Error: no active eval to continue" in out
+    assert seen == ["more", "more", "quit"]
 
 
 def test_script_mode_runs_and_exits_cleanly(tmp_path, capsys):
