@@ -21,11 +21,24 @@ Dropping dominated matchers can shorten the disjunctions an instantiated
 body carries, so individual values may surface at a smaller depth than
 they would with the full matcher set; the limit is unchanged.
 
+Those arguments match only the maximal values of the argument's set, not
+the whole down-closed set, and lose no matcher by it. Patterns are linear
+total constructor terms, so matching is upward closed (if t matches and
+t <= t', t' matches) and order-reflecting (p.theta <= p.sigma iff
+theta <= sigma). Every matcher's value lies below a maximal value, which
+then matches with a matcher above it; so the maximal matchers are exactly
+the matchers of the maximal values, and they form an antichain.
+Restriction to the body's variables is monotone, so the maximal
+restricted matchers are the maximal restrictions of that antichain: a
+maximality sweep is needed only when the pattern binds a variable the
+body ignores.
+
 Beta-plural arguments cannot prune first: they enumerate the compressible
 subsets of all matchers, because dominated matchers can be compressible
 together where their dominators are not. {X/a,Y/_|_} and {X/c,Y/_|_}
 compress to X/(a?c), while their dominators {X/a,Y/b} and {X/c,Y/d} do
-not; pruning before choosing subsets would lose X/(a?c).
+not; pruning before choosing subsets would lose X/(a?c). So they match
+every value of the set.
 
 Derivations are not recorded while values are computed. build_trace
 rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
@@ -92,7 +105,10 @@ def _maximal_terms(terms) -> List[Term]:
     which matters because value sets are down-closed and huge while their
     generator antichain stays small.  Weight (non-bottom node count)
     strictly decreases along proper approximation, so every dominator
-    precedes its victims and one sweep suffices.
+    precedes its victims and one sweep suffices. Terms of equal weight
+    never dominate each other, so the kept set does not depend on how the
+    sweep orders them; it is returned in canonical order, heaviest first,
+    so that derivations do not depend on set iteration order.
     """
     pool = sorted(terms, key=lambda t: -t.weight)
     kept: List[Term] = []
@@ -101,6 +117,7 @@ def _maximal_terms(terms) -> List[Term]:
         if not any(t in dc for dc in closures):
             kept.append(t)
             closures.append(down_closure(t))
+    kept.sort(key=lambda t: (-t.weight, t.key))
     return kept
 
 
@@ -111,8 +128,9 @@ class BudgetExceeded(RuntimeError):
     runs unbudgeted. The sets memoized before the overflow stay valid."""
 
 
-# quartic guard: candidate matcher sets feed subset enumeration, which is
-# O(n^width); past this size a budgeted run bails out instead of stalling
+# guard on the beta path, the only one that enumerates subsets: its matcher
+# sets feed subset enumeration, which is O(n^width); past this size a
+# budgeted run bails out instead of stalling
 _MATCHER_GUARD = 48
 
 
@@ -350,10 +368,7 @@ class Enumerator:
                         picks += 1
                         if picks > self._budget:
                             raise BudgetExceeded("substitution picks overrun the budget")
-                    alts: dict = {}
-                    for _, ds in pick:
-                        alts.update(ds.alts)
-                    theta = DisjSubst(alts)
+                    theta = DisjSubst.join([ds for _, ds in pick])
                     yield rule, pick, theta, theta.apply(rule.rhs)
 
     def _choices(self, pattern, dom, singular, vset):
@@ -362,47 +377,48 @@ class Enumerator:
         if pattern.kind == VAR and pattern.name not in dom:
             # body ignores this argument; every value matches trivially
             return [(({},), DisjSubst({}))]
-        if pattern.kind == VAR and (singular or self._alpha):
-            # variable pattern: the maximal values are the maximal
-            # matchers; skip matching and the dict-based maximality sweep
+        if singular or self._alpha:
+            # the maximal matchers are the matchers of the maximal values
             top = self._max_cache.get(vset)
             if top is None:
                 top = self._max_cache[vset] = _maximal_terms(vset)
-            name = pattern.name
-            maximal = [{name: t} for t in top]
-        else:
-            matchers: List[PSubst] = []
-            seen = set()
-            for t in vset:
-                m = match_value(pattern, t)
-                if m is None:
-                    continue
-                if dom != frozenset(m):
-                    m = {x: img for x, img in m.items() if x in dom}
-                frozen = frozenset(m.items())
-                if frozen not in seen:
-                    seen.add(frozen)
-                    matchers.append(m)
-            if not matchers:
+            maximal = [m for t in top if (m := match_value(pattern, t)) is not None]
+            if not maximal:
                 return []
-            if self._budget is not None and len(matchers) > _MATCHER_GUARD:
-                raise BudgetExceeded(
-                    "%d matchers for one argument overrun the budget" % len(matchers)
+            if not pattern.varset <= dom:
+                maximal = maximal_substs(
+                    {x: img for x, img in m.items() if x in dom} for m in maximal
                 )
-            if not (singular or self._alpha):
-                choices = []
-                seen_ds = set()
-                for combo in compressible_subsets(matchers, self.width):
-                    ds = question_combine_set(combo)
-                    if ds not in seen_ds:
-                        seen_ds.add(ds)
-                        choices.append((combo, ds))
-                return choices
-            maximal = maximal_substs(matchers)
-        if singular:
-            return [((m,), DisjSubst.plain(m)) for m in maximal]
-        combo = tuple(maximal)
-        return [(combo, question_combine_set(combo))]
+            if singular:
+                return [((m,), DisjSubst.plain(m)) for m in maximal]
+            combo = tuple(maximal)
+            return [(combo, question_combine_set(combo))]
+        matchers: List[PSubst] = []
+        seen = set()
+        for t in vset:
+            m = match_value(pattern, t)
+            if m is None:
+                continue
+            if dom != frozenset(m):
+                m = {x: img for x, img in m.items() if x in dom}
+            frozen = frozenset(m.items())
+            if frozen not in seen:
+                seen.add(frozen)
+                matchers.append(m)
+        if not matchers:
+            return []
+        if self._budget is not None and len(matchers) > _MATCHER_GUARD:
+            raise BudgetExceeded(
+                "%d matchers for one argument overrun the budget" % len(matchers)
+            )
+        choices = []
+        seen_ds = set()
+        for combo in compressible_subsets(matchers, self.width):
+            ds = question_combine_set(combo)
+            if ds not in seen_ds:
+                seen_ds.add(ds)
+                choices.append((combo, ds))
+        return choices
 
     def build_trace(self, expr: Term, k: int, value: Term) -> TraceNode:
         """A derivation of expr =>> value at depth k, rebuilt from the memo.

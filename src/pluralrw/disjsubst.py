@@ -98,6 +98,23 @@ class DisjSubst:
     def plain(cls, theta: Mapping[str, Term]) -> "DisjSubst":
         return cls({x: (t,) for x, t in theta.items()})
 
+    @classmethod
+    def join(cls, parts: Sequence["DisjSubst"]) -> "DisjSubst":
+        """The union of DisjSubsts over disjoint domains, such as the
+        per-argument choices of a linear left-hand side. The parts are
+        canonical already, so no alternative list is sorted again; the
+        result equals, and hashes as, DisjSubst of the merged
+        alternatives."""
+        if len(parts) == 1:
+            return parts[0]
+        alts: Dict[str, Tuple[Term, ...]] = {}
+        for part in parts:
+            alts.update(part.alts)
+        out = cls.__new__(cls)
+        out.alts = alts
+        out._hash = hash(tuple(sorted(alts.items())))
+        return out
+
     @property
     def dom(self) -> Set[str]:
         return set(self.alts)

@@ -7,6 +7,7 @@ definitions, by different algorithms than the package uses.
 import random
 from collections import deque
 
+from pluralrw.disjsubst import maximal_substs
 from pluralrw.terms import APP, BOT, app, apply_subst, match_value, replace_at, var
 from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
 
@@ -146,3 +147,19 @@ def reference_find_path(program, start, target, bound):
                 return chain
             queue.append((r, n + 1))
     return None
+
+
+# ---- calculi: the singular and alpha-plural matcher choice as it was
+# before only the maximal values were matched ----
+
+
+def reference_maximal_matchers(pattern, dom, vset):
+    """The maximal matchers of a value set restricted to dom: match every
+    value of the down-closed set, restrict each matcher, keep the maximal
+    ones."""
+    matchers = []
+    for t in vset:
+        m = match_value(pattern, t)
+        if m is not None:
+            matchers.append({x: img for x, img in m.items() if x in dom})
+    return maximal_substs(matchers)

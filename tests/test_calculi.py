@@ -21,9 +21,23 @@ from pluralrw.calculi import (
     saturates,
     values_at,
 )
-from pluralrw.harness import VALUE_CAP, GenConfig, gen_ground_expr, gen_program
+from pluralrw.disjsubst import DisjSubst, question_combine_set
+from pluralrw.harness import VALUE_CAP, GenConfig, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.syntax import parse_expression, parse_program
-from pluralrw.terms import BOT, app, down_closure, positions, replace_at, shell, term_key, var
+from pluralrw.terms import (
+    BOT,
+    VAR,
+    app,
+    down_closure,
+    match_value,
+    positions,
+    replace_at,
+    shell,
+    term_key,
+    var,
+)
+
+from oracles import reference_maximal_matchers
 
 def prog(body):
     return parse_program("plural T is\n%s\nendp" % body)
@@ -410,3 +424,74 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation(force_cab):
                     assert trace is not None, (seed, mode, value)
                     assert replay_trace(program, mode, trace), (seed, mode, value)
     assert skipped == 4
+
+
+class _CheckedChoices(Enumerator):
+    """An enumerator that checks every singular and alpha-plural matcher
+    choice against the reference, which matches the whole down-closed
+    value set. `pruned` counts the choices whose restricted matchers of
+    the maximal values were not yet an antichain."""
+
+    checked = pruned = 0
+
+    def _choices(self, pattern, dom, singular, vset):
+        got = super()._choices(pattern, dom, singular, vset)
+        if not (singular or self._alpha):
+            return got
+        want = reference_maximal_matchers(pattern, dom, vset)
+        frozen = {frozenset(m.items()) for m in want}
+        if not want:
+            assert got == []
+        elif singular:
+            assert {frozenset(c[0].items()) for c, _ in got} == frozen
+            assert len(got) == len(frozen)
+            assert all(len(c) == 1 and ds == DisjSubst.plain(c[0]) for c, ds in got)
+        else:
+            [(combo, ds)] = got
+            assert {frozenset(m.items()) for m in combo} == frozen
+            assert len(combo) == len(frozen)
+            assert ds == question_combine_set(want)
+        _CheckedChoices.checked += 1
+        if pattern.kind != VAR and not pattern.varset <= dom and want:
+            top = self._max_cache[vset]
+            matched = sum(match_value(pattern, t) is not None for t in top)
+            _CheckedChoices.pruned += len(want) < matched
+        return got
+
+
+def _load(path):
+    with open(path) as f:
+        return parse_program(f.read())
+
+
+def _differential_cases(kind):
+    if kind == "paper":
+        clerks = _load("programs/clerks.plural")
+        dungeon = _load("programs/dungeon.plural")
+        for q in ("twoclerks", "nClerks(s(s(z)))", "nClerksNG(s(s(z)))"):
+            yield clerks, ex(clerks, q)
+        yield dungeon, ex(dungeon, "escapeHow")
+        return
+    for seed in range(1, 31):
+        program = gen_program(GenConfig(seed=seed, force_cab=kind == "force_cab"))
+        rng = _expr_rng(seed)
+        for max_depth in (3, 3, 2):
+            yield program, gen_ground_expr(program, rng, max_depth)
+
+
+@pytest.mark.parametrize("kind", ("plain", "force_cab", "paper"))
+def test_maximal_value_matching_agrees_with_matching_every_value(kind):
+    # ROADMAP aim 3: the pruned matcher choice against the unpruned one,
+    # for every argument reached at depths 0..4 in every mode
+    _CheckedChoices.checked = _CheckedChoices.pruned = 0
+    for program, expr in _differential_cases(kind):
+        for mode in MODES:
+            enum = _CheckedChoices(program, mode, value_budget=VALUE_CAP)
+            try:
+                for depth in range(5):
+                    enum.values(expr, depth)
+            except BudgetExceeded:
+                pass
+    assert _CheckedChoices.checked > 1000
+    if kind != "paper":
+        assert _CheckedChoices.pruned > 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -211,3 +213,37 @@ def test_subst_key_orders_deterministically():
 def test_image_of_identity():
     assert image_of({}, "X") is X
     assert image_of(T00, "X") is zero
+
+
+def random_disjoint_parts(seed):
+    """One to four canonical DisjSubsts over disjoint variable sets, each
+    the ?-combination of a random substitution set, as a rule's
+    per-argument choices are."""
+    rng = random.Random(seed)
+    names = ["X%d" % i for i in range(rng.randint(0, 8))]
+    rng.shuffle(names)
+    cuts = sorted(rng.randint(0, len(names)) for _ in range(rng.randint(0, 3)))
+    parts = []
+    for lo, hi in zip([0] + cuts, cuts + [len(names)]):
+        group = names[lo:hi]
+        if group:
+            parts.append(question_combine_set(random_theta_set(seed * 7 + lo, names=group)))
+        else:
+            parts.append(DisjSubst({}))
+    return parts
+
+
+def test_join_equals_disjsubst_of_the_merged_alternatives():
+    for seed in range(500):
+        parts = random_disjoint_parts(seed)
+        merged = {}
+        for part in parts:
+            merged.update(part.alts)
+        want = DisjSubst(merged)
+        got = DisjSubst.join(parts)
+        assert got == want and want == got, seed
+        assert hash(got) == hash(want), seed
+        assert got.alts == want.alts, seed
+        body = app("l", tuple(var(x) for x in sorted(merged)) + (var("W"),))
+        assert got.apply(body) is want.apply(body), seed
+        assert len({got, want}) == 1

@@ -1,9 +1,10 @@
-"""Golden answers for the paper's two example programs under combined
-alpha-plural semantics, the REPL's default."""
+"""Golden answers for the paper's two example programs: under combined
+alpha-plural semantics, the REPL's default, and under the pure
+alpha-plural and combined beta-plural modes."""
 
-from itertools import permutations
+from itertools import permutations, product
 
-from pluralrw.calculi import COMBINED_ALPHA, EnumConfig, enumerate_values
+from pluralrw.calculi import ALPHA, COMBINED_ALPHA, COMBINED_BETA, EnumConfig, enumerate_values
 from pluralrw.syntax import format_term, parse_expression, parse_program
 
 
@@ -28,13 +29,23 @@ ESCAPE_HOW = {
     "p(polyphemus,key)",
 }
 
+# pure alpha-plural ignores `ask is sp`, so the guardian in askWho's pair
+# is decoupled from the one asked: every guardian pairs with every message
+MESSAGES = ("sirens-secret", "item(treasure-map)", "item(chest-code)", "key") + tuple(
+    "combine(%s,%s)" % pair for pair in product(("treasure-map", "chest-code"), repeat=2)
+)
+ESCAPE_HOW_ALPHA = {"p(ulysses,trojan-gold)"} | {
+    "p(%s,%s)" % gm for gm in product(("circe", "calypso", "aeolus", "polyphemus"), MESSAGES)
+}
+
 CLERK_NAMES = ("pepe", "maria", "laura", "david")
+TWO_DISTINCT_CLERKS = {"cons(%s,cons(%s,nil))" % pair for pair in permutations(CLERK_NAMES, 2)}
 
 
-def totals(program, query, depth):
+def totals(program, query, depth, mode=COMBINED_ALPHA):
     stream = enumerate_values(
         program,
-        COMBINED_ALPHA,
+        mode,
         parse_expression(query, program.signature),
         EnumConfig(depth=depth, totals_only=True),
     )
@@ -48,6 +59,14 @@ def test_escape_how_is_the_papers_nine_answers_proven_at_depth_26():
 
 
 def test_n_clerks_lists_two_distinct_clerks_in_either_order():
-    want = {"cons(%s,cons(%s,nil))" % pair for pair in permutations(CLERK_NAMES, 2)}
-    assert len(want) == 12
-    assert totals(CLERKS, "nClerks(s(s(z)))", None) == (want, True)
+    assert len(TWO_DISTINCT_CLERKS) == 12
+    assert totals(CLERKS, "nClerks(s(s(z)))", None) == (TWO_DISTINCT_CLERKS, True)
+
+
+def test_pure_alpha_escape_how_pairs_every_guardian_with_every_message():
+    assert len(ESCAPE_HOW_ALPHA) == 33 and ESCAPE_HOW < ESCAPE_HOW_ALPHA
+    assert totals(DUNGEON, "escapeHow", None, ALPHA) == (ESCAPE_HOW_ALPHA, True)
+
+
+def test_combined_beta_n_clerks_lists_two_distinct_clerks():
+    assert totals(CLERKS, "nClerks(s(s(z)))", None, COMBINED_BETA) == (TWO_DISTINCT_CLERKS, True)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
@@ -278,3 +283,25 @@ def test_startup_flags_mirror_commands(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Result: d(0,0)" in out
+
+
+def test_show_path_does_not_depend_on_the_hash_seed(tmp_path):
+    # ties among maximal values break by the canonical term order, not by
+    # set iteration order, so a derivation prints the same in every run
+    script = tmp_path / "alpha.cmd"
+    script.write_text(
+        "load programs/clerks.plural\nsemantics alpha-plural\neval twoclerks\n"
+        + "more\n" * 16
+        + "show path\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pluralrw.repl", "--run", str(script)],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert "APOR  twoclerks =>> " in outputs[0]
+    assert outputs[0] == outputs[1]
