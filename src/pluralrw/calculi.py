@@ -40,10 +40,22 @@ compress to X/(a?c), while their dominators {X/a,Y/b} and {X/c,Y/d} do
 not; pruning before choosing subsets would lose X/(a?c). So they match
 every value of the set.
 
+The built-ins are evaluated without their rules. `?` passes both
+arguments singularly in every mode, and its rules X ? Y -> X and
+X ? Y -> Y make one pick per maximal value t of either side, whose body is
+t itself. t is function-free, so its set at any depth is down_closure(t).
+Value sets are down-closed, so the union of those closures over the
+maximal t of values(e1, k-1) is that set itself. Hence, at every k >= 1
+and in every mode, values(e1 ? e2, k) = values(e1, k-1) | values(e2, k-1).
+The rule if tt then E -> E likewise gives values(if_then(c, e), k) =
+values(e, k-1) when tt is in values(c, k-1), and {_|_} otherwise; both
+give {_|_} at k = 0. Programs can neither redefine nor annotate the
+built-ins (syntax.assemble_program), so this holds for every program.
+
 Derivations are not recorded while values are computed. build_trace
 rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
-for a constructor, and for a call the first pick, in evaluation order,
-whose instantiated body holds the value one level down.
+for a constructor, and for a call, built-ins included, the first pick, in
+evaluation order, whose instantiated body holds the value one level down.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
@@ -95,6 +107,7 @@ _OR_TAG = {
 }
 
 _BOTTOM_ONLY: FrozenSet[Term] = frozenset((BOT,))
+_TT = app("tt")
 
 
 def _maximal_terms(terms) -> List[Term]:
@@ -151,6 +164,7 @@ class EnumConfig:
 
 def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str, ...]:
     """How each argument of fname is passed under the mode: SG or PL."""
+    # for ? and if_then this serves only _picks, in build_trace and replay_trace
     if mode == CALL_TIME or fname in ("?", "if_then"):
         return (SG,) * arity
     if mode in (ALPHA, BETA):
@@ -256,6 +270,10 @@ class Enumerator:
     def sweep_clean(self) -> bool:
         return not self._dirty
 
+    @property
+    def memo_entries(self) -> int:
+        return len(self._memo)
+
     def confirm_fixpoint(self, depth: int) -> bool:
         while True:
             snapshot = list(self._support)
@@ -290,9 +308,7 @@ class Enumerator:
             # function-free expressions are their own down-closure at any depth
             result = down_closure(expr)
         elif self.sig.is_function(expr.name):
-            result = self._union(
-                [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
-            )
+            result = self._call_values(expr, k)
         else:
             result = self._constructor_values(expr, k)
         if self._budget is not None and len(result) > self._budget:
@@ -310,6 +326,20 @@ class Enumerator:
             self._dirty = True
         self._memo[key] = result
         return result
+
+    def _call_values(self, expr, k):
+        # the built-ins natively, by the down-closure argument in the
+        # module docstring; every other call through its picks
+        if k > 0 and expr.name == "?":
+            return self._union([self.values(c, k - 1) for c in expr.children])
+        if k > 0 and expr.name == "if_then":
+            cond, then = expr.children
+            if _TT in self.values(cond, k - 1):
+                return self.values(then, k - 1)
+            return _BOTTOM_ONLY
+        return self._union(
+            [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
+        )
 
     def _union(self, parts: List[FrozenSet[Term]]) -> FrozenSet[Term]:
         # union the per-pick result sets by reference; repeated unions of
@@ -511,8 +541,10 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
 
 class DenotationStream:
     """Deduplicated value stream: strata by increasing depth, canonical
-    term order within a stratum. `complete` is set when the stream proved
-    it can never yield more (fixpoint), as opposed to hitting the bound."""
+    term order within a stratum. `swept` is the deepest depth swept so
+    far, -1 before the first sweep. `complete` is set when the stream
+    proved at depth `swept` that it can never yield more (fixpoint), as
+    opposed to hitting the bound."""
 
     def __init__(self, enum: Enumerator, expr: Term, cfg: EnumConfig):
         if enum._memo:
@@ -520,10 +552,9 @@ class DenotationStream:
         self.enum = enum
         self.expr = expr
         self.cfg = cfg
-        self._depth_next = 0
+        self.swept = -1
         self._yielded: set = set()
         self._buffer: List[Term] = []
-        self._history: List[FrozenSet[Term]] = []
         self.done = False
         self.complete = False
 
@@ -538,71 +569,26 @@ class DenotationStream:
         raise StopIteration
 
     def _advance(self):
-        d = self._depth_next
+        d = self.swept + 1
         if self.cfg.depth is not None and d > self.cfg.depth:
             self.done = True
             return
         self.enum.begin_sweep()
         current = self.enum.values(self.expr, d)
-        self._history.append(current)
         fresh = current - self._yielded
         if self.cfg.totals_only:
             fresh = [t for t in fresh if t.total]
         stratum = sorted(fresh, key=term_key)
         self._yielded.update(stratum)
         self._buffer.extend(stratum)
-        self._depth_next = d + 1
+        self.swept = d
         if d > 0 and self.enum.sweep_clean and self.enum.confirm_fixpoint(d):
             self.done = True
             self.complete = True
 
-    def saturated_at(self) -> Optional[int]:
-        """Least depth whose set equals the final one; None when the final
-        sweep was still growing an unproven bound."""
-        if not self._history:
-            return None
-        final = self._history[-1]
-        least = None
-        for d, v in enumerate(self._history):
-            if v == final:
-                least = d
-                break
-        if least is None:
-            return None
-        if least == len(self._history) - 1 and not self.complete:
-            return None
-        return least
-
 
 def enumerate_values(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> DenotationStream:
     return DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
-
-
-def values_at(
-    program: Program,
-    mode: str,
-    expr: Term,
-    depth: int,
-    plural_width: int = 4,
-    totals_only: bool = False,
-    enum: Optional[Enumerator] = None,
-) -> FrozenSet[Term]:
-    """The value set at one exact depth; convenience for tests and checks."""
-    if enum is None:
-        enum = Enumerator(program, mode, plural_width)
-    got = enum.values(expr, depth)
-    if totals_only:
-        return frozenset(t for t in got if t.total)
-    return got
-
-
-def saturates(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> Optional[int]:
-    """Least depth at which the value set has already stopped growing, if
-    the bound (or a proven fixpoint) shows it stopped; None otherwise."""
-    stream = DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
-    for _ in stream:
-        pass
-    return stream.saturated_at()
 
 
 def derives(
@@ -615,7 +601,7 @@ def derives(
     for value in stream:
         if value == target:
             # a stratum is yielded whole before the next depth is swept
-            trace = enum.build_trace(expr, stream._depth_next - 1, target)
+            trace = enum.build_trace(expr, stream.swept, target)
             assert replay_trace(program, mode, trace)
             return trace
     return None

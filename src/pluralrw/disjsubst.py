@@ -3,9 +3,9 @@
 A plain substitution (PSubst) is a dict mapping variable names to partial
 c-terms, identity bindings omitted. A DisjSubst maps each variable to a
 non-empty disjunction of partial c-terms; plain substitutions embed as the
-all-singleton case. The ?-combination of several plain substitutions, the
-compressibility test on substitution sets, and compressible completion
-live here; the calculi consume them for parameter passing.
+all-singleton case. The ?-combination of several plain substitutions and
+the compressibility test on substitution sets live here; the calculi
+consume them for parameter passing.
 
 Alternative lists are kept deduplicated and canonically sorted. Denotation
 is invariant under reordering and duplication of alternatives, so nothing
@@ -14,7 +14,7 @@ is lost, and streams become deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .terms import Term, app, apply_subst, approx_leq, term_key, var
@@ -25,11 +25,6 @@ PSubst = Dict[str, Term]
 def image_of(theta: Mapping[str, Term], name: str) -> Term:
     """X under theta; identity for variables outside the domain."""
     return theta.get(name, var(name))
-
-
-def restrict(theta: Mapping[str, Term], keep: Iterable[str]) -> PSubst:
-    keep = set(keep)
-    return {x: t for x, t in theta.items() if x in keep}
 
 
 def subst_key(theta: Mapping[str, Term]) -> tuple:
@@ -201,44 +196,6 @@ def is_compressible(thetas: Iterable[Mapping[str, Term]]) -> bool:
     for i in range(len(names)):
         size *= len({r[i] for r in rows})
     return len(rows) == size
-
-
-def compressible_completion(thetas: Iterable[Mapping[str, Term]]) -> List[PSubst]:
-    """cc: all coordinate recombinations, one image per variable per member."""
-    pool = [dict(t) for t in thetas]
-    if not pool:
-        raise ValueError("compressible completion of an empty set")
-    names = sorted(set().union(*pool))
-    columns = [sorted({image_of(t, x) for t in pool}, key=term_key) for x in names]
-    seen = set()
-    out: List[PSubst] = []
-    for picked in product(*columns):
-        theta = {x: img for x, img in zip(names, picked) if img is not var(x)}
-        frozen = frozenset(theta.items())
-        if frozen not in seen:
-            seen.add(frozen)
-            out.append(theta)
-    return out
-
-
-def restrict_compressible(
-    thetas: Iterable[Mapping[str, Term]], keep: Iterable[str]
-) -> List[PSubst]:
-    """Restrict a compressible set to a variable subset; stays compressible."""
-    pool = [dict(t) for t in thetas]
-    if not is_compressible(pool):
-        raise ValueError("restrict_compressible: input set is not compressible")
-    keep = set(keep)
-    seen = set()
-    out: List[PSubst] = []
-    for t in pool:
-        r = restrict(t, keep)
-        frozen = frozenset(r.items())
-        if frozen not in seen:
-            seen.add(frozen)
-            out.append(r)
-    assert is_compressible(out)
-    return out
 
 
 def compressible_subsets(

@@ -16,6 +16,7 @@ form `(eval twoclerks .)`; the trailing dot is optional either way.
   width N                   compression width for beta-plural matching
   path on | path off        print a derivation after each result
   show path                 print a derivation of the last result
+  stats                     how complete the last eval is, and what it cost
   showTr                    print the transformed (match/proj) program
   reboot                    forget the module and restore every default
   help                      this summary
@@ -117,6 +118,8 @@ class Session:
         self.path_on = False
         self.finished = False
         self._stream: Optional[Iterator[Term]] = None
+        self._search = None  # the DenotationStream or ReachStream behind it
+        self._drained = False
         self._last_query: Optional[Tuple] = None
         self._last_result: Optional[Term] = None
         self._pst_cache: Optional[Program] = None
@@ -147,6 +150,7 @@ class Session:
             "path": self._cmd_path,
             "show": self._cmd_show,
             "showTr": self._cmd_show_tr,
+            "stats": self._cmd_stats,
             "reboot": self._cmd_reboot,
             "help": self._cmd_help,
             "quit": self._cmd_quit,
@@ -163,6 +167,7 @@ class Session:
     def drop_stream(self):
         """Forget the active eval, whose stream may be left half advanced."""
         self._stream = None
+        self._search = None
 
     def _require_program(self) -> Program:
         if self.program is None:
@@ -187,7 +192,7 @@ class Session:
         except (ParseError, ProgramError) as exc:
             raise CommandError("module rejected: %s" % exc)
         self.program = program
-        self._stream = None
+        self.drop_stream()
         self._last_query = None
         self._last_result = None
         self._pst_cache = None
@@ -221,14 +226,6 @@ class Session:
             return DEFAULT_REWRITE_BOUND
         return DEFAULT_CALCULI_DEPTH
 
-    def _total_cterm_stream(self, program: Program, expr: Term,
-                            bound: Optional[int]) -> Iterator[Term]:
-        fnames = frozenset(program.signature.functions)
-        strategy = SearchStrategy(self.strategy_kind, bound)
-        for e, _n in reachable(program, expr, strategy):
-            if e.total and e.symbols.isdisjoint(fnames):
-                yield e
-
     def _cmd_eval(self, rest: str) -> List[str]:
         program = self._require_program()
         if not rest:
@@ -246,13 +243,17 @@ class Session:
         if depth is _UNSET:
             depth = self._current_depth()
         if self._rewrite_active():
+            if not expr.total:
+                raise CommandError("rewriting needs a total expression, without bot")
             target = program if self.semantics == RUN_TIME else self._pst_program()
-            self._stream = self._total_cterm_stream(target, expr, depth)
+            self._search = reachable(target, expr, SearchStrategy(self.strategy_kind, depth))
+            self._stream = _total_cterms(self._search, target)
             self._last_query = (target, expr, depth, None, self.width)
         else:
             cfg = EnumConfig(depth=depth, plural_width=self.width, totals_only=True)
-            self._stream = enumerate_values(program, self.semantics, expr, cfg)
+            self._search = self._stream = enumerate_values(program, self.semantics, expr, cfg)
             self._last_query = (None, expr, depth, self.semantics, self.width)
+        self._drained = False
         return self._next_result("No solution.")
 
     def _cmd_more(self, rest: str) -> List[str]:
@@ -266,6 +267,7 @@ class Session:
         try:
             value = next(self._stream)
         except StopIteration:
+            self._drained = True
             return [empty_message]
         self._last_result = value
         lines = ["Result: %s" % format_term(value)]
@@ -301,6 +303,28 @@ class Session:
         if rest != "path":
             raise CommandError("unknown command %r (try help)" % ("show " + rest).strip())
         return self._path_lines()
+
+    def _cmd_stats(self, rest: str) -> List[str]:
+        self._no_args(rest, "stats")
+        search = self._search
+        if search is None:
+            raise CommandError("no eval to report on")
+        depth = self._last_query[2]
+        if isinstance(search, ReachStream):
+            seen = len(search.parents)
+            # the REPL sets no node or size cap, so only the bound can cut
+            if not self._drained:
+                return ["%d expressions reached so far; more may follow" % seen]
+            if search.exhausted:
+                return ["step bound %d reached at %d expressions; more may exist" % (depth, seen)]
+            return ["search complete: all %d reachable expressions visited" % seen]
+        if search.complete:
+            state = "proven complete at depth %d" % search.swept
+        elif self._drained:
+            state = "depth bound %d reached; more may exist" % depth
+        else:
+            state = "depth %d swept so far; more may follow" % search.swept
+        return [state, "memo entries: %d" % search.enum.memo_entries]
 
     def _cmd_show_tr(self, rest: str) -> List[str]:
         self._no_args(rest, "showTr")
@@ -376,6 +400,13 @@ class Session:
         self._no_args(rest, "quit")
         self.finished = True
         return []
+
+
+def _total_cterms(search: ReachStream, program: Program) -> Iterator[Term]:
+    fnames = frozenset(program.signature.functions)
+    for e, _n in search:
+        if e.total and e.symbols.isdisjoint(fnames):
+            yield e
 
 
 def _run_script(session: Session, path: str) -> int:

@@ -1,14 +1,17 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and the helpers only the tests use.
 
-These deliberately reimplement the checked operations from their
+The references deliberately reimplement the checked operations from their
 definitions, by different algorithms than the package uses.
 """
 
 import random
 from collections import deque
+from itertools import product
 
-from pluralrw.disjsubst import maximal_substs
-from pluralrw.terms import APP, BOT, app, apply_subst, match_value, replace_at, var
+from pluralrw.calculi import DenotationStream, Enumerator
+from pluralrw.disjsubst import image_of, is_compressible, maximal_substs
+from pluralrw.terms import APP, BOT, app, apply_subst, match_value, replace_at, term_key, var
 from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
 
 
@@ -163,3 +166,94 @@ def reference_maximal_matchers(pattern, dom, vset):
         if m is not None:
             matchers.append({x: img for x, img in m.items() if x in dom})
     return maximal_substs(matchers)
+
+
+# ---- calculi: the built-ins unfolded through their rules, as they were
+# before values evaluated them natively ----
+
+
+class PickedBuiltinsEnumerator(Enumerator):
+    """Every call, `?` and `if_then` included, unfolds through _picks:
+    one pick per maximal value of a singular argument, and one memo entry
+    per instantiated body."""
+
+    def _call_values(self, expr, k):
+        return self._union(
+            [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
+        )
+
+
+# ---- helpers only the tests use, over the public enumerator and stream ----
+
+
+def values_at(program, mode, expr, depth, plural_width=4, totals_only=False, enum=None):
+    """The value set at one exact depth."""
+    if enum is None:
+        enum = Enumerator(program, mode, plural_width)
+    got = enum.values(expr, depth)
+    if totals_only:
+        return frozenset(t for t in got if t.total)
+    return got
+
+
+def saturated_at(stream):
+    """Least depth whose set equals that of the last depth the drained
+    stream swept; None when that sweep was still growing an unproven
+    bound. The sets come back from the stream's memo."""
+    if stream.swept < 0:
+        return None
+    history = [stream.enum.values(stream.expr, d) for d in range(stream.swept + 1)]
+    least = history.index(history[-1])
+    if least == stream.swept and not stream.complete:
+        return None
+    return least
+
+
+def saturates(program, mode, expr, cfg):
+    """Least depth at which the value set has already stopped growing, if
+    the bound (or a proven fixpoint) shows it stopped; None otherwise."""
+    stream = DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
+    for _ in stream:
+        pass
+    return saturated_at(stream)
+
+
+def restrict(theta, keep):
+    keep = set(keep)
+    return {x: t for x, t in theta.items() if x in keep}
+
+
+def compressible_completion(thetas):
+    """cc: all coordinate recombinations, one image per variable per member."""
+    pool = [dict(t) for t in thetas]
+    if not pool:
+        raise ValueError("compressible completion of an empty set")
+    names = sorted(set().union(*pool))
+    columns = [sorted({image_of(t, x) for t in pool}, key=term_key) for x in names]
+    seen = set()
+    out = []
+    for picked in product(*columns):
+        theta = {x: img for x, img in zip(names, picked) if img is not var(x)}
+        frozen = frozenset(theta.items())
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(theta)
+    return out
+
+
+def restrict_compressible(thetas, keep):
+    """Restrict a compressible set to a variable subset; stays compressible."""
+    pool = [dict(t) for t in thetas]
+    if not is_compressible(pool):
+        raise ValueError("restrict_compressible: input set is not compressible")
+    keep = set(keep)
+    seen = set()
+    out = []
+    for t in pool:
+        r = restrict(t, keep)
+        frozen = frozenset(r.items())
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(r)
+    assert is_compressible(out)
+    return out

@@ -11,6 +11,7 @@ from pluralrw.calculi import (
     COMBINED_ALPHA,
     COMBINED_BETA,
     MODES,
+    _OR_TAG,
     BudgetExceeded,
     DenotationStream,
     EnumConfig,
@@ -18,12 +19,16 @@ from pluralrw.calculi import (
     derives,
     enumerate_values,
     replay_trace,
-    saturates,
-    values_at,
 )
 from pluralrw.disjsubst import DisjSubst, question_combine_set
 from pluralrw.harness import VALUE_CAP, GenConfig, _expr_rng, gen_ground_expr, gen_program
-from pluralrw.syntax import parse_expression, parse_program
+from pluralrw.syntax import (
+    BUILTIN_RULES,
+    format_program,
+    format_term,
+    parse_expression,
+    parse_program,
+)
 from pluralrw.terms import (
     BOT,
     VAR,
@@ -37,7 +42,13 @@ from pluralrw.terms import (
     var,
 )
 
-from oracles import reference_maximal_matchers
+from oracles import (
+    PickedBuiltinsEnumerator,
+    reference_maximal_matchers,
+    saturated_at,
+    saturates,
+    values_at,
+)
 
 def prog(body):
     return parse_program("plural T is\n%s\nendp" % body)
@@ -62,6 +73,15 @@ P4 = prog(
 )
 
 FROM = prog("from(X) -> X ? s(from(X)) .")
+
+
+def _load(path):
+    with open(path) as f:
+        return parse_program(f.read())
+
+
+CLERKS = _load("programs/clerks.plural")
+DUNGEON = _load("programs/dungeon.plural")
 
 
 def ex(program, text):
@@ -281,7 +301,7 @@ def test_stream_yields_totals_in_stratified_canonical_order():
     stream = enumerate_values(P1, CALL_TIME, ex(P1, "f(c(0?1))"), cfg)
     assert list(stream) == [ex(P1, "d(0,0)"), ex(P1, "d(1,1)")]
     assert stream.complete
-    assert stream.saturated_at() is not None
+    assert saturated_at(stream) is not None
 
 
 def test_stream_first_value_is_bottom_when_partials_included():
@@ -316,7 +336,7 @@ def test_stream_reports_bound_exhaustion():
     stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), cfg)
     list(stream)
     assert stream.done and not stream.complete
-    assert stream.saturated_at() is None
+    assert saturated_at(stream) is None
 
 
 def test_stream_refuses_an_enumerator_with_a_filled_memo():
@@ -339,7 +359,7 @@ def test_plateau_within_bound_counts_as_observed_saturation():
     stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), cfg)
     list(stream)
     assert not stream.complete
-    assert stream.saturated_at() == 2
+    assert saturated_at(stream) == 2
 
 
 def test_derives_builds_replayable_calltime_trace():
@@ -385,6 +405,47 @@ def test_shared_enumerator_memo_is_consistent():
     again = enum.values(ex(EP3, "g(d(0,0)?d(1,1))"), 8)
     assert again == direct
     assert enum.values(ex(EP3, "h(d(0,0)?d(1,1))"), 8) == warm
+
+
+def _builtin_steps(node):
+    """The OR steps of a derivation whose source is a `?` or if_then call."""
+    if node.rule is not None and node.source.name in ("?", "if_then"):
+        yield node
+    for kid in node.children:
+        yield from _builtin_steps(kid)
+
+
+def test_derivations_name_the_builtin_rules_in_every_mode():
+    # values skips the built-in rules; build_trace and replay_trace do not
+    cfg = EnumConfig(depth=4)
+    cases = (
+        ("0?1", "0", BUILTIN_RULES[0]),
+        ("0?1", "1", BUILTIN_RULES[1]),
+        ("if tt then 0", "0", BUILTIN_RULES[2]),
+    )
+    for mode in MODES:
+        for text, target, rule in cases:
+            trace = derives(P1, mode, ex(P1, text), ex(P1, target), cfg)
+            assert trace is not None and replay_trace(P1, mode, trace), (mode, text)
+            assert trace.tag == _OR_TAG[mode] and trace.rule is rule, (mode, text)
+            assert trace.children[-1].source is ex(P1, target)
+
+
+def test_twoclerks_derivation_names_the_builtin_rules():
+    target = ex(CLERKS, "p(maria,laura)")
+    trace = derives(CLERKS, ALPHA, ex(CLERKS, "twoclerks"), target, EnumConfig(depth=8))
+    assert trace is not None and replay_trace(CLERKS, ALPHA, trace)
+    steps = list(_builtin_steps(trace))
+    # maria and laura come from the two later branches of madrid ? vigo ? badajoz
+    assert {step.rule for step in steps} == set(BUILTIN_RULES[:2])
+    for step in steps:
+        assert step.tag == "APOR"
+        # premises per argument, then the body: the rule names the argument
+        # whose premise derives the body's source
+        side = BUILTIN_RULES.index(step.rule)
+        premise = step.children[side]
+        assert premise.source is step.source.children[side]
+        assert premise.value is step.children[-1].source
 
 
 FACTS = prog("g(a) -> t .\ng(b) -> t .")
@@ -459,39 +520,123 @@ class _CheckedChoices(Enumerator):
         return got
 
 
-def _load(path):
-    with open(path) as f:
-        return parse_program(f.read())
+PAPER_QUERIES = (
+    (CLERKS, "twoclerks"),
+    (CLERKS, "nClerks(s(s(z)))"),
+    (CLERKS, "nClerksNG(s(s(z)))"),
+    (DUNGEON, "escapeHow"),
+)
+
+# the four queries leave few singular or alpha-plural choices once `?` is
+# evaluated natively; these two add an if_then chain and a guardian asked
+# two messages
+MORE_PAPER_QUERIES = (
+    (CLERKS, "newIns(pepe, cons(maria, nil))"),
+    (DUNGEON, "askWho(guardians, item(treasure-map) ? sirens-secret)"),
+)
+
+# the paper queries' sweeps: at depth 7 pure beta-plural nClerksNG runs
+# for seconds before the value cap stops it
+PAPER_DEPTHS = range(7)
 
 
 def _differential_cases(kind):
     if kind == "paper":
-        clerks = _load("programs/clerks.plural")
-        dungeon = _load("programs/dungeon.plural")
-        for q in ("twoclerks", "nClerks(s(s(z)))", "nClerksNG(s(s(z)))"):
-            yield clerks, ex(clerks, q)
-        yield dungeon, ex(dungeon, "escapeHow")
+        for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
+            yield program, ex(program, q), PAPER_DEPTHS
         return
     for seed in range(1, 31):
         program = gen_program(GenConfig(seed=seed, force_cab=kind == "force_cab"))
         rng = _expr_rng(seed)
         for max_depth in (3, 3, 2):
-            yield program, gen_ground_expr(program, rng, max_depth)
+            yield program, gen_ground_expr(program, rng, max_depth), range(5)
 
 
 @pytest.mark.parametrize("kind", ("plain", "force_cab", "paper"))
 def test_maximal_value_matching_agrees_with_matching_every_value(kind):
     # ROADMAP aim 3: the pruned matcher choice against the unpruned one,
-    # for every argument reached at depths 0..4 in every mode
+    # for every argument reached at depths 0..4 (paper queries 0..6) in
+    # every mode
     _CheckedChoices.checked = _CheckedChoices.pruned = 0
-    for program, expr in _differential_cases(kind):
+    for program, expr, depths in _differential_cases(kind):
         for mode in MODES:
             enum = _CheckedChoices(program, mode, value_budget=VALUE_CAP)
             try:
-                for depth in range(5):
+                for depth in depths:
                     enum.values(expr, depth)
             except BudgetExceeded:
                 pass
     assert _CheckedChoices.checked > 1000
     if kind != "paper":
         assert _CheckedChoices.pruned > 0
+
+
+def _sweeps(enum, expr, depths):
+    """The value set at each depth, ending in None where the budget
+    tripped."""
+    rows = []
+    try:
+        for depth in depths:
+            rows.append(enum.values(expr, depth))
+    except BudgetExceeded:
+        rows.append(None)
+    return rows
+
+
+def _builtin_cases():
+    for seed in range(1, 41):
+        program = gen_program(GenConfig(seed=seed))
+        rng = _expr_rng(seed)
+        for _ in range(3):
+            yield program, gen_ground_expr(program, rng), range(5)
+    # force_cab changes the generated program on only 4 of seeds 1..200
+    program = gen_program(GenConfig(seed=19, force_cab=True))
+    assert format_program(program) != format_program(gen_program(GenConfig(seed=19)))
+    rng = _expr_rng(19)
+    for _ in range(3):
+        yield program, gen_ground_expr(program, rng), range(5)
+    for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
+        yield program, ex(program, q), PAPER_DEPTHS
+
+
+def test_native_builtins_agree_with_unfolding_their_rules():
+    # ROADMAP aim 3: `?` and if_then evaluated natively against the same
+    # calls unfolded pick by pick, on every (expression, depth) memoized,
+    # with the budget tripping on the same rows
+    capped = 0
+    for program, expr, depths in _builtin_cases():
+        for mode in MODES:
+            native = Enumerator(program, mode, value_budget=VALUE_CAP)
+            picked = PickedBuiltinsEnumerator(program, mode, value_budget=VALUE_CAP)
+            got = _sweeps(native, expr, depths)
+            assert got == _sweeps(picked, expr, depths), (format_term(expr), mode)
+            for key, vset in native._memo.items():
+                assert picked._memo[key] == vset, (format_term(key[0]), key[1], mode)
+            capped += got[-1] is None
+    # pinned, so that a change to the inputs shows
+    assert capped == 13
+
+
+# the paper queries in the modes where both enumerators prove a fixpoint
+# within seconds
+PAPER_FIXPOINTS = (
+    (DUNGEON, "escapeHow", (COMBINED_ALPHA, ALPHA)),
+    (CLERKS, "twoclerks", MODES),
+    (CLERKS, "nClerks(s(s(z)))", (CALL_TIME, COMBINED_ALPHA, COMBINED_BETA)),
+    (CLERKS, "nClerksNG(s(s(z)))", (CALL_TIME,)),
+)
+
+
+@pytest.mark.parametrize(
+    "program,query,modes", PAPER_FIXPOINTS, ids=[q for _p, q, _m in PAPER_FIXPOINTS]
+)
+def test_native_builtins_prove_the_same_fixpoints(program, query, modes):
+    # the same strata in the same order, proven complete at the same depth
+    expr = ex(program, query)
+    for mode in modes:
+        runs = []
+        for cls in (Enumerator, PickedBuiltinsEnumerator):
+            stream = DenotationStream(cls(program, mode), expr, EnumConfig(depth=None))
+            runs.append((list(stream), stream.complete, stream.swept))
+        assert runs[0] == runs[1], mode
+        assert runs[0][1], mode

@@ -6,22 +6,19 @@ from hypothesis import given, strategies as st
 from pluralrw.terms import BOT, app, approx_leq, var
 from pluralrw.disjsubst import (
     DisjSubst,
-    compressible_completion,
     compressible_subsets,
     image_of,
     is_compressible,
     maximal_substs,
     question_combine,
     question_combine_set,
-    restrict,
-    restrict_compressible,
     subst_key,
     subst_leq,
 )
 
 from pluralrw.harness import brute_force_compressible
 
-from oracles import random_theta_set
+from oracles import compressible_completion, random_theta_set, restrict, restrict_compressible
 
 zero = app("0")
 one = app("1")

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from pluralrw.calculi import EnumConfig, enumerate_values
 from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
+from pluralrw.syntax import parse_expression
 
 P1_BODY = "f(c(X)) -> d(X,X) ."
 
@@ -305,3 +307,55 @@ def test_show_path_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(proc.stdout)
     assert "APOR  twoclerks =>> " in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_stats_says_how_complete_a_calculi_eval_is(tmp_path):
+    s = Session()
+    with pytest.raises(CommandError, match="no eval"):
+        s.execute("stats")
+    load(s, tmp_path, P1_BODY + "\nfrom(X) -> X ? s(from(X)) .")
+    s.execute("semantics call-time")
+    s.execute("eval f(c(0) ? c(1))")
+    state, memo = s.execute("stats")
+    assert state.startswith("depth ") and state.endswith(" swept so far; more may follow")
+    assert memo.startswith("memo entries: ")
+    assert drain(s) == ["d(1,1)"]
+    # the proving depth hangs on the memo's set iteration order, so the
+    # same stream run directly says what to expect
+    expr = parse_expression("f(c(0) ? c(1))", s.program.signature)
+    stream = enumerate_values(s.program, "call-time", expr, EnumConfig(depth=None))
+    list(stream)
+    assert stream.complete
+    assert s.execute("stats") == [
+        "proven complete at depth %d" % stream.swept,
+        "memo entries: %d" % stream.enum.memo_entries,
+    ]
+    assert s.execute("eval depth = 4 from(z)") == ["Result: z"]
+    drain(s)
+    assert s.execute("stats")[0] == "depth bound 4 reached; more may exist"
+    with pytest.raises(CommandError, match="takes no arguments"):
+        s.execute("stats now")
+
+
+def test_stats_says_how_a_rewrite_search_ended(tmp_path):
+    s = Session()
+    load(s, tmp_path, P1_BODY)
+    s.execute("semantics run-time")
+    s.execute("eval f(c(0 ? 1))")
+    assert s.execute("stats")[0].endswith(" expressions reached so far; more may follow")
+    drain(s)
+    assert s.execute("stats") == ["search complete: all 12 reachable expressions visited"]
+    assert s.execute("eval depth = 1 f(c(0 ? 1))") == ["No solution."]
+    assert s.execute("stats") == ["step bound 1 reached at 4 expressions; more may exist"]
+    s.execute("reboot")
+    with pytest.raises(CommandError, match="no eval"):
+        s.execute("stats")
+
+
+def test_help_lists_stats_and_rewriting_refuses_bottom(tmp_path):
+    s = Session()
+    assert any(line.split()[:1] == ["stats"] for line in s.execute("help"))
+    load(s, tmp_path, P1_BODY)
+    s.execute("semantics run-time")
+    with pytest.raises(CommandError, match="total expression"):
+        s.execute("eval f(bot)")

@@ -1,4 +1,4 @@
-from pluralrw.calculi import BETA, values_at
+from pluralrw.calculi import BETA
 from pluralrw.rewriting import (
     BREADTH_FIRST,
     DEPTH_FIRST,
@@ -11,6 +11,8 @@ from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.terms import BOT, down_closure
 
 import pytest
+
+from oracles import values_at
 
 
 def prog(body):

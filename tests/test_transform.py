@@ -1,4 +1,4 @@
-from pluralrw.calculi import ALPHA, BETA, values_at
+from pluralrw.calculi import ALPHA, BETA
 from pluralrw.rewriting import SearchStrategy, reachable, runtime_denotation
 from pluralrw.syntax import BUILTIN_RULES, parse_expression, parse_program
 from pluralrw.terms import app, var
@@ -12,6 +12,8 @@ from pluralrw.transform import (
     pst_optimized,
     pst_simple,
 )
+
+from oracles import values_at
 
 
 def prog(body):
