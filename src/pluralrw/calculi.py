@@ -11,6 +11,8 @@ the mode of the argument (singular arguments pass exactly one
 substitution; alpha-plural arguments pass the whole match set at once;
 beta-plural arguments pass any compressible subset up to the configured
 width). The instantiated right-hand side is then evaluated at depth k-1.
+Every memoized value set is down-closed: with a value t it holds every
+value below t in the approximation ordering.
 
 Matchers are restricted to the pattern variables that the rule body
 actually uses. Singular and alpha-plural arguments keep only the maximal
@@ -21,8 +23,8 @@ Dropping dominated matchers can shorten the disjunctions an instantiated
 body carries, so individual values may surface at a smaller depth than
 they would with the full matcher set; the limit is unchanged.
 
-Those arguments match only the maximal values of the argument's set, not
-the whole down-closed set, and lose no matcher by it. Patterns are linear
+Every mode matches only the maximal values of the argument's set, not
+the whole down-closed set, and loses no matcher by it. Patterns are linear
 total constructor terms, so matching is upward closed (if t matches and
 t <= t', t' matches) and order-reflecting (p.theta <= p.sigma iff
 theta <= sigma). Every matcher's value lies below a maximal value, which
@@ -31,14 +33,25 @@ the matchers of the maximal values, and they form an antichain.
 Restriction to the body's variables is monotone, so the maximal
 restricted matchers are the maximal restrictions of that antichain: a
 maximality sweep is needed only when the pattern binds a variable the
-body ignores.
+body ignores. The modes then differ only in the matcher sets they pass,
+and each passed set is ?-combined and deduplicated by one tail: a
+singular argument passes each maximal matcher on its own, an alpha-plural
+one all of them.
 
-Beta-plural arguments cannot prune first: they enumerate the compressible
-subsets of all matchers, because dominated matchers can be compressible
-together where their dominators are not. {X/a,Y/_|_} and {X/c,Y/_|_}
-compress to X/(a?c), while their dominators {X/a,Y/b} and {X/c,Y/d} do
-not; pruning before choosing subsets would lose X/(a?c). So they match
-every value of the set.
+Beta-plural arguments cannot prune before choosing subsets: they pass the
+compressible subsets of all matchers, because dominated matchers can be
+compressible together where their dominators are not. {X/a,Y/_|_} and
+{X/c,Y/_|_} compress to X/(a?c), while their dominators {X/a,Y/b} and
+{X/c,Y/d} do not; pruning before choosing subsets would lose X/(a?c).
+All matchers still follow from the maximal ones, by pointwise
+down-closure. If theta matches a value t and sigma <= theta pointwise,
+then p.sigma <= p.theta = t, so the down-closed set holds p.sigma, and by
+linearity p.sigma matches with sigma itself; restricting to the body's
+variables keeps this. Every matcher lies below a maximal one. So the
+restricted matchers of the whole set are exactly the substitutions
+pointwise below the maximal restricted matchers: per maximal matcher, the
+product of the down-closures of its images, identity bindings dropped as
+match_value drops them.
 
 The built-ins are evaluated without their rules. `?` passes both
 arguments singularly in every mode, and its rules X ? Y -> X and
@@ -88,6 +101,7 @@ from .terms import (
     down_closure,
     match_value,
     term_key,
+    var,
 )
 
 CALL_TIME = "call-time"
@@ -132,6 +146,22 @@ def _maximal_terms(terms) -> List[Term]:
             closures.append(down_closure(t))
     kept.sort(key=lambda t: (-t.weight, t.key))
     return kept
+
+
+def _matchers_below(maximal: List[PSubst], dom) -> List[PSubst]:
+    """Every substitution over dom pointwise below one of the maximal
+    matchers, identity bindings dropped: per matcher, the product of the
+    down-closures of its images."""
+    names = sorted(dom)
+    idents = [var(x) for x in names]
+    seen = set()
+    out: List[PSubst] = []
+    for m in maximal:
+        for images in product(*(down_closure(m.get(x, i)) for x, i in zip(names, idents))):
+            if images not in seen:
+                seen.add(images)
+                out.append({x: t for x, t, i in zip(names, images, idents) if t is not i})
+    return out
 
 
 class BudgetExceeded(RuntimeError):
@@ -403,50 +433,40 @@ class Enumerator:
 
     def _choices(self, pattern, dom, singular, vset):
         """What one argument can pass: (matchers, ?-combination) pairs,
-        empty when no value in vset matches the pattern."""
+        empty when no value in vset matches the pattern. Every mode starts
+        from the maximal restricted matchers and differs only in the
+        matcher sets it passes."""
         if pattern.kind == VAR and pattern.name not in dom:
             # body ignores this argument; every value matches trivially
             return [(({},), DisjSubst({}))]
-        if singular or self._alpha:
-            # the maximal matchers are the matchers of the maximal values
-            top = self._max_cache.get(vset)
-            if top is None:
-                top = self._max_cache[vset] = _maximal_terms(vset)
-            maximal = [m for t in top if (m := match_value(pattern, t)) is not None]
-            if not maximal:
-                return []
-            if not pattern.varset <= dom:
-                maximal = maximal_substs(
-                    {x: img for x, img in m.items() if x in dom} for m in maximal
-                )
-            if singular:
-                return [((m,), DisjSubst.plain(m)) for m in maximal]
-            combo = tuple(maximal)
-            return [(combo, question_combine_set(combo))]
-        matchers: List[PSubst] = []
-        seen = set()
-        for t in vset:
-            m = match_value(pattern, t)
-            if m is None:
-                continue
-            if dom != frozenset(m):
-                m = {x: img for x, img in m.items() if x in dom}
-            frozen = frozenset(m.items())
-            if frozen not in seen:
-                seen.add(frozen)
-                matchers.append(m)
-        if not matchers:
+        # the maximal matchers are the matchers of the maximal values
+        top = self._max_cache.get(vset)
+        if top is None:
+            top = self._max_cache[vset] = _maximal_terms(vset)
+        maximal = [m for t in top if (m := match_value(pattern, t)) is not None]
+        if not maximal:
             return []
-        if self._budget is not None and len(matchers) > _MATCHER_GUARD:
-            raise BudgetExceeded(
-                "%d matchers for one argument overrun the budget" % len(matchers)
+        if not pattern.varset <= dom:
+            maximal = maximal_substs(
+                {x: img for x, img in m.items() if x in dom} for m in maximal
             )
+        if singular:
+            passed = [(m,) for m in maximal]
+        elif self._alpha:
+            passed = [tuple(maximal)]
+        else:
+            below = _matchers_below(maximal, dom)
+            if self._budget is not None and len(below) > _MATCHER_GUARD:
+                raise BudgetExceeded(
+                    "%d matchers for one argument overrun the budget" % len(below)
+                )
+            passed = compressible_subsets(below, self.width)
         choices = []
-        seen_ds = set()
-        for combo in compressible_subsets(matchers, self.width):
+        seen = set()
+        for combo in passed:
             ds = question_combine_set(combo)
-            if ds not in seen_ds:
-                seen_ds.add(ds)
+            if ds not in seen:
+                seen.add(ds)
                 choices.append((combo, ds))
         return choices
 
@@ -509,7 +529,6 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
     if len(choices) != len(rule.args):
         return False
     tags = _arg_tags(program, mode, e.name, len(rule.args))
-    alts: dict = {}
     for i, combo in enumerate(choices):
         if not combo:
             return False
@@ -517,8 +536,7 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
             return False
         if mode in (BETA, COMBINED_BETA) and not is_compressible(combo):
             return False
-        alts.update(question_combine_set(combo).alts)
-    if DisjSubst(alts) != theta:
+    if DisjSubst.join([question_combine_set(combo) for combo in choices]) != theta:
         return False
     if not node.children or node.children[-1].source is not theta.apply(rule.rhs):
         return False

@@ -3,9 +3,11 @@
 A plain substitution (PSubst) is a dict mapping variable names to partial
 c-terms, identity bindings omitted. A DisjSubst maps each variable to a
 non-empty disjunction of partial c-terms; plain substitutions embed as the
-all-singleton case. The ?-combination of several plain substitutions and
-the compressibility test on substitution sets live here; the calculi
-consume them for parameter passing.
+all-singleton case. The one ?-combination, question_combine_set, turns
+the set of plain substitutions an argument passes into a DisjSubst; its
+result does not depend on the order of the set. It and the compressibility
+test on substitution sets live here; the calculi consume them for
+parameter passing.
 
 Alternative lists are kept deduplicated and canonically sorted. Denotation
 is invariant under reordering and duplication of alternatives, so nothing
@@ -15,7 +17,7 @@ is lost, and streams become deterministic.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .terms import Term, app, apply_subst, approx_leq, term_key, var
 
@@ -90,10 +92,6 @@ class DisjSubst:
         self._hash = hash(tuple(sorted((n, ts) for n, ts in canon.items())))
 
     @classmethod
-    def plain(cls, theta: Mapping[str, Term]) -> "DisjSubst":
-        return cls({x: (t,) for x, t in theta.items()})
-
-    @classmethod
     def join(cls, parts: Sequence["DisjSubst"]) -> "DisjSubst":
         """The union of DisjSubsts over disjoint domains, such as the
         per-argument choices of a linear left-hand side. The parts are
@@ -110,10 +108,6 @@ class DisjSubst:
         out._hash = hash(tuple(sorted(alts.items())))
         return out
 
-    @property
-    def dom(self) -> Set[str]:
-        return set(self.alts)
-
     def chain(self, name: str) -> Term:
         """The alternatives of one variable as a right-nested ?-term."""
         ts = self.alts.get(name)
@@ -126,9 +120,6 @@ class DisjSubst:
 
     def apply(self, t: Term) -> Term:
         return apply_subst(t, {x: self.chain(x) for x in self.alts})
-
-    def is_plain(self) -> bool:
-        return all(len(ts) == 1 for ts in self.alts.values())
 
     def __eq__(self, other):
         return isinstance(other, DisjSubst) and self.alts == other.alts
@@ -144,33 +135,23 @@ class DisjSubst:
         return "[%s]" % inner
 
 
-def question_combine(thetas: Sequence[Mapping[str, Term]]) -> DisjSubst:
-    """?-combine an ordered sequence of plain substitutions.
+def question_combine_set(thetas: Sequence[Mapping[str, Term]]) -> DisjSubst:
+    """?-combine a set of plain substitutions.
 
     For each variable in the union of the domains: if every substitution
     binds it, the disjunction collects all its images; otherwise the
-    variable itself is an extra first alternative and the images come from
-    exactly the substitutions that do bind it.
+    variable itself is an extra alternative and the images come from
+    exactly the substitutions that do bind it. DisjSubst sorts each
+    disjunction canonically, so the result does not depend on the order
+    of the set.
     """
     if not thetas:
-        raise ValueError("cannot ?-combine an empty sequence")
-    names: Set[str] = set()
-    for t in thetas:
-        names |= set(t)
+        raise ValueError("cannot ?-combine an empty set")
     alts: Dict[str, List[Term]] = {}
-    for x in names:
+    for x in set().union(*thetas):
         images = [t[x] for t in thetas if x in t]
-        if len(images) < len(thetas):
-            alts[x] = [var(x)] + images
-        else:
-            alts[x] = images
+        alts[x] = images if len(images) == len(thetas) else [var(x)] + images
     return DisjSubst(alts)
-
-
-def question_combine_set(thetas: Iterable[Mapping[str, Term]]) -> DisjSubst:
-    """Set form: order the substitutions canonically, then combine."""
-    ordered = sorted((dict(t) for t in thetas), key=subst_key)
-    return question_combine(ordered)
 
 
 def _tuples_over(thetas: Sequence[Mapping[str, Term]], names: Sequence[str]):

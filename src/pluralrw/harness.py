@@ -34,8 +34,9 @@ from .calculi import (
     Enumerator,
 )
 from .disjsubst import image_of, is_compressible
+from .rewriting import BREADTH_FIRST, ReachStream, SearchStrategy, total_cterms
 # one_step is bound here for perfbench/layers.py, which traces it by module
-from .rewriting import BREADTH_FIRST, ReachStream, SearchStrategy, one_step  # noqa: F401
+from .rewriting import one_step  # noqa: F401
 from .syntax import Program, assemble_program, format_program, format_term
 from .terms import APP, BOT, Term, app, apply_subst, term_key, var
 from .transform import is_class_cab, pst_optimized, pst_simple
@@ -265,9 +266,8 @@ def _bounded_reach(program, expr, bound, node_cap=NODE_CAP):
     cut as well: a guarded rule whose guard is stuck can grow its own call
     without bound, and walking those chains buys nothing. complete means
     nothing was cut, so the result is the full run-time denotation."""
-    fnames = frozenset(program.signature.functions)
     search = ReachStream(program, expr, SearchStrategy(BREADTH_FIRST, bound), node_cap, SIZE_CAP)
-    out = frozenset(e for e, _n in search if e.total and e.symbols.isdisjoint(fnames))
+    out = frozenset(total_cterms(search))
     return out, not (search.exhausted or search.capped)
 
 

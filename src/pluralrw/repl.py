@@ -49,6 +49,7 @@ from .rewriting import (
     SearchStrategy,
     one_step,
     reachable,
+    total_cterms,
 )
 from .syntax import (
     ParseError,
@@ -247,7 +248,7 @@ class Session:
                 raise CommandError("rewriting needs a total expression, without bot")
             target = program if self.semantics == RUN_TIME else self._pst_program()
             self._search = reachable(target, expr, SearchStrategy(self.strategy_kind, depth))
-            self._stream = _total_cterms(self._search, target)
+            self._stream = total_cterms(self._search)
             self._last_query = (target, expr, depth, None, self.width)
         else:
             cfg = EnumConfig(depth=depth, plural_width=self.width, totals_only=True)
@@ -400,13 +401,6 @@ class Session:
         self._no_args(rest, "quit")
         self.finished = True
         return []
-
-
-def _total_cterms(search: ReachStream, program: Program) -> Iterator[Term]:
-    fnames = frozenset(program.signature.functions)
-    for e, _n in search:
-        if e.total and e.symbols.isdisjoint(fnames):
-            yield e
 
 
 def _run_script(session: Session, path: str) -> int:

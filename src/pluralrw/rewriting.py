@@ -199,6 +199,15 @@ def reachable(program: Program, expr: Term,
     return ReachStream(program, expr, strategy or SearchStrategy())
 
 
+def total_cterms(search: ReachStream) -> Iterator[Term]:
+    """The total c-terms among the expressions a search yields, in its
+    order."""
+    fnames = search._fnames
+    for e, _n in search:
+        if e.total and e.symbols.isdisjoint(fnames):
+            yield e
+
+
 def runtime_denotation(program: Program, expr: Term, bound: int = DEFAULT_BOUND,
                        totals_only: bool = True) -> frozenset:
     """The run-time denotation of expr, up to the given derivation length.
@@ -209,14 +218,9 @@ def runtime_denotation(program: Program, expr: Term, bound: int = DEFAULT_BOUND,
     term size and meant for small terms.
     """
     stream = reachable(program, expr, SearchStrategy(BREADTH_FIRST, bound))
-    sig = program.signature
-    fnames = frozenset(sig.functions)
-    out: set = set()
     if totals_only:
-        for e, _n in stream:
-            if e.total and e.symbols.isdisjoint(fnames):
-                out.add(e)
-    else:
-        for e, _n in stream:
-            out |= down_closure(shell(e, sig))
+        return frozenset(total_cterms(stream))
+    out: set = set()
+    for e, _n in stream:
+        out |= down_closure(shell(e, program.signature))
     return frozenset(out)

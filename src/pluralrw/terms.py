@@ -18,7 +18,7 @@ thread and share them read-only afterwards.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 BOTTOM, VAR, APP = 0, 1, 2
 
@@ -201,14 +201,6 @@ class PositionError(ValueError):
     pass
 
 
-def positions(t: Term) -> Iterator[tuple]:
-    """All positions of t, root first, children left to right (1-based)."""
-    yield ()
-    for i, c in enumerate(t.children, start=1):
-        for rest in positions(c):
-            yield (i,) + rest
-
-
 def subterm_at(t: Term, pos: Sequence[int]) -> Term:
     cur = t
     for i in pos:
@@ -266,9 +258,6 @@ class Signature:
     def is_function(self, name: str) -> bool:
         return name in self.functions
 
-    def is_constructor(self, name: str) -> bool:
-        return name in self.constructors
-
     def arity(self, name: str) -> Optional[int]:
         if name in self.constructors:
             return self.constructors[name]
@@ -285,17 +274,6 @@ class Signature:
     def is_cterm(self, t: Term) -> bool:
         """No defined function symbol anywhere in t."""
         return t.symbols.isdisjoint(self.functions)
-
-    def check_arities(self, t: Term) -> None:
-        if t.kind == APP:
-            ar = self.arity(t.name)
-            if ar is not None and ar != len(t.children):
-                raise SignatureError(
-                    "%s used with %d arguments, declared with %d"
-                    % (t.name, len(t.children), ar)
-                )
-            for c in t.children:
-                self.check_arities(c)
 
 
 def shell(t: Term, sig: Signature) -> Term:

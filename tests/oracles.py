@@ -9,9 +9,16 @@ import random
 from collections import deque
 from itertools import product
 
-from pluralrw.calculi import DenotationStream, Enumerator
-from pluralrw.disjsubst import image_of, is_compressible, maximal_substs
-from pluralrw.terms import APP, BOT, app, apply_subst, match_value, replace_at, term_key, var
+from pluralrw.calculi import _MATCHER_GUARD, BudgetExceeded, DenotationStream, Enumerator
+from pluralrw.disjsubst import (
+    DisjSubst,
+    compressible_subsets,
+    image_of,
+    is_compressible,
+    maximal_substs,
+    question_combine_set,
+)
+from pluralrw.terms import APP, BOT, VAR, app, apply_subst, match_value, replace_at, term_key, var
 from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
 
 
@@ -168,6 +175,44 @@ def reference_maximal_matchers(pattern, dom, vset):
     return maximal_substs(matchers)
 
 
+# ---- calculi: the beta-plural matcher choice as it was before only the
+# maximal values were matched ----
+
+
+def reference_beta_choices(pattern, dom, vset, width, budget):
+    """(matchers, ?-combination) pairs of a beta-plural argument: match
+    every value of the down-closed set, restrict, deduplicate, then
+    ?-combine every compressible subset and deduplicate again."""
+    if pattern.kind == VAR and pattern.name not in dom:
+        return [(({},), DisjSubst({}))]
+    matchers = []
+    seen = set()
+    for t in vset:
+        m = match_value(pattern, t)
+        if m is None:
+            continue
+        if dom != frozenset(m):
+            m = {x: img for x, img in m.items() if x in dom}
+        frozen = frozenset(m.items())
+        if frozen not in seen:
+            seen.add(frozen)
+            matchers.append(m)
+    if not matchers:
+        return []
+    if budget is not None and len(matchers) > _MATCHER_GUARD:
+        raise BudgetExceeded(
+            "%d matchers for one argument overrun the budget" % len(matchers)
+        )
+    choices = []
+    seen_ds = set()
+    for combo in compressible_subsets(matchers, width):
+        ds = question_combine_set(combo)
+        if ds not in seen_ds:
+            seen_ds.add(ds)
+            choices.append((combo, ds))
+    return choices
+
+
 # ---- calculi: the built-ins unfolded through their rules, as they were
 # before values evaluated them natively ----
 
@@ -216,6 +261,14 @@ def saturates(program, mode, expr, cfg):
     for _ in stream:
         pass
     return saturated_at(stream)
+
+
+def positions(t):
+    """All positions of t, root first, children left to right (1-based)."""
+    yield ()
+    for i, c in enumerate(t.children, start=1):
+        for rest in positions(c):
+            yield (i,) + rest
 
 
 def restrict(theta, keep):

@@ -20,7 +20,7 @@ from pluralrw.calculi import (
     enumerate_values,
     replay_trace,
 )
-from pluralrw.disjsubst import DisjSubst, question_combine_set
+from pluralrw.disjsubst import question_combine_set
 from pluralrw.harness import VALUE_CAP, GenConfig, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.syntax import (
     BUILTIN_RULES,
@@ -35,7 +35,6 @@ from pluralrw.terms import (
     app,
     down_closure,
     match_value,
-    positions,
     replace_at,
     shell,
     term_key,
@@ -44,6 +43,8 @@ from pluralrw.terms import (
 
 from oracles import (
     PickedBuiltinsEnumerator,
+    positions,
+    reference_beta_choices,
     reference_maximal_matchers,
     saturated_at,
     saturates,
@@ -462,15 +463,24 @@ def test_replay_follows_the_rule_the_trace_names():
     assert not replay_trace(FACTS, CALL_TIME, trace)
 
 
-@pytest.mark.parametrize("force_cab", (False, True))
-def test_every_value_of_harness_programs_has_a_replayable_derivation(force_cab):
+def _harness_programs(seeds):
+    """(seed, generated program) for each seed, then seed 19 under
+    force_cab: of seeds 1..40 the only one whose program force_cab
+    changes, so the others need not run twice."""
+    for seed in seeds:
+        yield seed, gen_program(GenConfig(seed=seed))
+    program = gen_program(GenConfig(seed=19, force_cab=True))
+    assert format_program(program) != format_program(gen_program(GenConfig(seed=19)))
+    yield 19, program
+
+
+def test_every_value_of_harness_programs_has_a_replayable_derivation():
     # sets past the harness's value cap are skipped, as the harness
     # refuses them: seed 23's f2(f2(0)) outgrows it in every mode but
     # alpha-plural
     cfg = EnumConfig(depth=3)
     skipped = 0
-    for seed in range(1, 31):
-        program = gen_program(GenConfig(seed=seed, force_cab=force_cab))
+    for seed, program in _harness_programs(range(1, 31)):
         rng = random.Random(seed)
         for _ in range(3):
             expr = gen_ground_expr(program, rng, 2)
@@ -488,17 +498,32 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation(force_cab):
 
 
 class _CheckedChoices(Enumerator):
-    """An enumerator that checks every singular and alpha-plural matcher
-    choice against the reference, which matches the whole down-closed
-    value set. `pruned` counts the choices whose restricted matchers of
-    the maximal values were not yet an antichain."""
+    """An enumerator that checks every matcher choice against the
+    references, which match the whole down-closed value set: singular and
+    alpha-plural choices against its maximal matchers, beta-plural ones
+    against the subsets of all its matchers, as the same list in the same
+    order. `pruned` counts the singular and alpha-plural choices whose
+    restricted matchers of the maximal values were not yet an antichain;
+    `beta` counts the beta-plural choices checked."""
 
-    checked = pruned = 0
+    checked = pruned = beta = 0
 
     def _choices(self, pattern, dom, singular, vset):
-        got = super()._choices(pattern, dom, singular, vset)
         if not (singular or self._alpha):
+            # the guard must trip exactly where the reference's trips
+            try:
+                want = reference_beta_choices(pattern, dom, vset, self.width, self._budget)
+            except BudgetExceeded:
+                want = None
+            try:
+                got = super()._choices(pattern, dom, singular, vset)
+            except BudgetExceeded:
+                assert want is None
+                raise
+            assert got == want
+            _CheckedChoices.beta += 1
             return got
+        got = super()._choices(pattern, dom, singular, vset)
         want = reference_maximal_matchers(pattern, dom, vset)
         frozen = {frozenset(m.items()) for m in want}
         if not want:
@@ -506,7 +531,7 @@ class _CheckedChoices(Enumerator):
         elif singular:
             assert {frozenset(c[0].items()) for c, _ in got} == frozen
             assert len(got) == len(frozen)
-            assert all(len(c) == 1 and ds == DisjSubst.plain(c[0]) for c, ds in got)
+            assert all(len(c) == 1 and ds == question_combine_set(c) for c, ds in got)
         else:
             [(combo, ds)] = got
             assert {frozenset(m.items()) for m in combo} == frozen
@@ -535,6 +560,15 @@ MORE_PAPER_QUERIES = (
     (DUNGEON, "askWho(guardians, item(treasure-map) ? sirens-secret)"),
 )
 
+# the paper cases add values that hold free variables named like pattern
+# variables, which a matcher then binds to themselves
+FREE_VARIABLE_QUERIES = (
+    (P1, "f(c(X) ? c(0))"),
+    (EP3, "g(d(X,Y) ? d(0,1))"),
+    (EP3, "h(d(X,0) ? d(1,Y))"),
+    (P4, "f(X ? 0, c(Y) ? c(1))"),
+)
+
 # the paper queries' sweeps: at depth 7 pure beta-plural nClerksNG runs
 # for seconds before the value cap stops it
 PAPER_DEPTHS = range(7)
@@ -544,20 +578,21 @@ def _differential_cases(kind):
     if kind == "paper":
         for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
             yield program, ex(program, q), PAPER_DEPTHS
+        for program, q in FREE_VARIABLE_QUERIES:
+            yield program, ex(program, q), range(5)
         return
-    for seed in range(1, 31):
-        program = gen_program(GenConfig(seed=seed, force_cab=kind == "force_cab"))
+    for seed, program in _harness_programs(range(1, 31)):
         rng = _expr_rng(seed)
         for max_depth in (3, 3, 2):
             yield program, gen_ground_expr(program, rng, max_depth), range(5)
 
 
-@pytest.mark.parametrize("kind", ("plain", "force_cab", "paper"))
+@pytest.mark.parametrize("kind", ("plain", "paper"))
 def test_maximal_value_matching_agrees_with_matching_every_value(kind):
-    # ROADMAP aim 3: the pruned matcher choice against the unpruned one,
-    # for every argument reached at depths 0..4 (paper queries 0..6) in
-    # every mode
-    _CheckedChoices.checked = _CheckedChoices.pruned = 0
+    # ROADMAP aim 3: the matcher choice from the maximal values against
+    # matching every value, for every argument reached at depths 0..4
+    # (paper queries 0..6) in every mode
+    _CheckedChoices.checked = _CheckedChoices.pruned = _CheckedChoices.beta = 0
     for program, expr, depths in _differential_cases(kind):
         for mode in MODES:
             enum = _CheckedChoices(program, mode, value_budget=VALUE_CAP)
@@ -566,7 +601,7 @@ def test_maximal_value_matching_agrees_with_matching_every_value(kind):
                     enum.values(expr, depth)
             except BudgetExceeded:
                 pass
-    assert _CheckedChoices.checked > 1000
+    assert _CheckedChoices.checked > 1000 and _CheckedChoices.beta > 1000
     if kind != "paper":
         assert _CheckedChoices.pruned > 0
 
@@ -584,17 +619,10 @@ def _sweeps(enum, expr, depths):
 
 
 def _builtin_cases():
-    for seed in range(1, 41):
-        program = gen_program(GenConfig(seed=seed))
+    for seed, program in _harness_programs(range(1, 41)):
         rng = _expr_rng(seed)
         for _ in range(3):
             yield program, gen_ground_expr(program, rng), range(5)
-    # force_cab changes the generated program on only 4 of seeds 1..200
-    program = gen_program(GenConfig(seed=19, force_cab=True))
-    assert format_program(program) != format_program(gen_program(GenConfig(seed=19)))
-    rng = _expr_rng(19)
-    for _ in range(3):
-        yield program, gen_ground_expr(program, rng), range(5)
     for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
         yield program, ex(program, q), PAPER_DEPTHS
 

@@ -10,7 +10,6 @@ from pluralrw.disjsubst import (
     image_of,
     is_compressible,
     maximal_substs,
-    question_combine,
     question_combine_set,
     subst_key,
     subst_leq,
@@ -35,32 +34,31 @@ def frozen(thetas):
 
 
 def test_question_combine_all_domains_agree():
-    ds = question_combine([T00, T11])
+    ds = question_combine_set([T00, T11])
     assert ds.alts == {"X": (zero, one), "Y": (zero, one)}
 
 
 def test_question_combine_singleton_is_identity():
-    ds = question_combine([T01])
-    assert ds.is_plain()
+    ds = question_combine_set([T01])
     assert ds.alts == {"X": (zero,), "Y": (one,)}
 
 
 def test_question_combine_missing_variable_adds_identity_alternative():
-    ds = question_combine([{"X": zero}, {"Y": one}])
+    ds = question_combine_set([{"X": zero}, {"Y": one}])
     assert ds.alts == {"X": (X, zero), "Y": (Y, one)}
 
 
 def test_question_combine_domain_is_union():
     thetas = [{"X": zero}, {"Y": one}, {"X": one, "Y": zero}]
-    assert question_combine(thetas).dom == {"X", "Y"}
+    assert set(question_combine_set(thetas).alts) == {"X", "Y"}
 
 
 def test_question_combine_rejects_empty():
     with pytest.raises(ValueError):
-        question_combine([])
+        question_combine_set([])
 
 
-def test_question_combine_set_sorts_first():
+def test_question_combine_set_does_not_depend_on_order():
     assert question_combine_set([T11, T00]) == question_combine_set([T00, T11])
 
 
@@ -72,13 +70,13 @@ def test_disjsubst_canonicalizes():
 
 
 def test_disjsubst_drops_identity_singleton():
-    assert DisjSubst({"X": (X,), "Y": (zero,)}).dom == {"Y"}
+    assert set(DisjSubst({"X": (X,), "Y": (zero,)}).alts) == {"Y"}
     with pytest.raises(ValueError):
         DisjSubst({"X": ()})
 
 
 def test_disjsubst_chain_and_apply():
-    ds = question_combine([T00, T11])
+    ds = question_combine_set([T00, T11])
     assert ds.chain("X") is app("?", (zero, one))
     assert ds.chain("Z") is var("Z")
     t = ds.apply(app("d", (X, Y)))
@@ -167,7 +165,7 @@ theta_sets = st.lists(substs, min_size=1, max_size=4)
 @given(theta_sets)
 def test_combine_domain_law(thetas):
     expect = set().union(*(set(t) for t in thetas))
-    assert question_combine(thetas).dom == expect
+    assert set(question_combine_set(thetas).alts) == expect
 
 
 @given(theta_sets, theta_sets)
@@ -175,7 +173,7 @@ def test_combine_monotone_in_subset(small, extra):
     big = small + extra
     a = question_combine_set(small)
     b = question_combine_set(big)
-    for x in a.dom:
+    for x in a.alts:
         for alt in a.alts[x]:
             assert any(approx_leq(alt, other) for other in b.alts.get(x, (var(x),)))
 
