@@ -262,10 +262,12 @@ SIZE_CAP = 256
 def _bounded_reach(program, expr, bound, node_cap=NODE_CAP):
     """Totals reachable within the derivation-length bound by breadth-first
     search over all rewrite steps, abandoning the walk once node_cap
-    distinct expressions were seen. Oversized intermediate expressions are
-    cut as well: a guarded rule whose guard is stuck can grow its own call
-    without bound, and walking those chains buys nothing. complete means
-    nothing was cut, so the result is the full run-time denotation."""
+    distinct expressions were seen and one more was turned away: the
+    expressions still queued are visited for their totals but not
+    expanded. Oversized intermediate expressions are cut as well: a
+    guarded rule whose guard is stuck can grow its own call without
+    bound, and walking those chains buys nothing. complete means nothing
+    was cut, so the result is the full run-time denotation."""
     search = ReachStream(program, expr, SearchStrategy(BREADTH_FIRST, bound), node_cap, SIZE_CAP)
     out = frozenset(total_cterms(search))
     return out, not (search.exhausted or search.capped)

@@ -11,9 +11,11 @@ subterm for the life of that one search. They are a pure function of the
 program and the term: none for a term without function symbols, else
 each child's successors left to right, wrapped back into the term, then
 the contracta at its root in program order. That is `one_step`'s order,
-so the search visits what calling `one_step` on every state would, in
-the same order; yet a subterm shared by many states is matched once, and
-a successor costs one application per new ancestor.
+so the search yields what a search calling `one_step` on every state
+would, in the same order and with the same cut flags; yet a subterm
+shared by many states is matched once, a successor costs one application
+per new ancestor, and a state none of whose successors could be visited
+is not expanded (see ReachStream).
 """
 
 import sys
@@ -120,16 +122,25 @@ class ReachStream:
 
     Breadth-first yields by increasing derivation length, so each length
     is the shortest; depth-first backtracks, with first-visit lengths.
-    Each expression is expanded before it is yielded, so `parents` (each
-    expression seen -> the one it was first reached from, None for the
-    start) already holds its successors. Expressions larger than size_cap
-    or past node_cap seen are turned away. Once drained, `exhausted` tells
-    whether the bound cut off one never reached another way, and `capped`
-    whether a cap turned one away.
+    `parents` maps each expression seen to the one it was first reached
+    from (None for the start). Expressions larger than size_cap or past
+    node_cap seen are turned away; once drained, `capped` tells whether a
+    cap turned one away, and `exhausted` whether the bound cut off one
+    never reached another way.
+
+    An expression is expanded before it is yielded, so `parents` already
+    holds its successors, except in two cases where no successor of it
+    could enter `parents`. One at the bound is put on a cut list instead.
+    One met after the node cap is full and has turned a successor away is
+    not expanded at all: each new successor would be turned away too, and
+    `capped` is already set. At the drain, `exhausted` is settled from the
+    cut list: its successors are built, while the memo still lives, until
+    one is not in `parents`. `parents` only grows, so under either
+    strategy that is the flag a check of each successor at its cut gives.
     """
 
     __slots__ = ("exhausted", "capped", "parents", "_program", "_fnames", "_strategy",
-                 "_node_cap", "_size_cap", "_todo", "_suppressed", "_memo")
+                 "_node_cap", "_size_cap", "_todo", "_cut", "_memo")
 
     def __init__(self, program: Program, expr: Term, strategy: SearchStrategy,
                  node_cap: int = sys.maxsize, size_cap: int = sys.maxsize):
@@ -139,7 +150,7 @@ class ReachStream:
         self._fnames = frozenset(program.signature.functions)
         self._node_cap, self._size_cap = node_cap, size_cap
         self._todo = deque(((expr, 0),))
-        self._suppressed, self._memo = set(), {}  # both dropped once drained
+        self._cut, self._memo = [], {}  # both dropped once drained
 
     def __iter__(self):
         return self
@@ -148,22 +159,22 @@ class ReachStream:
         if self._todo:
             return self._expand()
         if self._memo is not None:  # drained just now: settle, drop the memo
-            self.exhausted = any(s not in self.parents for s in self._suppressed)
-            self._memo = self._suppressed = None
+            parents = self.parents
+            self.exhausted = any(s not in parents for c in self._cut for s in self._successors(c))
+            self._memo = self._cut = None
         raise StopIteration
 
     def _expand(self) -> Tuple[Term, int]:
         parents = self.parents
-        if self._strategy.kind == DEPTH_FIRST:
-            cur, n = self._todo.pop()
-            succs = reversed(self._successors(cur))  # leftmost ends on top
-        else:
-            cur, n = self._todo.popleft()
-            succs = self._successors(cur)
+        depth_first = self._strategy.kind == DEPTH_FIRST
+        cur, n = self._todo.pop() if depth_first else self._todo.popleft()
         if self._strategy.bound is not None and n >= self._strategy.bound:
-            self._suppressed.update(s for s in succs if s not in parents)
+            self._cut.append(cur)
             return cur, n
-        for s in succs:
+        if self.capped and len(parents) >= self._node_cap:
+            return cur, n
+        succs = self._successors(cur)
+        for s in reversed(succs) if depth_first else succs:  # leftmost ends on top
             if s in parents:
                 continue
             if s.size > self._size_cap or len(parents) >= self._node_cap:

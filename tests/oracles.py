@@ -6,6 +6,7 @@ definitions, by different algorithms than the package uses.
 """
 
 import random
+import sys
 from collections import deque
 from itertools import product
 
@@ -78,12 +79,15 @@ def reference_one_step(program, expr):
     return steps
 
 
-def reference_reach(program, expr, strategy):
-    """(expression, length) pairs in visit order, and whether the bound
-    cut off an expression never reached another way."""
+def reference_reach(program, expr, strategy, node_cap=sys.maxsize, size_cap=sys.maxsize):
+    """(expression, length) pairs in visit order, whether the bound cut off
+    an expression never reached another way, and whether a cap turned one
+    away: expressions larger than size_cap, or met once node_cap were
+    seen. Every visited expression is expanded, caps or bound regardless."""
     bound = strategy.bound
     visited = {expr}
     suppressed = set()
+    capped = False
     queue = deque(((expr, 0),))
     if strategy.kind == BREADTH_FIRST:
         pop, order = queue.popleft, iter
@@ -98,37 +102,14 @@ def reference_reach(program, expr, strategy):
             suppressed.update(s for s in succs if s not in visited)
             continue
         for s in order(succs):
-            if s not in visited:
-                visited.add(s)
-                queue.append((s, n + 1))
-    return out, not suppressed.issubset(visited)
-
-
-def reference_bounded_reach(program, expr, bound, node_cap, size_cap):
-    """Reachable totals under a length bound, a node cap and a size cap,
-    and whether nothing was cut."""
-    fnames = frozenset(program.signature.functions)
-    visited = {expr}
-    queue = deque(((expr, 0),))
-    out = set()
-    complete = True
-    while queue:
-        cur, n = queue.popleft()
-        if cur.total and cur.symbols.isdisjoint(fnames):
-            out.add(cur)
-        succs = [s.result for s in reference_one_step(program, cur)]
-        if n >= bound:
-            if any(s not in visited for s in succs):
-                complete = False
-            continue
-        for s in succs:
-            if s not in visited:
-                if s.size > size_cap or len(visited) >= node_cap:
-                    complete = False
-                    continue
-                visited.add(s)
-                queue.append((s, n + 1))
-    return frozenset(out), complete
+            if s in visited:
+                continue
+            if s.size > size_cap or len(visited) >= node_cap:
+                capped = True
+                continue
+            visited.add(s)
+            queue.append((s, n + 1))
+    return out, not suppressed.issubset(visited), capped
 
 
 def reference_find_path(program, start, target, bound):

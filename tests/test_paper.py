@@ -1,10 +1,13 @@
 """Golden answers for the paper's two example programs: under combined
 alpha-plural semantics, the REPL's default, and under the pure
-alpha-plural and combined beta-plural modes."""
+alpha-plural and combined beta-plural modes; and, by rewriting in the
+REPL, the results and search sizes of pST and run-time choice at the
+step bounds the benchmark runs."""
 
 from itertools import permutations, product
 
 from pluralrw.calculi import ALPHA, COMBINED_ALPHA, COMBINED_BETA, EnumConfig, enumerate_values
+from pluralrw.repl import Session
 from pluralrw.syntax import format_term, parse_expression, parse_program
 
 
@@ -70,3 +73,36 @@ def test_pure_alpha_escape_how_pairs_every_guardian_with_every_message():
 
 def test_combined_beta_n_clerks_lists_two_distinct_clerks():
     assert totals(CLERKS, "nClerks(s(s(z)))", None, COMBINED_BETA) == (TWO_DISTINCT_CLERKS, True)
+
+
+def rewrite(path, semantics, query, engine=None):
+    """The results of a REPL eval by rewriting, and its `stats` reply."""
+    s = Session()
+    s.execute("load " + path)
+    s.execute("semantics " + semantics)
+    if engine is not None:
+        s.execute("engine " + engine)
+    results, lines = [], s.execute("eval " + query)
+    while lines[0].startswith("Result: "):
+        results.append(lines[0][len("Result: "):])
+        lines = s.execute("more")
+    return results, s.execute("stats")
+
+
+def test_pst_escape_how_at_step_bound_6_finds_only_ulysses():
+    assert rewrite("programs/dungeon.plural", "combined-alpha", "depth = 6 escapeHow",
+                   "rewrite-via-pST") == (
+        ["p(ulysses,trojan-gold)"],
+        ["step bound 6 reached at 2423 expressions; more may exist"],
+    )
+
+
+def test_run_time_escape_how_and_n_clerks_at_their_step_bounds():
+    assert rewrite("programs/dungeon.plural", "run-time", "depth = 6 escapeHow") == (
+        ["p(ulysses,trojan-gold)"],
+        ["step bound 6 reached at 1509 expressions; more may exist"],
+    )
+    assert rewrite("programs/clerks.plural", "run-time", "depth = 8 nClerks(s(s(z)))") == (
+        [],
+        ["step bound 8 reached at 4080 expressions; more may exist"],
+    )

@@ -1,14 +1,15 @@
 """The memoized rewrite search against the one_step-driven searches it
 replaced (kept in oracles.py): the same states in the same order with the
 same lengths, the same cut flags under every cap, and the same `show
-path` derivations."""
+path` derivations; and no successors built for a state at the bound or
+past a full node cap, beyond what settling `exhausted` needs."""
 
 import os
+import sys
 
 import pytest
 
 from oracles import (
-    reference_bounded_reach,
     reference_find_path,
     reference_one_step,
     reference_reach,
@@ -88,23 +89,90 @@ def test_one_step_matches_the_reference(program, expr, bound):
 def test_reach_visits_what_the_reference_visits(program, expr, bound, kind):
     for n in (bound, bound + 1):
         strategy = SearchStrategy(kind, n)
-        want, exhausted = reference_reach(program, expr, strategy)
+        want, exhausted, capped = reference_reach(program, expr, strategy)
         stream = reachable(program, expr, strategy)
         assert list(stream) == want
+        assert (stream.exhausted, stream.capped) == (exhausted, capped)
+
+
+def _caps(program, expr, strategy):
+    # (node cap, size cap) pairs that fill before the bound: one node, half
+    # the states the uncapped search visits, and their median size
+    visits = reference_reach(program, expr, strategy)[0]
+    half = max(1, len(visits) // 2)
+    median = sorted(e.size for e, _n in visits)[len(visits) // 2]
+    return ((1, sys.maxsize), (half, sys.maxsize), (sys.maxsize, median), (half, median))
+
+
+@pytest.mark.parametrize("kind", (BREADTH_FIRST, DEPTH_FIRST))
+@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
+def test_reach_flags_match_the_reference_under_caps(program, expr, bound, kind):
+    strategy = SearchStrategy(kind, bound + 1)
+    for node_cap, size_cap in _caps(program, expr, strategy):
+        want, exhausted, capped = reference_reach(program, expr, strategy, node_cap, size_cap)
+        stream = ReachStream(program, expr, strategy, node_cap, size_cap)
+        assert list(stream) == want
         assert stream.exhausted == exhausted
+        assert stream.capped == capped
+
+
+class _CountingStream(ReachStream):
+    """Records each expression whose successors the search asks for, not
+    the subterms its memo recurses into."""
+
+    def __init__(self, *args):
+        self.asked = []
+        self._nested = False
+        super().__init__(*args)
+
+    def _successors(self, t):
+        if self._nested:
+            return super()._successors(t)
+        self.asked.append(t)
+        self._nested = True
+        try:
+            return super()._successors(t)
+        finally:
+            self._nested = False
+
+
+@pytest.mark.parametrize("kind", (BREADTH_FIRST, DEPTH_FIRST))
+@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
+def test_reach_builds_no_successor_it_cannot_use(program, expr, bound, kind):
+    strategy = SearchStrategy(kind, bound + 1)
+    for node_cap, size_cap in ((sys.maxsize, sys.maxsize),) + _caps(program, expr, strategy):
+        stream = _CountingStream(program, expr, strategy, node_cap, size_cap)
+        cut = []
+        while True:
+            # once the node cap is full and has turned one away, every new
+            # successor would be turned away too
+            full = stream.capped and len(stream.parents) >= node_cap
+            before = len(stream.asked)
+            try:
+                e, n = next(stream)
+            except StopIteration:
+                break
+            if n >= strategy.bound:
+                cut.append(e)
+            assert stream.asked[before:] == ([] if n >= strategy.bound or full else [e])
+        # settling `exhausted` asks for the cut expressions in yield order,
+        # up to and including the first with a successor never reached
+        want = []
+        for e in cut:
+            want.append(e)
+            if any(s.result not in stream.parents for s in one_step(program, e)):
+                break
+        assert stream.asked[before:] == want
 
 
 @pytest.mark.parametrize("program,expr,bound", CASES)
 def test_bounded_reach_cuts_where_the_reference_cuts(program, expr, bound):
-    for n, node_cap in ((30, 40), (30, 400), (bound, harness.NODE_CAP)):
-        want = reference_bounded_reach(program, expr, n, node_cap, harness.SIZE_CAP)
-        assert _bounded_reach(program, expr, n, node_cap) == want
-    # a small size cap, so oversized successors are turned away too
-    want = reference_bounded_reach(program, expr, 30, 400, 12)
     fnames = frozenset(program.signature.functions)
-    stream = ReachStream(program, expr, SearchStrategy(BREADTH_FIRST, 30), 400, 12)
-    got = frozenset(e for e, _n in stream if e.total and e.symbols.isdisjoint(fnames))
-    assert (got, not (stream.exhausted or stream.capped)) == want
+    for n, node_cap in ((30, 40), (30, 400), (bound, harness.NODE_CAP)):
+        strategy = SearchStrategy(BREADTH_FIRST, n)
+        visits, exhausted, capped = reference_reach(program, expr, strategy, node_cap, harness.SIZE_CAP)
+        totals = frozenset(e for e, _n in visits if e.total and e.symbols.isdisjoint(fnames))
+        assert _bounded_reach(program, expr, n, node_cap) == (totals, not (exhausted or capped))
 
 
 @pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
