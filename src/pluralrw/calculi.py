@@ -70,6 +70,20 @@ rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
 for a constructor, and for a call, built-ins included, the first pick, in
 evaluation order, whose instantiated body holds the value one level down.
 
+Each enumerator builds an argument's matcher choices once per (pattern,
+variables used, singular, value set), and a rule's instantiated bodies,
+in the order of the choices' product, once per (rule, value sets of the
+arguments consulted). Neither cache loses or adds a value: the picks read
+nothing but the rule, the mode, the width and those argument sets, and
+mode and width are fixed per enumerator, so equal keys give equal choices
+and bodies. Every body still goes through values, so the same values calls
+happen in the same order, with the same stop at the first argument
+without choices, and the memo, the fixpoint test and the budget trips
+come out as they would without the caches. Each cache lives and dies with
+its enumerator. values keeps the old object for a set that did not change
+from one depth to the next, so a call whose arguments stopped changing
+finds its choices and bodies at once.
+
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
 needs no monotonicity: a sweep at depth d that changes no memo entry from
@@ -78,7 +92,7 @@ depth d-1 makes every later sweep repeat it; unbounded streams stop there.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .disjsubst import (
@@ -194,7 +208,8 @@ class EnumConfig:
 
 def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str, ...]:
     """How each argument of fname is passed under the mode: SG or PL."""
-    # for ? and if_then this serves only _picks, in build_trace and replay_trace
+    # for ? and if_then this serves only build_trace, through _unfold, and
+    # replay_trace
     if mode == CALL_TIME or fname in ("?", "if_then"):
         return (SG,) * arity
     if mode in (ALPHA, BETA):
@@ -287,6 +302,11 @@ class Enumerator:
         self._fnames = frozenset(program.signature.functions)
         self._max_cache: Dict[FrozenSet[Term], List[Term]] = {}
         self._union_cache: Dict[FrozenSet[FrozenSet[Term]], FrozenSet[Term]] = {}
+        self._choice_cache: Dict[tuple, list] = {}
+        self._body_cache: Dict[tuple, Tuple[Tuple[Term, ...], bool]] = {}
+        # equal ?-combinations recur in the cached choices of many value
+        # sets; they share one object
+        self._combined: Dict[DisjSubst, DisjSubst] = {}
 
     # sweep protocol: begin_sweep, then values(expr, d). A sweep that
     # created no entry differing from its depth d-1 counterpart MAY be at
@@ -367,9 +387,10 @@ class Enumerator:
             if _TT in self.values(cond, k - 1):
                 return self.values(then, k - 1)
             return _BOTTOM_ONLY
-        return self._union(
-            [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
-        )
+        parts = []
+        for _rule, _per_arg, bodies in self._unfold(expr, k):
+            parts.extend(self.values(inst, k - 1) for inst in bodies)
+        return self._union(parts)
 
     def _union(self, parts: List[FrozenSet[Term]]) -> FrozenSet[Term]:
         # union the per-pick result sets by reference; repeated unions of
@@ -405,33 +426,59 @@ class Enumerator:
                 raise BudgetExceeded("constructor product exceeds the budget")
         return frozenset(out)
 
-    def _picks(self, expr, k):
-        """Every way to unfold the call expr at depth k, in evaluation
-        order: (rule, one (matchers, ?-combination) choice per argument,
-        theta, instantiated body). A rule stops at its first argument, left
-        to right, that no value at depth k-1 matches."""
+    def _unfold(self, expr, k):
+        """Every rule that can unfold the call expr at depth k, in
+        evaluation order: (rule, per argument its (matchers, ?-combination)
+        choices, the instantiated bodies in the order of the choices'
+        product). A rule stops at its first argument, left to right, that
+        no value at depth k-1 matches. A rule whose picks overran the
+        budget raises once its consumer is done with the bodies built."""
         if k < 1:
             return
         kprev = k - 1
         for rule, doms, tags in self._rules(expr.name):
             per_arg: List[list] = []
+            vsets = []
             for i, pattern in enumerate(rule.args):
                 vset = self.values(expr.children[i], kprev)
                 choices = self._choices(pattern, doms[i], tags[i] == SG, vset)
                 if not choices:
                     break
                 per_arg.append(choices)
+                vsets.append(vset)
             else:
-                picks = 0
-                for pick in product(*per_arg):
-                    if self._budget is not None:
-                        picks += 1
-                        if picks > self._budget:
-                            raise BudgetExceeded("substitution picks overrun the budget")
-                    theta = DisjSubst.join([ds for _, ds in pick])
-                    yield rule, pick, theta, theta.apply(rule.rhs)
+                key = (rule, tuple(vsets))
+                got = self._body_cache.get(key)
+                if got is None:
+                    got = self._body_cache[key] = self._instantiate(rule, per_arg)
+                bodies, overrun = got
+                yield rule, per_arg, bodies
+                if overrun:
+                    raise BudgetExceeded("substitution picks overrun the budget")
+
+    def _instantiate(self, rule, per_arg):
+        """The rule's body under each pick of one choice per argument, in
+        product order, and whether there were more picks than the budget;
+        then only the first budget many are built."""
+        picks = product(*per_arg)
+        overrun = False
+        if self._budget is not None:
+            picks = list(islice(picks, self._budget + 1))
+            overrun = len(picks) > self._budget
+            del picks[self._budget:]
+        bodies = tuple(DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs) for pick in picks)
+        return bodies, overrun
 
     def _choices(self, pattern, dom, singular, vset):
+        """What one argument can pass, computed once per enumerator for
+        each (pattern, dom, singular, vset)."""
+        key = (pattern, dom, singular, vset)
+        got = self._choice_cache.get(key)
+        if got is None:
+            got = self._choice_cache[key] = self._choose(pattern, dom, singular, vset)
+        return got
+
+    def _choose(self, pattern, dom, singular, vset):
         """What one argument can pass: (matchers, ?-combination) pairs,
         empty when no value in vset matches the pattern. Every mode starts
         from the maximal restricted matchers and differs only in the
@@ -467,7 +514,7 @@ class Enumerator:
             ds = question_combine_set(combo)
             if ds not in seen:
                 seen.add(ds)
-                choices.append((combo, ds))
+                choices.append((combo, self._combined.setdefault(ds, ds)))
         return choices
 
     def build_trace(self, expr: Term, k: int, value: Term) -> TraceNode:
@@ -481,15 +528,17 @@ class Enumerator:
         if expr.kind == VAR and value is expr:
             return TraceNode("RR", expr, value)
         if expr.kind == APP and self.sig.is_function(expr.name):
-            for rule, pick, theta, inst in self._picks(expr, k):
-                if value in self.values(inst, k - 1):
-                    choices = tuple(c for c, _ in pick)
-                    kids = [
-                        self.build_trace(expr.children[i], k - 1, v)
-                        for i, v in _premises(rule, choices)
-                    ]
-                    kids.append(self.build_trace(inst, k - 1, value))
-                    return TraceNode(self._or_tag, expr, value, rule, theta, choices, kids)
+            for rule, per_arg, bodies in self._unfold(expr, k):
+                for pick, inst in zip(product(*per_arg), bodies):
+                    if value in self.values(inst, k - 1):
+                        theta = DisjSubst.join([ds for _, ds in pick])
+                        choices = tuple(c for c, _ in pick)
+                        kids = [
+                            self.build_trace(expr.children[i], k - 1, v)
+                            for i, v in _premises(rule, choices)
+                        ]
+                        kids.append(self.build_trace(inst, k - 1, value))
+                        return TraceNode(self._or_tag, expr, value, rule, theta, choices, kids)
         elif expr.kind == APP and value.kind == APP and value.name == expr.name:
             kids = [
                 self.build_trace(c, k, v) for c, v in zip(expr.children, value.children)

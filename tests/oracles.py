@@ -19,6 +19,7 @@ from pluralrw.disjsubst import (
     maximal_substs,
     question_combine_set,
 )
+from pluralrw.syntax import SG
 from pluralrw.terms import APP, BOT, VAR, app, apply_subst, match_value, replace_at, term_key, var
 from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
 
@@ -199,14 +200,50 @@ def reference_beta_choices(pattern, dom, vset, width, budget):
 
 
 class PickedBuiltinsEnumerator(Enumerator):
-    """Every call, `?` and `if_then` included, unfolds through _picks:
+    """Every call, `?` and `if_then` included, unfolds through its rules:
     one pick per maximal value of a singular argument, and one memo entry
     per instantiated body."""
 
     def _call_values(self, expr, k):
-        return self._union(
-            [self.values(inst, k - 1) for _r, _p, _t, inst in self._picks(expr, k)]
-        )
+        parts = []
+        for _rule, _per_arg, bodies in self._unfold(expr, k):
+            parts.extend(self.values(inst, k - 1) for inst in bodies)
+        return self._union(parts)
+
+
+# ---- calculi: every call's matcher choices and bodies rebuilt per call,
+# as they were before the enumerator cached them ----
+
+
+class UncachedEnumerator(Enumerator):
+    """Each call to a user function recomputes every argument's choices
+    and every pick's ?-combination and body, with the budget counted pick
+    by pick; the built-ins stay native."""
+
+    def _call_values(self, expr, k):
+        if k > 0 and expr.name in ("?", "if_then"):
+            return super()._call_values(expr, k)
+        return self._union([self.values(inst, k - 1) for inst in self._uncached_bodies(expr, k)])
+
+    def _uncached_bodies(self, expr, k):
+        if k < 1:
+            return
+        for rule, doms, tags in self._rules(expr.name):
+            per_arg = []
+            for i, pattern in enumerate(rule.args):
+                vset = self.values(expr.children[i], k - 1)
+                choices = self._choose(pattern, doms[i], tags[i] == SG, vset)
+                if not choices:
+                    break
+                per_arg.append(choices)
+            else:
+                picks = 0
+                for pick in product(*per_arg):
+                    if self._budget is not None:
+                        picks += 1
+                        if picks > self._budget:
+                            raise BudgetExceeded("substitution picks overrun the budget")
+                    yield DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs)
 
 
 # ---- helpers only the tests use, over the public enumerator and stream ----

@@ -21,6 +21,7 @@ from pluralrw.calculi import (
     replay_trace,
 )
 from pluralrw.disjsubst import question_combine_set
+from pluralrw import harness
 from pluralrw.harness import VALUE_CAP, GenConfig, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.syntax import (
     BUILTIN_RULES,
@@ -43,6 +44,7 @@ from pluralrw.terms import (
 
 from oracles import (
     PickedBuiltinsEnumerator,
+    UncachedEnumerator,
     positions,
     reference_beta_choices,
     reference_maximal_matchers,
@@ -668,3 +670,94 @@ def test_native_builtins_prove_the_same_fixpoints(program, query, modes):
             runs.append((list(stream), stream.complete, stream.swept))
         assert runs[0] == runs[1], mode
         assert runs[0][1], mode
+
+
+def _stream_run(enum, expr, depth):
+    """(depth, value) per value the stream yields, then ("tripped",
+    depth) if the budget stopped it there; and complete and swept."""
+    stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
+    rows = []
+    try:
+        for value in stream:
+            rows.append((stream.swept, value))
+    except BudgetExceeded:
+        rows.append(("tripped", stream.swept + 1))
+    return rows, stream.complete, stream.swept
+
+
+@pytest.mark.parametrize("kind", ("plain", "paper"))
+def test_cached_choices_and_bodies_agree_with_rebuilding_them_per_call(kind):
+    # the per-enumerator caches against the path that rebuilds every
+    # argument's choices and every pick's body on each call: the same
+    # memo, keys and sets, the same strata, and the budget tripping at the
+    # same depth
+    tripped = 0
+    for program, expr, depths in _differential_cases(kind):
+        for mode in MODES:
+            cached = Enumerator(program, mode, value_budget=VALUE_CAP)
+            uncached = UncachedEnumerator(program, mode, value_budget=VALUE_CAP)
+            got = _stream_run(cached, expr, depths[-1])
+            assert got == _stream_run(uncached, expr, depths[-1]), (format_term(expr), mode)
+            assert cached._memo == uncached._memo, (format_term(expr), mode)
+            tripped += got[0][-1][0] == "tripped"
+    # pinned, so that a change to the inputs shows; the paper queries'
+    # sweeps stop short of the value cap
+    assert tripped == {"plain": 6, "paper": 0}[kind]
+
+
+class _CountedWork(Enumerator):
+    """Keeps every uncached choice computation and body build, and counts
+    the choice lookups, which _CheckedChoices also sees all of."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chosen = []
+        self.built = []
+        self.lookups = 0
+
+    def _choices(self, pattern, dom, singular, vset):
+        self.lookups += 1
+        return super()._choices(pattern, dom, singular, vset)
+
+    def _choose(self, pattern, dom, singular, vset):
+        got = super()._choose(pattern, dom, singular, vset)
+        self.chosen.append(got)
+        return got
+
+    def _instantiate(self, rule, per_arg):
+        got = super()._instantiate(rule, per_arg)
+        self.built.append(got)
+        return got
+
+
+def _assert_built_once_per_key(enum):
+    # every computation is kept, so distinct results have distinct ids:
+    # each cached entry is one computation and no key was computed twice
+    for computed, cache in ((enum.chosen, enum._choice_cache), (enum.built, enum._body_cache)):
+        assert len(computed) == len(cache)
+        assert {id(v) for v in cache.values()} == {id(v) for v in computed}
+
+
+def test_choices_and_bodies_are_built_once_per_key_on_escape_how():
+    enum = _CountedWork(DUNGEON, COMBINED_BETA)
+    enum.values(ex(DUNGEON, "escapeHow"), 9)
+    _assert_built_once_per_key(enum)
+    # most lookups find an argument set seen before
+    assert enum.lookups > 5 * len(enum.chosen)
+
+
+def test_choices_and_bodies_are_built_once_per_key_on_a_harness_seed(monkeypatch):
+    # seed 21's beta-plural sets stop changing from one depth to the next
+    made = []
+
+    class Recorded(_CountedWork):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Enumerator", Recorded)
+    assert harness.run_suite("hierarchy", [21], 4, out=lambda line: None) == (3, 0)
+    assert made
+    for enum in made:
+        _assert_built_once_per_key(enum)
+    assert sum(e.lookups for e in made) > 2 * sum(len(e.chosen) for e in made)

@@ -30,6 +30,13 @@ def test_suite_runs_clean(suite):
     assert witnesses == []
 
 
+def test_hierarchy_runs_clean_on_seed_76():
+    # its beta-plural f2(f2(0,0),0 ? f2(0,0)) asks for the same argument
+    # sets at every depth: seconds with the enumerator's choice and body
+    # caches, a minute without them
+    assert run_suite("hierarchy", [76], 4, out=lambda line: None) == (3, 0)
+
+
 CHECKS = {
     "hierarchy": "check_hierarchy",
     "cab": "check_cab_equivalence",
