@@ -69,6 +69,9 @@ Derivations are not recorded while values are computed. build_trace
 rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
 for a constructor, and for a call, built-ins included, the first pick, in
 evaluation order, whose instantiated body holds the value one level down.
+A DenotationStream rebuilds the derivation of a value it yielded at the
+depth it yielded it; equal memo entries give equal picks, so the stream
+gives the derivation a fresh one stopped at that depth would.
 
 Each enumerator builds an argument's matcher choices once per (pattern,
 variables used, singular, value set), and a rule's instantiated bodies,
@@ -107,7 +110,6 @@ from .syntax import PL, SG, Program, format_term
 from .terms import (
     APP,
     BOT,
-    BOTTOM,
     VAR,
     Term,
     app,
@@ -295,7 +297,7 @@ class Enumerator:
         self._budget = value_budget
         self._memo: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
         self._dirty = True
-        self._support: set = set()
+        self._support: Dict[Term, None] = {}
         self._alpha = mode in (ALPHA, COMBINED_ALPHA)
         self._or_tag = _OR_TAG[mode]
         self._rule_cache: Dict[str, list] = {}
@@ -311,8 +313,8 @@ class Enumerator:
     # sweep protocol: begin_sweep, then values(expr, d). A sweep that
     # created no entry differing from its depth d-1 counterpart MAY be at
     # a fixpoint, but lazy evaluation can stall a still-growing chain out
-    # of view; confirm_fixpoint re-evaluates every expression ever touched
-    # at the current depth, which makes the verdict sound.
+    # of view; confirm_fixpoint re-evaluates every expression with function
+    # symbols ever touched at the current depth, which makes it sound.
     def begin_sweep(self):
         self._dirty = False
 
@@ -325,6 +327,9 @@ class Enumerator:
         return len(self._memo)
 
     def confirm_fixpoint(self, depth: int) -> bool:
+        # parents before children, in the order first touched: a parent at
+        # depth makes its children's depth-1 entries before they are compared
+        # with them. In set order, the proving depth followed the hash seed.
         while True:
             snapshot = list(self._support)
             for x in snapshot:
@@ -351,16 +356,17 @@ class Enumerator:
         got = self._memo.get(key)
         if got is not None:
             return got
-        self._support.add(expr)
-        if expr.kind != APP:
-            result = _BOTTOM_ONLY if expr.kind == BOTTOM else frozenset((BOT, expr))
-        elif expr.symbols.isdisjoint(self._fnames):
-            # function-free expressions are their own down-closure at any depth
+        # a function-free expression is its own down-closure at every depth,
+        # so no entry of it is a change and confirm_fixpoint skips it
+        constant = expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
+        if constant:
             result = down_closure(expr)
-        elif self.sig.is_function(expr.name):
-            result = self._call_values(expr, k)
         else:
-            result = self._constructor_values(expr, k)
+            self._support[expr] = None
+            if self.sig.is_function(expr.name):
+                result = self._call_values(expr, k)
+            else:
+                result = self._constructor_values(expr, k)
         if self._budget is not None and len(result) > self._budget:
             raise BudgetExceeded(
                 "value set of size %d exceeds the budget %d" % (len(result), self._budget)
@@ -372,7 +378,7 @@ class Enumerator:
             # share the object so unchanged sets can be recognized by
             # identity at the next depth
             result = prev
-        else:
+        elif not constant:
             self._dirty = True
         self._memo[key] = result
         return result
@@ -653,6 +659,20 @@ class DenotationStream:
             self.done = True
             self.complete = True
 
+    def derivation(self, value: Term) -> TraceNode:
+        """A replayable derivation of a value the stream yielded, rebuilt at
+        the least swept depth whose set holds it. The entries build_trace
+        makes, of `?` and `if_then` bodies no sweep evaluates, are dropped,
+        so the memo and memo_entries stay what the sweeps make."""
+        enum, memo = self.enum, self.enum._memo
+        depth = next(d for d in range(self.swept + 1) if value in memo[(self.expr, d)])
+        size = len(memo)
+        trace = enum.build_trace(self.expr, depth, value)
+        for key in list(islice(reversed(memo), len(memo) - size)):
+            del memo[key]
+        assert replay_trace(enum.program, enum.mode, trace)
+        return trace
+
 
 def enumerate_values(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> DenotationStream:
     return DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
@@ -663,12 +683,8 @@ def derives(
 ) -> Optional[TraceNode]:
     """A replayable derivation of expr =>> target within the depth bound,
     or None. The derivation uses the least sufficient depth."""
-    enum = Enumerator(program, mode, cfg.plural_width)
-    stream = DenotationStream(enum, expr, EnumConfig(depth=cfg.depth))
+    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth, cfg.plural_width))
     for value in stream:
         if value == target:
-            # a stratum is yielded whole before the next depth is swept
-            trace = enum.build_trace(expr, stream.swept, target)
-            assert replay_trace(program, mode, trace)
-            return trace
+            return stream.derivation(target)
     return None

@@ -15,7 +15,8 @@ form `(eval twoclerks .)`; the trailing dot is optional either way.
                             read it as OR-nesting depth or rewrite steps
   width N                   compression width for beta-plural matching
   path on | path off        print a derivation after each result
-  show path                 print a derivation of the last result
+  show path                 print a derivation of the last result from
+                            its search (a shortest one when rewriting)
   stats                     how complete the last eval is, and what it cost
   showTr                    print the transformed (match/proj) program
   reboot                    forget the module and restore every default
@@ -32,14 +33,14 @@ run-time` always means plain rewriting of the loaded rules.
 import argparse
 import re
 import sys
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from .calculi import (
     COMBINED_ALPHA,
     MODES,
+    DenotationStream,
     EnumConfig,
     enumerate_values,
-    derives,
 )
 from .rewriting import (
     BREADTH_FIRST,
@@ -85,21 +86,24 @@ class CommandError(Exception):
     pass
 
 
+def _linked_steps(search: ReachStream, target: Term) -> List[RewriteStep]:
+    # a breadth-first search's links from its start to target: a shortest
+    # derivation, each link the first one_step step making its expression
+    steps, node, parents = [], target, search.parents
+    while parents[node] is not None:
+        prev = parents[node]
+        steps.append(next(s for s in one_step(search.program, prev) if s.result is node))
+        node = prev
+    return steps[::-1]
+
+
 def _find_path(program: Program, start: Term, target: Term,
-               bound: Optional[int]) -> Optional[List[RewriteStep]]:
-    # breadth-first parent links, so the reported derivation is shortest;
-    # each link is the first one_step step that produces its expression
+               bound: Optional[int]) -> List[RewriteStep]:
+    """A shortest derivation of a target reachable within the bound."""
     search = ReachStream(program, start, SearchStrategy(BREADTH_FIRST, bound))
-    parents = search.parents
     for _e in search:
-        if target in parents:
-            steps, node = [], target
-            while parents[node] is not None:
-                prev = parents[node]
-                steps.append(next(s for s in one_step(program, prev) if s.result is node))
-                node = prev
-            return steps[::-1]
-    return None
+        if target in search.parents:
+            return _linked_steps(search, target)
 
 
 class Session:
@@ -121,7 +125,6 @@ class Session:
         self._stream: Optional[Iterator[Term]] = None
         self._search = None  # the DenotationStream or ReachStream behind it
         self._drained = False
-        self._last_query: Optional[Tuple] = None
         self._last_result: Optional[Term] = None
         self._pst_cache: Optional[Program] = None
 
@@ -166,9 +169,9 @@ class Session:
             raise CommandError("input nested too deeply for the interpreter's recursion limit") from None
 
     def drop_stream(self):
-        """Forget the active eval, whose stream may be left half advanced."""
+        """Forget the active eval, whose stream may be left half advanced;
+        `show path` still reads its search."""
         self._stream = None
-        self._search = None
 
     def _require_program(self) -> Program:
         if self.program is None:
@@ -194,7 +197,7 @@ class Session:
             raise CommandError("module rejected: %s" % exc)
         self.program = program
         self.drop_stream()
-        self._last_query = None
+        self._search = None
         self._last_result = None
         self._pst_cache = None
         lines = ["Module introduced."]
@@ -249,12 +252,11 @@ class Session:
             target = program if self.semantics == RUN_TIME else self._pst_program()
             self._search = reachable(target, expr, SearchStrategy(self.strategy_kind, depth))
             self._stream = total_cterms(self._search)
-            self._last_query = (target, expr, depth, None, self.width)
         else:
             cfg = EnumConfig(depth=depth, plural_width=self.width, totals_only=True)
             self._search = self._stream = enumerate_values(program, self.semantics, expr, cfg)
-            self._last_query = (None, expr, depth, self.semantics, self.width)
         self._drained = False
+        self._last_result = None
         return self._next_result("No solution.")
 
     def _cmd_more(self, rest: str) -> List[str]:
@@ -279,26 +281,26 @@ class Session:
     # ---- derivations ----
 
     def _path_lines(self) -> List[str]:
-        if self._last_result is None or self._last_query is None:
+        # read from the search that yielded the last result
+        search, value = self._search, self._last_result
+        if value is None:
             raise CommandError("no result to show a path for")
-        target_prog, expr, depth, mode, width = self._last_query
-        if mode is None:
-            chain = _find_path(target_prog, expr, self._last_result, depth)
-            if chain is None:
-                raise CommandError("no derivation found within the bound")
-            lines = [format_term(expr)]
-            for step in chain:
-                where = ".".join(str(i) for i in step.position) or "root"
-                lines.append(
-                    "-> %s   [rule %d at %s]"
-                    % (format_term(step.result), step.rule_index, where)
-                )
-            return lines
-        cfg = EnumConfig(depth=depth, plural_width=width, totals_only=True)
-        trace = derives(self.program, mode, expr, self._last_result, cfg)
-        if trace is None:
-            raise CommandError("no derivation found within the bound")
-        return trace.render().splitlines()
+        if isinstance(search, DenotationStream):
+            return search.derivation(value).render().splitlines()
+        start = next(iter(search.parents))  # its first key
+        if search.strategy.kind == DEPTH_FIRST:
+            # its links are first visits, not shortest paths
+            steps = _find_path(search.program, start, value, search.strategy.bound)
+        else:
+            steps = _linked_steps(search, value)
+        lines = [format_term(start)]
+        for step in steps:
+            where = ".".join(str(i) for i in step.position) or "root"
+            lines.append(
+                "-> %s   [rule %d at %s]"
+                % (format_term(step.result), step.rule_index, where)
+            )
+        return lines
 
     def _cmd_show(self, rest: str) -> List[str]:
         if rest != "path":
@@ -307,22 +309,22 @@ class Session:
 
     def _cmd_stats(self, rest: str) -> List[str]:
         self._no_args(rest, "stats")
-        search = self._search
-        if search is None:
+        if self._stream is None:
             raise CommandError("no eval to report on")
-        depth = self._last_query[2]
+        search = self._search
         if isinstance(search, ReachStream):
             seen = len(search.parents)
             # the REPL sets no node or size cap, so only the bound can cut
             if not self._drained:
                 return ["%d expressions reached so far; more may follow" % seen]
             if search.exhausted:
-                return ["step bound %d reached at %d expressions; more may exist" % (depth, seen)]
+                return ["step bound %d reached at %d expressions; more may exist"
+                        % (search.strategy.bound, seen)]
             return ["search complete: all %d reachable expressions visited" % seen]
         if search.complete:
             state = "proven complete at depth %d" % search.swept
         elif self._drained:
-            state = "depth bound %d reached; more may exist" % depth
+            state = "depth bound %d reached; more may exist" % search.cfg.depth
         else:
             state = "depth %d swept so far; more may follow" % search.swept
         return [state, "memo entries: %d" % search.enum.memo_entries]
@@ -367,14 +369,15 @@ class Session:
     def _cmd_depth(self, rest: str) -> List[str]:
         if rest == "inf":
             self.depth = None
-        elif rest.isdigit():
+        elif rest.isdecimal():
             self.depth = int(rest)
         else:
             raise CommandError("depth needs a non-negative number or inf")
         return []
 
     def _cmd_width(self, rest: str) -> List[str]:
-        if not rest.isdigit() or int(rest) < 1:
+        # isdecimal, not isdigit: int() refuses superscript digits
+        if not rest.isdecimal() or int(rest) < 1:
             raise CommandError("width needs a positive number")
         self.width = int(rest)
         return []

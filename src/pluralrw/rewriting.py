@@ -139,14 +139,14 @@ class ReachStream:
     strategy that is the flag a check of each successor at its cut gives.
     """
 
-    __slots__ = ("exhausted", "capped", "parents", "_program", "_fnames", "_strategy",
+    __slots__ = ("exhausted", "capped", "parents", "program", "_fnames", "strategy",
                  "_node_cap", "_size_cap", "_todo", "_cut", "_memo")
 
     def __init__(self, program: Program, expr: Term, strategy: SearchStrategy,
                  node_cap: int = sys.maxsize, size_cap: int = sys.maxsize):
         self.exhausted = self.capped = False
         self.parents: Dict[Term, Optional[Term]] = {expr: None}
-        self._program, self._strategy = program, strategy
+        self.program, self.strategy = program, strategy
         self._fnames = frozenset(program.signature.functions)
         self._node_cap, self._size_cap = node_cap, size_cap
         self._todo = deque(((expr, 0),))
@@ -166,9 +166,9 @@ class ReachStream:
 
     def _expand(self) -> Tuple[Term, int]:
         parents = self.parents
-        depth_first = self._strategy.kind == DEPTH_FIRST
+        depth_first = self.strategy.kind == DEPTH_FIRST
         cur, n = self._todo.pop() if depth_first else self._todo.popleft()
-        if self._strategy.bound is not None and n >= self._strategy.bound:
+        if self.strategy.bound is not None and n >= self.strategy.bound:
             self._cut.append(cur)
             return cur, n
         if self.capped and len(parents) >= self._node_cap:
@@ -194,7 +194,7 @@ class ReachStream:
                 got = tuple(
                     [app(name, kids[:i] + (r,) + kids[i + 1:])
                      for i, c in enumerate(kids) for r in self._successors(c)]
-                    + [contractum for _i, _m, contractum in _root_steps(self._program, t)]
+                    + [contractum for _i, _m, contractum in _root_steps(self.program, t)]
                 )
             self._memo[t] = got
         return got

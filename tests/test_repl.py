@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pluralrw.calculi import EnumConfig, enumerate_values
+from pluralrw.calculi import EnumConfig, Enumerator, enumerate_values
 from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
 from pluralrw.syntax import parse_expression
 
@@ -320,8 +320,7 @@ def test_stats_says_how_complete_a_calculi_eval_is(tmp_path):
     assert state.startswith("depth ") and state.endswith(" swept so far; more may follow")
     assert memo.startswith("memo entries: ")
     assert drain(s) == ["d(1,1)"]
-    # the proving depth hangs on the memo's set iteration order, so the
-    # same stream run directly says what to expect
+    # the same stream run directly says what to expect
     expr = parse_expression("f(c(0) ? c(1))", s.program.signature)
     stream = enumerate_values(s.program, "call-time", expr, EnumConfig(depth=None))
     list(stream)
@@ -359,3 +358,88 @@ def test_help_lists_stats_and_rewriting_refuses_bottom(tmp_path):
     s.execute("semantics run-time")
     with pytest.raises(CommandError, match="total expression"):
         s.execute("eval f(bot)")
+
+
+@pytest.mark.parametrize("semantics", ("call-time", "run-time"))
+def test_an_eval_without_results_leaves_no_path_to_show(tmp_path, semantics):
+    s = Session()
+    load(s, tmp_path, P1_BODY)
+    s.execute("semantics " + semantics)
+    assert s.execute("eval f(c(0))") == ["Result: d(0,0)"]
+    assert s.execute("eval depth = 0 f(c(1))") == ["No solution."]
+    with pytest.raises(CommandError, match="no result to show a path for"):
+        s.execute("show path")
+
+
+@pytest.mark.parametrize("settings", (("semantics call-time",), ("semantics run-time",),
+                                      ("semantics run-time", "depth-first")))
+def test_show_path_reads_an_interrupted_eval(tmp_path, monkeypatch, settings):
+    # what Ctrl-C leaves: a search stopped where it stood, and a dropped
+    # stream; the search's memo and parent links stay valid
+    s = Session()
+    load(s, tmp_path, P1_BODY + "\nfrom(X) -> X ? s(from(X)) .")
+    for line in settings:
+        s.execute(line)
+    s.execute("eval depth = 6 from(z)")
+    s.execute("more")
+    before = s.execute("show path")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Enumerator, "values", interrupted)
+    monkeypatch.setattr("pluralrw.rewriting.ReachStream._successors", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        s.execute("more")
+    s.drop_stream()
+    monkeypatch.undo()
+    assert s.execute("show path") == before
+    with pytest.raises(CommandError, match="no active eval"):
+        s.execute("more")
+    with pytest.raises(CommandError, match="no eval to report on"):
+        s.execute("stats")
+
+
+def test_superscript_digits_are_a_clear_error(tmp_path, monkeypatch, capsys):
+    # str.isdigit accepts them, int() does not
+    s = Session()
+    for line in ("depth \u00b2", "width \u00b2", "depth 1\u00b3"):
+        with pytest.raises(CommandError, match="needs a"):
+            s.execute(line)
+    s.execute("depth \u0663")  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    assert s.depth == 3
+    script = tmp_path / "probe.cmd"
+    script.write_text("quit\n")
+    assert main(["--run", str(script), "--depth", "\u00b2"]) == 2
+    assert "Error: depth needs" in capsys.readouterr().err
+    lines = iter(["width \u00b2", "quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+    assert _interact(Session()) == 0
+    assert "Error: width needs a positive number" in capsys.readouterr().out
+
+
+def test_the_proving_depth_does_not_depend_on_the_hash_seed(tmp_path):
+    # confirm_fixpoint re-evaluates parents before their children; in set
+    # order this query was proven complete at depth 3 or 4 by hash seed
+    module = tmp_path / "m.plural"
+    module.write_text("plural T is\n%s\nendp" % P1_BODY)
+    script = tmp_path / "fixpoint.cmd"
+    script.write_text(
+        "load %s\nsemantics call-time\neval f(c(0) ? c(1))\nmore\nmore\nstats\n"
+        "load programs/clerks.plural\nsemantics call-time\neval depth = inf twoclerks\n"
+        % module
+        + "more\n" * 4
+        + "stats\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pluralrw.repl", "--run", str(script)],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    states = [line for line in outputs.pop().splitlines() if line.startswith("proven")]
+    assert states == ["proven complete at depth 3", "proven complete at depth 7"]
