@@ -87,6 +87,17 @@ its enumerator. values keeps the old object for a set that did not change
 from one depth to the next, so a call whose arguments stopped changing
 finds its choices and bodies at once.
 
+Constructor sets are shared by the whole process. A constructor
+application's set {_|_} | c(S1 x ... x Sn) reads nothing but c and its
+children's sets Si: not the program, the mode, the depth or the
+enumerator. So terms.constructor_closure builds it once per (c, S1..Sn)
+for every enumerator, and down_closure builds a function-free
+expression's set from the same table. Equal child sets give the one cached
+object, so a constructor whose children's sets did not change from one
+depth to the next gets the previous depth's object back, with no shortcut
+of its own. Under a budget each of these sets is sized before it is built,
+and trips the budget in the same values call as the built set would.
+
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
 needs no monotonicity: a sweep at depth d that changes no memo entry from
@@ -96,6 +107,7 @@ depth d-1 makes every later sweep repeat it; unbounded streams stop there.
 from __future__ import annotations
 
 from itertools import islice, product
+from math import prod
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .disjsubst import (
@@ -114,6 +126,8 @@ from .terms import (
     Term,
     app,
     apply_subst,
+    closure_size,
+    constructor_closure,
     down_closure,
     match_value,
     term_key,
@@ -184,7 +198,9 @@ class BudgetExceeded(RuntimeError):
     """Raised when an enumeration outgrows the enumerator's value budget.
 
     Only enumerators constructed with a budget raise this; interactive use
-    runs unbudgeted. The sets memoized before the overflow stay valid."""
+    runs unbudgeted. A constructor or function-free set is sized before it
+    is built, so an overflow builds no set it cannot keep. The sets
+    memoized before the overflow stay valid."""
 
 
 # guard on the beta path, the only one that enumerates subsets: its matcher
@@ -360,17 +376,15 @@ class Enumerator:
         # so no entry of it is a change and confirm_fixpoint skips it
         constant = expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
         if constant:
+            self._fit(closure_size(expr))
             result = down_closure(expr)
         else:
             self._support[expr] = None
             if self.sig.is_function(expr.name):
                 result = self._call_values(expr, k)
+                self._fit(len(result))
             else:
                 result = self._constructor_values(expr, k)
-        if self._budget is not None and len(result) > self._budget:
-            raise BudgetExceeded(
-                "value set of size %d exceeds the budget %d" % (len(result), self._budget)
-            )
         prev = self._memo.get((expr, k - 1)) if k > 0 else None
         if prev is result:
             pass
@@ -382,6 +396,12 @@ class Enumerator:
             self._dirty = True
         self._memo[key] = result
         return result
+
+    def _fit(self, size):
+        if self._budget is not None and size > self._budget:
+            raise BudgetExceeded(
+                "value set of size %d exceeds the budget %d" % (size, self._budget)
+            )
 
     def _call_values(self, expr, k):
         # the built-ins natively, by the down-closure argument in the
@@ -416,21 +436,9 @@ class Enumerator:
         return result
 
     def _constructor_values(self, expr, k):
-        child_sets = [self.values(c, k) for c in expr.children]
-        if k > 0:
-            prev = self._memo.get((expr, k - 1))
-            if prev is not None and all(
-                cs is self._memo.get((c, k - 1))
-                for cs, c in zip(child_sets, expr.children)
-            ):
-                return prev
-        out = {BOT}
-        budget = self._budget
-        for combo in product(*child_sets):
-            out.add(app(expr.name, combo))
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded("constructor product exceeds the budget")
-        return frozenset(out)
+        child_sets = tuple(self.values(c, k) for c in expr.children)
+        self._fit(1 + prod(map(len, child_sets)))
+        return constructor_closure(expr.name, child_sets)
 
     def _unfold(self, expr, k):
         """Every rule that can unfold the call expr at depth k, in
@@ -677,14 +685,3 @@ class DenotationStream:
 def enumerate_values(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> DenotationStream:
     return DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
 
-
-def derives(
-    program: Program, mode: str, expr: Term, target: Term, cfg: EnumConfig
-) -> Optional[TraceNode]:
-    """A replayable derivation of expr =>> target within the depth bound,
-    or None. The derivation uses the least sufficient depth."""
-    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth, cfg.plural_width))
-    for value in stream:
-        if value == target:
-            return stream.derivation(target)
-    return None

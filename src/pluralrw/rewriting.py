@@ -3,8 +3,8 @@
 Once a rule copies an argument, the copies evolve independently, so the
 set of reachable expressions is the whole story. This module provides
 the one-step relation, bounded reachability search in breadth-first or
-depth-first order, and the run-time denotation assembled from shells of
-reachable expressions.
+depth-first order, and the total c-terms a search reaches: the maximal
+elements of the run-time denotation.
 
 Every search is a ReachStream, which memoizes successors per interned
 subterm for the life of that one search. They are a pure function of the
@@ -27,10 +27,8 @@ from .terms import (
     Term,
     app,
     apply_subst,
-    down_closure,
     match_value,
     replace_at,
-    shell,
     subterm_at,
 )
 
@@ -218,20 +216,3 @@ def total_cterms(search: ReachStream) -> Iterator[Term]:
         if e.total and e.symbols.isdisjoint(fnames):
             yield e
 
-
-def runtime_denotation(program: Program, expr: Term, bound: int = DEFAULT_BOUND,
-                       totals_only: bool = True) -> frozenset:
-    """The run-time denotation of expr, up to the given derivation length.
-
-    With totals_only, the reachable total c-terms: these are exactly the
-    maximal elements of the denotation. Otherwise the full down-closure
-    of the shells of all reachable expressions, which is exponential in
-    term size and meant for small terms.
-    """
-    stream = reachable(program, expr, SearchStrategy(BREADTH_FIRST, bound))
-    if totals_only:
-        return frozenset(total_cterms(stream))
-    out: set = set()
-    for e, _n in stream:
-        out |= down_closure(shell(e, program.signature))
-    return frozenset(out)

@@ -13,11 +13,17 @@ is therefore identity, hashes are precomputed, and frequently needed facts
 stored on the node at construction time. This is what keeps the denotation
 enumerator affordable. Interning is not thread safe; build terms from one
 thread and share them read-only afterwards.
+
+Three tables live as long as the process and never shrink: the intern
+table, the down-closure of each term, and the constructor closure of each
+(name, child sets). Both closures depend on nothing but their key, so
+every program, mode and enumerator shares them.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 BOTTOM, VAR, APP = 0, 1, 2
@@ -139,6 +145,23 @@ def approx_leq(a: Term, b: Term) -> bool:
 
 
 _DC_CACHE: dict = {}
+_CC_CACHE: dict = {}
+
+
+def constructor_closure(name: str, sets: tuple) -> frozenset:
+    """{_|_} together with name(t1..tn) for every ti in the i-th set.
+
+    Built once per process for each (name, sets): equal child sets give
+    one object. Interning makes distinct tuples distinct terms, none of
+    them _|_, so it has exactly 1 + the product of the set sizes members.
+    """
+    key = (name, sets)
+    got = _CC_CACHE.get(key)
+    if got is None:
+        out = {BOT}
+        out.update(_make(APP, name, combo) for combo in product(*sets))
+        got = _CC_CACHE[key] = frozenset(out)
+    return got
 
 
 def down_closure(t: Term) -> frozenset:
@@ -152,14 +175,19 @@ def down_closure(t: Term) -> frozenset:
     if t.kind == VAR:
         return frozenset((BOT, t))
     got = _DC_CACHE.get(t)
-    if got is not None:
-        return got
-    out = {BOT}
-    for combo in product(*(down_closure(c) for c in t.children)):
-        out.add(app(t.name, combo))
-    result = frozenset(out)
-    _DC_CACHE[t] = result
-    return result
+    if got is None:
+        got = _DC_CACHE[t] = constructor_closure(
+            t.name, tuple(down_closure(c) for c in t.children)
+        )
+    return got
+
+
+def closure_size(t: Term) -> int:
+    """len(down_closure(t)), without building it."""
+    if t.kind != APP:
+        return 1 if t is BOT else 2
+    got = _DC_CACHE.get(t)
+    return len(got) if got is not None else 1 + prod(map(closure_size, t.children))
 
 
 def apply_subst(t: Term, mapping: Mapping[str, Term]) -> Term:
@@ -274,15 +302,6 @@ class Signature:
     def is_cterm(self, t: Term) -> bool:
         """No defined function symbol anywhere in t."""
         return t.symbols.isdisjoint(self.functions)
-
-
-def shell(t: Term, sig: Signature) -> Term:
-    """The outer constructor part: function-rooted subterms become _|_."""
-    if t.kind != APP:
-        return t
-    if sig.is_function(t.name):
-        return BOT
-    return app(t.name, tuple(shell(c, sig) for c in t.children))
 
 
 def is_linear(terms: Sequence[Term]) -> bool:

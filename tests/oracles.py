@@ -10,7 +10,14 @@ import sys
 from collections import deque
 from itertools import product
 
-from pluralrw.calculi import _MATCHER_GUARD, BudgetExceeded, DenotationStream, Enumerator
+from pluralrw.calculi import (
+    _MATCHER_GUARD,
+    BudgetExceeded,
+    DenotationStream,
+    EnumConfig,
+    Enumerator,
+    enumerate_values,
+)
 from pluralrw.disjsubst import (
     DisjSubst,
     compressible_subsets,
@@ -20,8 +27,26 @@ from pluralrw.disjsubst import (
     question_combine_set,
 )
 from pluralrw.syntax import SG
-from pluralrw.terms import APP, BOT, VAR, app, apply_subst, match_value, replace_at, term_key, var
-from pluralrw.rewriting import BREADTH_FIRST, RewriteStep
+from pluralrw.terms import (
+    APP,
+    BOT,
+    VAR,
+    app,
+    apply_subst,
+    down_closure,
+    match_value,
+    replace_at,
+    term_key,
+    var,
+)
+from pluralrw.rewriting import (
+    BREADTH_FIRST,
+    DEFAULT_BOUND,
+    RewriteStep,
+    SearchStrategy,
+    reachable,
+    total_cterms,
+)
 
 
 _TERM_POOL = (
@@ -246,7 +271,99 @@ class UncachedEnumerator(Enumerator):
                     yield DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs)
 
 
+# ---- calculi: constructor sets built per enumerator, as they were before
+# the process shared them ----
+
+
+class IncrementalProductEnumerator(Enumerator):
+    """Each constructor set is built term by term, counting the budget
+    while it grows, unless every child's set is the object it was one depth
+    down, which hands back the previous depth's set; a function-free
+    expression's set is built in full before the budget sees it."""
+
+    def values(self, expr, k):
+        key = (expr, k)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        constant = expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
+        if constant:
+            result = down_closure(expr)
+        else:
+            self._support[expr] = None
+            if self.sig.is_function(expr.name):
+                result = self._call_values(expr, k)
+            else:
+                result = self._constructor_values(expr, k)
+        if self._budget is not None and len(result) > self._budget:
+            raise BudgetExceeded(
+                "value set of size %d exceeds the budget %d" % (len(result), self._budget)
+            )
+        prev = self._memo.get((expr, k - 1)) if k > 0 else None
+        if prev is result:
+            pass
+        elif prev == result:
+            result = prev
+        elif not constant:
+            self._dirty = True
+        self._memo[key] = result
+        return result
+
+    def _constructor_values(self, expr, k):
+        child_sets = [self.values(c, k) for c in expr.children]
+        if k > 0:
+            prev = self._memo.get((expr, k - 1))
+            if prev is not None and all(
+                cs is self._memo.get((c, k - 1))
+                for cs, c in zip(child_sets, expr.children)
+            ):
+                return prev
+        out = {BOT}
+        budget = self._budget
+        for combo in product(*child_sets):
+            out.add(app(expr.name, combo))
+            if budget is not None and len(out) > budget:
+                raise BudgetExceeded("constructor product exceeds the budget")
+        return frozenset(out)
+
+
 # ---- helpers only the tests use, over the public enumerator and stream ----
+
+
+def derives(program, mode, expr, target, cfg):
+    """A replayable derivation of expr =>> target within the depth bound,
+    or None. The derivation uses the least sufficient depth."""
+    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth, cfg.plural_width))
+    for value in stream:
+        if value == target:
+            return stream.derivation(target)
+    return None
+
+
+def shell(t, sig):
+    """The outer constructor part: function-rooted subterms become _|_."""
+    if t.kind != APP:
+        return t
+    if sig.is_function(t.name):
+        return BOT
+    return app(t.name, tuple(shell(c, sig) for c in t.children))
+
+
+def runtime_denotation(program, expr, bound=DEFAULT_BOUND, totals_only=True):
+    """The run-time denotation of expr, up to the given derivation length.
+
+    With totals_only, the reachable total c-terms: these are exactly the
+    maximal elements of the denotation. Otherwise the full down-closure
+    of the shells of all reachable expressions, which is exponential in
+    term size and meant for small terms.
+    """
+    stream = reachable(program, expr, SearchStrategy(BREADTH_FIRST, bound))
+    if totals_only:
+        return frozenset(total_cterms(stream))
+    out = set()
+    for e, _n in stream:
+        out |= down_closure(shell(e, program.signature))
+    return frozenset(out)
 
 
 def values_at(program, mode, expr, depth, plural_width=4, totals_only=False, enum=None):

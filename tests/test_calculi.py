@@ -16,13 +16,19 @@ from pluralrw.calculi import (
     DenotationStream,
     EnumConfig,
     Enumerator,
-    derives,
     enumerate_values,
     replay_trace,
 )
 from pluralrw.disjsubst import question_combine_set
 from pluralrw import harness
-from pluralrw.harness import VALUE_CAP, GenConfig, _expr_rng, gen_ground_expr, gen_program
+from pluralrw.harness import (
+    VALUE_CAP,
+    GenConfig,
+    _expr_rng,
+    gen_ground_expr,
+    gen_program,
+    run_suite,
+)
 from pluralrw.syntax import (
     BUILTIN_RULES,
     format_program,
@@ -37,19 +43,21 @@ from pluralrw.terms import (
     down_closure,
     match_value,
     replace_at,
-    shell,
     term_key,
     var,
 )
 
 from oracles import (
+    IncrementalProductEnumerator,
     PickedBuiltinsEnumerator,
     UncachedEnumerator,
+    derives,
     positions,
     reference_beta_choices,
     reference_maximal_matchers,
     saturated_at,
     saturates,
+    shell,
     values_at,
 )
 
@@ -703,6 +711,88 @@ def test_cached_choices_and_bodies_agree_with_rebuilding_them_per_call(kind):
     # pinned, so that a change to the inputs shows; the paper queries'
     # sweeps stop short of the value cap
     assert tripped == {"plain": 6, "paper": 0}[kind]
+
+
+class _TripKey:
+    """Keeps the innermost values call that a BudgetExceeded left."""
+
+    tripped = None
+
+    def values(self, expr, k):
+        try:
+            return super().values(expr, k)
+        except BudgetExceeded:
+            if self.tripped is None:
+                self.tripped = (expr, k)
+            raise
+
+
+class _SharedProducts(_TripKey, Enumerator):
+    pass
+
+
+class _IncrementalProducts(_TripKey, IncrementalProductEnumerator):
+    pass
+
+
+def _kept(memo):
+    """Per memo entry (e, k): whether it is the object of (e, k-1), and
+    whether that entry was made first. values can keep only an entry made
+    first; one made later may still be the same object in the shared
+    table, which holds one object per equal constructor set."""
+    order = {key: i for i, key in enumerate(memo)}
+    return [
+        (vset is memo.get((e, k - 1)), order.get((e, k - 1), len(order)) < order[(e, k)])
+        for (e, k), vset in memo.items()
+    ]
+
+
+def _product_cases(kind, monkeypatch):
+    """(program, mode, expr, depth, budget) per denotation: every one the
+    hierarchy, cab and bubbling suites ask for on seeds 1..10, where no set
+    trips the cap, and on two seeds whose sets do: in a constructor
+    (bubbling 21), and in a call and a function-free body (hierarchy 32).
+    Or the paper queries in every mode, at depth 6 under the value cap,
+    and unbounded where they prove their fixpoint."""
+    if kind == "paper":
+        for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
+            for mode in MODES:
+                yield program, mode, ex(program, q), PAPER_DEPTHS[-1], VALUE_CAP
+        for program, q, modes in PAPER_FIXPOINTS:
+            for mode in modes:
+                yield program, mode, ex(program, q), None, None
+        return
+    asked = []
+    denotation = harness._denotation
+    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
+    for suite, tripping in (("hierarchy", [32]), ("cab", []), ("bubbling", [21])):
+        run_suite(suite, list(range(1, 11)) + tripping, 4, out=lambda line: None)
+    yield from asked
+
+
+@pytest.mark.parametrize("kind", ("harness", "paper"))
+def test_shared_constructor_sets_agree_with_building_them_per_enumerator(kind, monkeypatch):
+    # the process-wide constructor sets, sized before they are built,
+    # against each enumerator building its own with the budget counted
+    # term by term: the same memo keys in the same order with equal sets,
+    # the same sets kept from one depth to the next (see _kept), the same
+    # strata, complete and swept, and the budget tripping in the same
+    # values call
+    cases = tripped = 0
+    for program, mode, expr, depth, budget in _product_cases(kind, monkeypatch):
+        shared = _SharedProducts(program, mode, value_budget=budget)
+        built = _IncrementalProducts(program, mode, value_budget=budget)
+        got = _stream_run(shared, expr, depth)
+        assert got == _stream_run(built, expr, depth), (format_term(expr), mode)
+        assert list(shared._memo.items()) == list(built._memo.items()), (format_term(expr), mode)
+        kept, was_kept = _kept(shared._memo), _kept(built._memo)
+        assert [a for a, first in kept if first] == [a for a, first in was_kept if first]
+        assert all(a for (a, _), (b, _) in zip(kept, was_kept) if b)
+        assert shared.tripped == built.tripped, (format_term(expr), mode)
+        cases += 1
+        tripped += shared.tripped is not None
+    # pinned, so that a change to the inputs shows
+    assert (cases, tripped) == {"harness": (207, 7), "paper": (41, 0)}[kind]
 
 
 class _CountedWork(Enumerator):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pluralrw import harness
+from pluralrw import harness, terms
 from pluralrw.harness import SUITES, run_suite
 
 SEEDS = (6, 8, 10)
@@ -35,6 +35,16 @@ def test_hierarchy_runs_clean_on_seed_76():
     # sets at every depth: seconds with the enumerator's choice and body
     # caches, a minute without them
     assert run_suite("hierarchy", [76], 4, out=lambda line: None) == (3, 0)
+
+
+def test_hierarchy_seed_32_builds_no_set_past_the_cap():
+    # call-time f1(d(f1(1),f1(1))) reaches a function-free body whose
+    # down-closure has about 59,000 terms: sized against the cap, it trips
+    # without being built. The intern table is shared by the whole test
+    # process, so only its growth during this run is measured.
+    before = len(terms._TABLE)
+    assert run_suite("hierarchy", [32], 4, out=lambda line: None) == (2, 0)
+    assert len(terms._TABLE) - before < 10_000
 
 
 CHECKS = {

@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from oracles import reference_find_path
-from pluralrw.calculi import DenotationStream, EnumConfig, Enumerator, derives
+from oracles import derives, reference_find_path
+from pluralrw.calculi import DenotationStream, EnumConfig, Enumerator
 from pluralrw.repl import Session
 from pluralrw.rewriting import ReachStream
 from pluralrw.syntax import format_term, parse_expression

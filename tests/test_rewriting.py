@@ -5,14 +5,13 @@ from pluralrw.rewriting import (
     SearchStrategy,
     one_step,
     reachable,
-    runtime_denotation,
 )
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.terms import BOT, down_closure
 
 import pytest
 
-from oracles import values_at
+from oracles import runtime_denotation, values_at
 
 
 def prog(body):

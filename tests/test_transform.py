@@ -1,5 +1,5 @@
 from pluralrw.calculi import ALPHA, BETA
-from pluralrw.rewriting import SearchStrategy, reachable, runtime_denotation
+from pluralrw.rewriting import SearchStrategy, reachable
 from pluralrw.syntax import BUILTIN_RULES, parse_expression, parse_program
 from pluralrw.terms import app, var
 from pluralrw.transform import (
@@ -13,7 +13,7 @@ from pluralrw.transform import (
     pst_simple,
 )
 
-from oracles import values_at
+from oracles import runtime_denotation, values_at
 
 
 def prog(body):
