@@ -100,12 +100,30 @@ and trips the budget in the same values call as the built set would.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
-needs no monotonicity: a sweep at depth d that changes no memo entry from
-depth d-1 makes every later sweep repeat it; unbounded streams stop there.
+needs no monotonicity. The read-closure of a root at depth d holds the
+root and, with each non-constant x, what values(x, d) reads: a
+constructor's children, a `?`'s arguments, an if_then's condition and its
+branch where taken, and per rule of a call its arguments up to the one it
+stops at, then its bodies. If every non-constant x of the closure has
+values(x, d) == values(x, d-1), then values(root, d+n) == values(root, d)
+for every n, by induction on n and then on the size of x: at d+n+1 a call
+reads at d+n the expressions it read at d, whose sets are their d-1 sets,
+so it makes the same choices, bodies and union; `?` and if_then alike; a
+constructor reads its strict subterms at its own depth; a function-free
+expression never changes. An argument whose pattern is a variable the body
+ignores is left out: its one choice does not depend on its set.
+
+A stream checks at every depth d > 0 where its root's set repeats; the
+walk stops at the first changed set, since each step forces entries at
+depth d. Neither the whole support nor a sweep that changed no entry is
+needed: nothing outside the closure reaches the root. A check over the
+whole support passes only when the support is closed under reads at d and
+kept its sets; the closure lies inside it, so this check proves no later.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import islice, product
 from math import prod
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -292,9 +310,9 @@ class Enumerator:
     """Memoized value-set computation for one (program, mode, width).
 
     values may be asked for any expressions and depths; the memo is shared,
-    which keeps multi-query tests cheap. A DenotationStream needs a fresh
-    enumerator: its fixpoint test watches the memo change from one depth
-    to the next, and entries made before the stream began hide that change.
+    which keeps multi-query tests cheap. A DenotationStream may use an
+    enumerator that served other queries: its fixpoint test reads set
+    values only, which no earlier entry changes.
     """
 
     def __init__(
@@ -312,8 +330,7 @@ class Enumerator:
         self.sig = program.signature
         self._budget = value_budget
         self._memo: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
-        self._dirty = True
-        self._support: Dict[Term, None] = {}
+        self.root: Optional[Term] = None
         self._alpha = mode in (ALPHA, COMBINED_ALPHA)
         self._or_tag = _OR_TAG[mode]
         self._rule_cache: Dict[str, list] = {}
@@ -326,33 +343,53 @@ class Enumerator:
         # sets; they share one object
         self._combined: Dict[DisjSubst, DisjSubst] = {}
 
-    # sweep protocol: begin_sweep, then values(expr, d). A sweep that
-    # created no entry differing from its depth d-1 counterpart MAY be at
-    # a fixpoint, but lazy evaluation can stall a still-growing chain out
-    # of view; confirm_fixpoint re-evaluates every expression with function
-    # symbols ever touched at the current depth, which makes it sound.
+    # sweep protocol: begin_sweep, then values(root, d); where that repeats
+    # the depth d-1 set, confirm_fixpoint(d) with self.root the root.
+    # begin_sweep does nothing: it stays as the benchmark tracer's hook.
     def begin_sweep(self):
-        self._dirty = False
-
-    @property
-    def sweep_clean(self) -> bool:
-        return not self._dirty
+        pass
 
     @property
     def memo_entries(self) -> int:
         return len(self._memo)
 
+    def _constant(self, expr: Term) -> bool:
+        return expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
+
     def confirm_fixpoint(self, depth: int) -> bool:
-        # parents before children, in the order first touched: a parent at
-        # depth makes its children's depth-1 entries before they are compared
-        # with them. In set order, the proving depth followed the hash seed.
-        while True:
-            snapshot = list(self._support)
-            for x in snapshot:
-                self.values(x, depth)
-            if len(self._support) == len(snapshot):
-                break
-        return not self._dirty
+        """Whether values(self.root, depth + n) equals values(self.root,
+        depth) for every n, by a breadth-first walk (module docstring)."""
+        seen = {self.root}
+        todo = deque(seen)
+        while todo:
+            x = todo.popleft()
+            if self._constant(x):
+                continue
+            before = self.values(x, depth - 1)
+            now = self.values(x, depth)
+            if now is not before and now != before:
+                return False
+            for y in self._reads(x, depth):
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return True
+
+    def _reads(self, expr: Term, k: int):
+        """What values(expr, k) reads, for k >= 1 (module docstring)."""
+        if not self.sig.is_function(expr.name) or expr.name == "?":
+            yield from expr.children
+        elif expr.name == "if_then":
+            cond, then = expr.children
+            yield cond
+            if _TT in self.values(cond, k - 1):
+                yield then
+        else:
+            for rule, per_arg, bodies in self._unfold(expr, k):
+                for arg, pattern in zip(expr.children[: len(per_arg) + 1], rule.args):
+                    if pattern.kind != VAR or pattern.name in rule.rhs.varset:
+                        yield arg
+                yield from bodies
 
     def _rules(self, fname: str):
         cached = self._rule_cache.get(fname)
@@ -372,28 +409,20 @@ class Enumerator:
         got = self._memo.get(key)
         if got is not None:
             return got
-        # a function-free expression is its own down-closure at every depth,
-        # so no entry of it is a change and confirm_fixpoint skips it
-        constant = expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
-        if constant:
+        # a function-free expression is its own down-closure at every depth
+        if self._constant(expr):
             self._fit(closure_size(expr))
             result = down_closure(expr)
+        elif self.sig.is_function(expr.name):
+            result = self._call_values(expr, k)
+            self._fit(len(result))
         else:
-            self._support[expr] = None
-            if self.sig.is_function(expr.name):
-                result = self._call_values(expr, k)
-                self._fit(len(result))
-            else:
-                result = self._constructor_values(expr, k)
+            result = self._constructor_values(expr, k)
         prev = self._memo.get((expr, k - 1)) if k > 0 else None
-        if prev is result:
-            pass
-        elif prev == result:
+        if prev is not result and prev == result:
             # share the object so unchanged sets can be recognized by
             # identity at the next depth
             result = prev
-        elif not constant:
-            self._dirty = True
         self._memo[key] = result
         return result
 
@@ -441,10 +470,10 @@ class Enumerator:
         return constructor_closure(expr.name, child_sets)
 
     def _unfold(self, expr, k):
-        """Every rule that can unfold the call expr at depth k, in
-        evaluation order: (rule, per argument its (matchers, ?-combination)
-        choices, the instantiated bodies in the order of the choices'
-        product). A rule stops at its first argument, left to right, that
+        """Every rule of the call expr at depth k, in evaluation order:
+        (rule, per argument its (matchers, ?-combination) choices, the
+        instantiated bodies in the order of the choices' product). A rule
+        stops, with no bodies, at its first argument, left to right, that
         no value at depth k-1 matches. A rule whose picks overran the
         budget raises once its consumer is done with the bodies built."""
         if k < 1:
@@ -457,6 +486,7 @@ class Enumerator:
                 vset = self.values(expr.children[i], kprev)
                 choices = self._choices(pattern, doms[i], tags[i] == SG, vset)
                 if not choices:
+                    yield rule, per_arg, ()
                     break
                 per_arg.append(choices)
                 vsets.append(vset)
@@ -628,8 +658,6 @@ class DenotationStream:
     opposed to hitting the bound."""
 
     def __init__(self, enum: Enumerator, expr: Term, cfg: EnumConfig):
-        if enum._memo:
-            raise ValueError("a DenotationStream needs an Enumerator with an empty memo")
         self.enum = enum
         self.expr = expr
         self.cfg = cfg
@@ -663,9 +691,9 @@ class DenotationStream:
         self._yielded.update(stratum)
         self._buffer.extend(stratum)
         self.swept = d
-        if d > 0 and self.enum.sweep_clean and self.enum.confirm_fixpoint(d):
-            self.done = True
-            self.complete = True
+        if d > 0 and current == self.enum.values(self.expr, d - 1):
+            self.enum.root = self.expr
+            self.done = self.complete = self.enum.confirm_fixpoint(d)
 
     def derivation(self, value: Term) -> TraceNode:
         """A replayable derivation of a value the stream yielded, rebuilt at

@@ -14,10 +14,11 @@ stored on the node at construction time. This is what keeps the denotation
 enumerator affordable. Interning is not thread safe; build terms from one
 thread and share them read-only afterwards.
 
-Three tables live as long as the process and never shrink: the intern
-table, the down-closure of each term, and the constructor closure of each
-(name, child sets). Both closures depend on nothing but their key, so
-every program, mode and enumerator shares them.
+Four tables live as long as the process and never shrink: the intern
+table, one object per distinct variable or symbol set (so a full garbage
+collection scans no per-term copy), the down-closure of each term, and the
+constructor closure of each (name, child sets). Both closures depend on
+nothing but their key, so every program, mode and enumerator shares them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class Term:
 
 
 _TABLE: dict = {}
+_SETS: dict = {}
 
 
 def _make(kind: int, name: str, children: tuple) -> Term:
@@ -108,8 +110,8 @@ def _make(kind: int, name: str, children: tuple) -> Term:
                 vs = vs | c.varset
             if c.symbols:
                 sy = sy | c.symbols
-        t.varset = vs
-        t.symbols = sy
+        t.varset = _SETS.setdefault(vs, vs)
+        t.symbols = _SETS.setdefault(sy, sy)
         t.key = (t.depth, 2, name, tuple(c.key for c in children))
     t._hash = hash(probe)
     _TABLE[probe] = t

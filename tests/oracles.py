@@ -286,26 +286,19 @@ class IncrementalProductEnumerator(Enumerator):
         got = self._memo.get(key)
         if got is not None:
             return got
-        constant = expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
-        if constant:
+        if self._constant(expr):
             result = down_closure(expr)
+        elif self.sig.is_function(expr.name):
+            result = self._call_values(expr, k)
         else:
-            self._support[expr] = None
-            if self.sig.is_function(expr.name):
-                result = self._call_values(expr, k)
-            else:
-                result = self._constructor_values(expr, k)
+            result = self._constructor_values(expr, k)
         if self._budget is not None and len(result) > self._budget:
             raise BudgetExceeded(
                 "value set of size %d exceeds the budget %d" % (len(result), self._budget)
             )
         prev = self._memo.get((expr, k - 1)) if k > 0 else None
-        if prev is result:
-            pass
-        elif prev == result:
+        if prev is not result and prev == result:
             result = prev
-        elif not constant:
-            self._dirty = True
         self._memo[key] = result
         return result
 
@@ -325,6 +318,50 @@ class IncrementalProductEnumerator(Enumerator):
             if budget is not None and len(out) > budget:
                 raise BudgetExceeded("constructor product exceeds the budget")
         return frozenset(out)
+
+
+# ---- calculi: the fixpoint check over the whole support, as it was
+# before the check walked the root's read-closure ----
+
+
+class SupportWideEnumerator(Enumerator):
+    """Keeps every non-constant expression ever evaluated (the support), in
+    the order first touched, and whether the sweep made an entry that
+    differs from its depth-1 counterpart (dirty). A check at depth d fails
+    on a dirty sweep; otherwise it evaluates the whole support at d, again
+    until the support stops growing, and passes if that made no dirty
+    entry. A stream calls it only where the root's set repeats, which a
+    clean sweep implies, so it proves where the old stream proved."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._support = {}
+        self._dirty = True
+
+    def begin_sweep(self):
+        self._dirty = False
+
+    def values(self, expr, k):
+        got = self._memo.get((expr, k))
+        if got is not None:
+            return got
+        constant = self._constant(expr)
+        if not constant:
+            self._support[expr] = None  # parents before children
+        result = super().values(expr, k)
+        if not constant and result is not self._memo.get((expr, k - 1)):
+            self._dirty = True
+        return result
+
+    def confirm_fixpoint(self, depth):
+        if self._dirty:
+            return False
+        while True:
+            snapshot = list(self._support)
+            for x in snapshot:
+                self.values(x, depth)
+            if len(self._support) == len(snapshot):
+                return not self._dirty
 
 
 # ---- helpers only the tests use, over the public enumerator and stream ----

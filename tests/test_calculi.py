@@ -50,6 +50,7 @@ from pluralrw.terms import (
 from oracles import (
     IncrementalProductEnumerator,
     PickedBuiltinsEnumerator,
+    SupportWideEnumerator,
     UncachedEnumerator,
     derives,
     positions,
@@ -350,17 +351,27 @@ def test_stream_reports_bound_exhaustion():
     assert saturated_at(stream) is None
 
 
-def test_stream_refuses_an_enumerator_with_a_filled_memo():
-    # memo hits never mark a sweep dirty, so a stream over deeper entries
-    # made earlier would see a clean sweep at depth 1 and stop at z
-    query = ex(FROM, "from(z)")
-    used = Enumerator(FROM, CALL_TIME)
-    used.values(query, 6)
-    with pytest.raises(ValueError):
-        DenotationStream(used, query, EnumConfig(depth=None))
-    stream = DenotationStream(Enumerator(FROM, CALL_TIME), query, EnumConfig(depth=6))
-    assert tset(FROM, ["z", "s(z)", "s(s(z))"]) <= set(stream)
-    assert not stream.complete
+def test_a_stream_over_a_warmed_enumerator_gives_what_a_fresh_one_gives():
+    # the fixpoint check reads set values only, so entries made before the
+    # stream began, deeper ones included, change neither its strata nor
+    # where it proves
+    cases = (
+        (FROM, CALL_TIME, "from(z)", "from(s(z))", 6),
+        (CLERKS, COMBINED_ALPHA, "nClerks(s(s(z)))", "twoclerks", None),
+        (DUNGEON, ALPHA, "escapeHow", "askWho(guardians, key)", None),
+    )
+    for program, mode, query, other, depth in cases:
+        expr = ex(program, query)
+        fresh = _stream_run(Enumerator(program, mode), expr, depth)
+        for warm in (other, query):
+            used = Enumerator(program, mode)
+            used.values(ex(program, warm), 6)
+            assert _stream_run(used, expr, depth) == fresh, (query, warm)
+        used = Enumerator(program, mode)
+        _stream_run(used, expr, 4)
+        assert _stream_run(used, expr, depth) == fresh, query
+    # the last case proves its fixpoint
+    assert fresh[1:] == (True, 36)
 
 
 def test_plateau_within_bound_counts_as_observed_saturation():
@@ -792,7 +803,76 @@ def test_shared_constructor_sets_agree_with_building_them_per_enumerator(kind, m
         cases += 1
         tripped += shared.tripped is not None
     # pinned, so that a change to the inputs shows
-    assert (cases, tripped) == {"harness": (207, 7), "paper": (41, 0)}[kind]
+    assert (cases, tripped) == {"harness": (201, 7), "paper": (41, 0)}[kind]
+
+
+def _fixpoint_cases(kind, monkeypatch):
+    """(program, mode, expr, depth, budget) per denotation: every one the
+    hierarchy, pst, cab and bubbling suites ask for on seeds 1..10, 21
+    and 32, asked as the support-wide check asks them, which escalates
+    wherever the read-closure check does. Or the paper queries where they
+    prove their fixpoint, and combined-alpha nClerksNG, which only the
+    read-closure check proves by depth 16."""
+    if kind == "paper":
+        for program, q, modes in PAPER_FIXPOINTS:
+            for mode in modes:
+                yield program, mode, ex(program, q), None, None
+        yield CLERKS, COMBINED_ALPHA, ex(CLERKS, "nClerksNG(s(s(z)))"), 16, None
+        return
+    asked = []
+    denotation = harness._denotation
+    monkeypatch.setattr(harness, "Enumerator", SupportWideEnumerator)
+    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
+    for suite in ("hierarchy", "pst", "cab", "bubbling"):
+        run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
+    yield from asked
+
+
+def _drained(enum, expr, depth):
+    """The root's set at each depth the stream swept, what it yielded,
+    whether it proved its fixpoint, and whether the budget stopped it."""
+    stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
+    got, tripped = set(), False
+    try:
+        got.update(stream)
+    except BudgetExceeded:
+        tripped = True
+    sets = [enum.values(expr, d) for d in range(stream.swept + 1)]
+    return sets, got, stream.complete, tripped
+
+
+@pytest.mark.parametrize("kind", ("harness", "paper"))
+def test_the_read_closure_check_proves_what_the_support_wide_check_proves(kind, monkeypatch):
+    # ROADMAP aim 3: the fixpoint check over the root's read-closure
+    # against the check over the whole support. The same sets at every
+    # depth both swept, a proof no later, the same answers where both
+    # prove, the old set at its bound where only the new check proves,
+    # and every proof borne out by a fresh enumerator four depths further
+    cases = earlier = tripped = 0
+    for program, mode, expr, depth, budget in _fixpoint_cases(kind, monkeypatch):
+        where = (format_term(expr), mode, depth)
+        new = _drained(Enumerator(program, mode, value_budget=budget), expr, depth)
+        old = _drained(SupportWideEnumerator(program, mode, value_budget=budget), expr, depth)
+        (new_sets, new_got, new_complete, new_tripped) = new
+        (old_sets, old_got, old_complete, old_tripped) = old
+        shared = min(len(new_sets), len(old_sets))
+        assert new_sets[:shared] == old_sets[:shared], where
+        assert new_tripped == old_tripped, where
+        if new_tripped:
+            assert len(new_sets) == len(old_sets), where
+        if old_complete:
+            assert new_complete and len(new_sets) <= len(old_sets), where
+        if new_complete:
+            assert new_got == old_got and new_sets[-1] == old_sets[-1], where
+            fresh = Enumerator(program, mode, value_budget=budget)
+            proven = len(new_sets) - 1
+            for later in range(proven + 1, proven + 5):
+                assert fresh.values(expr, later) == new_sets[-1], (where, later)
+            earlier += len(new_sets) < len(old_sets) or not old_complete
+        cases += 1
+        tripped += new_tripped
+    # pinned, so that a change to the inputs shows
+    assert (cases, earlier, tripped) == {"harness": (258, 113, 9), "paper": (12, 7, 0)}[kind]
 
 
 class _CountedWork(Enumerator):

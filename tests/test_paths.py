@@ -158,4 +158,4 @@ def test_printing_paths_leaves_the_eval_and_its_stats_as_they_were():
             lines = s.execute("more")
         outputs.append((results, s.execute("stats")))
     assert outputs[0] == outputs[1]
-    assert outputs[0][1][0] == "proven complete at depth 13"
+    assert outputs[0][1][0] == "proven complete at depth 12"

@@ -336,6 +336,17 @@ def test_stats_says_how_complete_a_calculi_eval_is(tmp_path):
         s.execute("stats now")
 
 
+def test_more_ends_a_stream_whose_root_ignores_a_growing_argument(tmp_path):
+    # h grows at every depth, but f never reads its argument: the fixpoint
+    # needs only what g reads, so `more` ends instead of sweeping forever
+    s = Session()
+    load(s, tmp_path, "h -> z ? s(h) .\nf(X) -> a .\ng -> f(h) .")
+    s.execute("semantics call-time")
+    assert s.execute("eval depth = inf g") == ["Result: a"]
+    assert s.execute("more") == ["No more solutions."]
+    assert s.execute("stats")[0] == "proven complete at depth 3"
+
+
 def test_stats_says_how_a_rewrite_search_ended(tmp_path):
     s = Session()
     load(s, tmp_path, P1_BODY)
@@ -419,8 +430,9 @@ def test_superscript_digits_are_a_clear_error(tmp_path, monkeypatch, capsys):
 
 
 def test_the_proving_depth_does_not_depend_on_the_hash_seed(tmp_path):
-    # confirm_fixpoint re-evaluates parents before their children; in set
-    # order this query was proven complete at depth 3 or 4 by hash seed
+    # confirm_fixpoint walks the root's read-closure in list order; when
+    # an earlier check walked the support in set order, this query was
+    # proven complete at depth 3 or 4 by hash seed
     module = tmp_path / "m.plural"
     module.write_text("plural T is\n%s\nendp" % P1_BODY)
     script = tmp_path / "fixpoint.cmd"

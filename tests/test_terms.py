@@ -253,6 +253,14 @@ def test_equal_constructor_keys_give_one_object():
     assert down_closure(c(zero, one)) is a
 
 
+def test_terms_with_equal_symbol_and_variable_sets_share_them():
+    # one object per distinct set, so a full collection scans no copies
+    a = app("f", (app("c", (var("X"),)),))
+    b = app("f", (app("c", (app("c", (var("X"), var("X"))),)),))
+    assert a.symbols is b.symbols == frozenset(("f", "c"))
+    assert a.varset is b.varset == frozenset(("X",))
+
+
 def test_enumerators_of_different_modes_share_a_constructor_set():
     program = parse_program("plural T is\nf(X) -> X ? 1 .\ng(X) -> c(X, X) .\nendp")
     expr = parse_expression("c(f(0), f(1))", program.signature)
