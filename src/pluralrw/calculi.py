@@ -9,8 +9,9 @@ values at depth k-1 are matched against the pattern and the resulting
 substitutions are combined into a disjunctive substitution according to
 the mode of the argument (singular arguments pass exactly one
 substitution; alpha-plural arguments pass the whole match set at once;
-beta-plural arguments pass any compressible subset up to the configured
-width). The instantiated right-hand side is then evaluated at depth k-1.
+beta-plural arguments pass any compressible set, of which the maximal
+ones suffice). The instantiated right-hand side is then evaluated at
+depth k-1.
 Every memoized value set is down-closed: with a value t it holds every
 value below t in the approximation ordering.
 
@@ -38,20 +39,36 @@ and each passed set is ?-combined and deduplicated by one tail: a
 singular argument passes each maximal matcher on its own, an alpha-plural
 one all of them.
 
-Beta-plural arguments cannot prune before choosing subsets: they pass the
-compressible subsets of all matchers, because dominated matchers can be
-compressible together where their dominators are not. {X/a,Y/_|_} and
-{X/c,Y/_|_} compress to X/(a?c), while their dominators {X/a,Y/b} and
-{X/c,Y/d} do not; pruning before choosing subsets would lose X/(a?c).
-All matchers still follow from the maximal ones, by pointwise
-down-closure. If theta matches a value t and sigma <= theta pointwise,
-then p.sigma <= p.theta = t, so the down-closed set holds p.sigma, and by
-linearity p.sigma matches with sigma itself; restricting to the body's
-variables keeps this. Every matcher lies below a maximal one. So the
-restricted matchers of the whole set are exactly the substitutions
-pointwise below the maximal restricted matchers: per maximal matcher, the
-product of the down-closures of its images, identity bindings dropped as
-match_value drops them.
+Beta-plural arguments pass compressible sets of matchers: sets whose
+image tuples form a full product S1 x ... x Sn over the variables. They
+cannot choose among the maximal matchers alone, because dominated
+matchers can be compressible together where their dominators are not.
+{X/a,Y/_|_} and {X/c,Y/_|_} compress to X/(a?c), while their dominators
+{X/a,Y/b} and {X/c,Y/d} do not. All matchers still follow from the
+maximal ones, by pointwise down-closure. If theta matches a value t and
+sigma <= theta pointwise, then p.sigma <= p.theta = t, so the down-closed
+set holds p.sigma, and by linearity p.sigma matches with sigma itself;
+restricting to the body's variables keeps this. Every matcher lies below
+a maximal one. So the restricted matchers of the whole set are exactly
+the substitutions pointwise below the maximal restricted matchers: per
+maximal matcher, the product of the down-closures of its images.
+
+Of those compressible sets beta passes only the ⊆-maximal ones, the
+maximal products inside the matchers, each cut column by column to its
+maximal images. Neither step loses a value of the limit:
+- lengthening a disjunction only adds values: a compressible set inside
+  a larger one ?-combines, per variable, to a sub-chain of the larger
+  one's chain, and every copy of the longer chain can still select each
+  old alternative;
+- a dominated alternative in a chain adds nothing to a down-closed set: a
+  copy that selects u <= v yields a value below the one that selects v,
+  and the set holds everything below its values.
+The cut keeps a sub-product, so the set stays compressible. Over one
+variable every set is compressible, the one maximal product is the whole
+down-closed column, and its cut is alpha's chain of the maximal matchers,
+so beta passes what alpha passes. So it does below one maximal matcher,
+whose down-closure is itself a product. Chains of other lengths can move the
+depth at which a value first surfaces, not the limit.
 
 The built-ins are evaluated without their rules. `?` passes both
 arguments singularly in every mode, and its rules X ? Y -> X and
@@ -77,8 +94,8 @@ Each enumerator builds an argument's matcher choices once per (pattern,
 variables used, singular, value set), and a rule's instantiated bodies,
 in the order of the choices' product, once per (rule, value sets of the
 arguments consulted). Neither cache loses or adds a value: the picks read
-nothing but the rule, the mode, the width and those argument sets, and
-mode and width are fixed per enumerator, so equal keys give equal choices
+nothing but the rule, the mode and those argument sets, and the mode is
+fixed per enumerator, so equal keys give equal choices
 and bodies. Every body still goes through values, so the same values calls
 happen in the same order, with the same stop at the first argument
 without choices, and the memo, the fixpoint test and the budget trips
@@ -130,12 +147,14 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .disjsubst import (
     DisjSubst,
-    PSubst,
-    compressible_subsets,
     is_compressible,
+    maximal_products,
     maximal_substs,
     question_combine_set,
 )
+# compressible_subsets is bound here for perfbench/layers.py, which traces
+# it by module
+from .disjsubst import compressible_subsets  # noqa: F401
 from .syntax import PL, SG, Program, format_term
 from .terms import (
     APP,
@@ -196,22 +215,6 @@ def _maximal_terms(terms) -> List[Term]:
     return kept
 
 
-def _matchers_below(maximal: List[PSubst], dom) -> List[PSubst]:
-    """Every substitution over dom pointwise below one of the maximal
-    matchers, identity bindings dropped: per matcher, the product of the
-    down-closures of its images."""
-    names = sorted(dom)
-    idents = [var(x) for x in names]
-    seen = set()
-    out: List[PSubst] = []
-    for m in maximal:
-        for images in product(*(down_closure(m.get(x, i)) for x, i in zip(names, idents))):
-            if images not in seen:
-                seen.add(images)
-                out.append({x: t for x, t, i in zip(names, images, idents) if t is not i})
-    return out
-
-
 class BudgetExceeded(RuntimeError):
     """Raised when an enumeration outgrows the enumerator's value budget.
 
@@ -221,24 +224,22 @@ class BudgetExceeded(RuntimeError):
     memoized before the overflow stay valid."""
 
 
-# guard on the beta path, the only one that enumerates subsets: its matcher
-# sets feed subset enumeration, which is O(n^width); past this size a
-# budgeted run bails out instead of stalling
+# guard on the beta path over two or more variables, the only one that
+# searches products: the number of fiber meets it visits can grow
+# exponentially in its matchers, so past this size a budgeted run bails
+# out instead of stalling
 _MATCHER_GUARD = 48
 
 
 class EnumConfig:
     """depth None means unbounded (terminates only on a proven fixpoint)."""
 
-    __slots__ = ("depth", "plural_width", "totals_only")
+    __slots__ = ("depth", "totals_only")
 
-    def __init__(self, depth=12, plural_width=4, totals_only=False):
+    def __init__(self, depth=12, totals_only=False):
         if depth is not None and depth < 0:
             raise ValueError("depth must be non-negative")
-        if plural_width is not None and plural_width < 1:
-            raise ValueError("plural_width must be positive")
         self.depth = depth
-        self.plural_width = plural_width
         self.totals_only = totals_only
 
 
@@ -307,7 +308,7 @@ class TraceNode:
 
 
 class Enumerator:
-    """Memoized value-set computation for one (program, mode, width).
+    """Memoized value-set computation for one (program, mode).
 
     values may be asked for any expressions and depths; the memo is shared,
     which keeps multi-query tests cheap. A DenotationStream may use an
@@ -319,14 +320,12 @@ class Enumerator:
         self,
         program: Program,
         mode: str,
-        plural_width: int = 4,
         value_budget: Optional[int] = None,
     ):
         if mode not in MODES:
             raise ValueError("unknown mode %r" % mode)
         self.program = program
         self.mode = mode
-        self.width = plural_width
         self.sig = program.signature
         self._budget = value_budget
         self._memo: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
@@ -543,15 +542,13 @@ class Enumerator:
             )
         if singular:
             passed = [(m,) for m in maximal]
-        elif self._alpha:
+        elif self._alpha or len(dom) < 2 or len(maximal) == 1:
+            # over one variable, or below one maximal matcher, beta's one
+            # maximal product, cut to its maximal images, is alpha's chain
+            # (module docstring)
             passed = [tuple(maximal)]
         else:
-            below = _matchers_below(maximal, dom)
-            if self._budget is not None and len(below) > _MATCHER_GUARD:
-                raise BudgetExceeded(
-                    "%d matchers for one argument overrun the budget" % len(below)
-                )
-            passed = compressible_subsets(below, self.width)
+            passed = self._maximal_products(maximal, sorted(dom))
         choices = []
         seen = set()
         for combo in passed:
@@ -560,6 +557,33 @@ class Enumerator:
                 seen.add(ds)
                 choices.append((combo, self._combined.setdefault(ds, ds)))
         return choices
+
+    def _maximal_products(self, maximal, names):
+        """The maximal compressible subsets of the matchers below the
+        maximal ones, each cut column by column to its maximal images, in
+        canonical order. The matchers below are taken as image tuples over
+        names: per maximal matcher, the product of the down-closures of its
+        images (module docstring)."""
+        idents = [var(x) for x in names]
+        below = set()
+        for m in maximal:
+            below.update(product(*(down_closure(m.get(x, i)) for x, i in zip(names, idents))))
+        if self._budget is not None and len(below) > _MATCHER_GUARD:
+            raise BudgetExceeded(
+                "%d matchers for one argument overrun the budget" % len(below)
+            )
+        cuts = sorted(
+            (tuple(_maximal_terms(column) for column in columns)
+             for columns in maximal_products(below)),
+            key=lambda cut: [[t.key for t in column] for column in cut],
+        )
+        return [
+            tuple(
+                {x: t for x, t, i in zip(names, images, idents) if t is not i}
+                for images in product(*cut)
+            )
+            for cut in cuts
+        ]
 
     def build_trace(self, expr: Term, k: int, value: Term) -> TraceNode:
         """A derivation of expr =>> value at depth k, rebuilt from the memo.
@@ -711,5 +735,5 @@ class DenotationStream:
 
 
 def enumerate_values(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> DenotationStream:
-    return DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
+    return DenotationStream(Enumerator(program, mode), expr, cfg)
 

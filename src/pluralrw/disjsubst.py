@@ -5,9 +5,9 @@ c-terms, identity bindings omitted. A DisjSubst maps each variable to a
 non-empty disjunction of partial c-terms; plain substitutions embed as the
 all-singleton case. The one ?-combination, question_combine_set, turns
 the set of plain substitutions an argument passes into a DisjSubst; its
-result does not depend on the order of the set. It and the compressibility
-test on substitution sets live here; the calculi consume them for
-parameter passing.
+result does not depend on the order of the set. It, the compressibility
+test and the search for maximal compressible sets live here; the calculi
+consume them for parameter passing.
 
 Alternative lists are kept deduplicated and canonically sorted. Denotation
 is invariant under reordering and duplication of alternatives, so nothing
@@ -16,7 +16,7 @@ is lost, and streams become deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .terms import Term, app, apply_subst, approx_leq, term_key, var
@@ -179,12 +179,48 @@ def is_compressible(thetas: Iterable[Mapping[str, Term]]) -> bool:
     return len(rows) == size
 
 
+def maximal_products(rows) -> List[Tuple[frozenset, ...]]:
+    """The ⊆-maximal products S1 x ... x Sn inside a non-empty set of
+    n-tuples, n >= 1, each as its columns (S1, ..., Sn). A compressible
+    substitution set is the product of its image columns, so over a set's
+    image tuples these are its ⊆-maximal compressible subsets.
+
+    By the first column: a product S1 x R lies inside the rows exactly when
+    R lies inside the meet of the fibers {r : (a,) + r in rows} of every a
+    in S1. So each maximal product is, for some meet of fibers, a maximal
+    product R inside it with S1 every a whose fiber holds R; running over
+    the distinct meets finds each one. Each one found is maximal: the meet
+    over its S1 lies between R and the meet R came from, so R is maximal
+    there too.
+    """
+    if len(next(iter(rows))) == 1:
+        return [(frozenset(r[0] for r in rows),)]
+    grouped: Dict[Term, set] = {}
+    for r in rows:
+        grouped.setdefault(r[0], set()).add(r[1:])
+    fibers = {a: frozenset(f) for a, f in grouped.items()}
+    meets: set = set()
+    for f in fibers.values():
+        meets |= {f & g for g in meets}
+        meets.add(f)
+    meets.discard(frozenset())
+    out = set()
+    for meet in meets:
+        for rest in maximal_products(meet):
+            cells = set(product(*rest))
+            out.add((frozenset(a for a, f in fibers.items() if cells <= f),) + rest)
+    return list(out)
+
+
 def compressible_subsets(
     thetas: Sequence[Mapping[str, Term]], width: int
 ) -> Iterator[Tuple[PSubst, ...]]:
-    """Non-empty compressible subsets of at most `width` substitutions.
+    """Non-empty compressible subsets of at most `width` substitutions,
+    of any size when width is None or 0.
 
-    Input is canonically ordered first so enumeration order is stable.
+    Input is canonically ordered first so enumeration order is stable. The
+    calculi pass only the maximal ones (maximal_products); every subset
+    serves as the tests' reference.
     """
     pool = sorted((dict(t) for t in thetas), key=subst_key)
     top = min(width, len(pool)) if width else len(pool)

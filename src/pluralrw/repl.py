@@ -13,7 +13,6 @@ form `(eval twoclerks .)`; the trailing dot is optional either way.
   depth-first               explore rewrite searches by backtracking
   depth N                   default ceiling (a number, or inf); engines
                             read it as OR-nesting depth or rewrite steps
-  width N                   compression width for beta-plural matching
   path on | path off        print a derivation after each result
   show path                 print a derivation of the last result from
                             its search (a shortest one when rewriting)
@@ -71,7 +70,6 @@ ENGINE_PST = "rewrite-via-pST"
 
 DEFAULT_CALCULI_DEPTH = 12
 DEFAULT_REWRITE_BOUND = 10_000
-DEFAULT_WIDTH = 4
 
 PROMPT = "pluralrw> "
 
@@ -119,7 +117,6 @@ class Session:
         self.engine = ENGINE_CALCULI
         self.strategy_kind = BREADTH_FIRST
         self.depth = _UNSET
-        self.width = DEFAULT_WIDTH
         self.path_on = False
         self.finished = False
         self._stream: Optional[Iterator[Term]] = None
@@ -150,7 +147,6 @@ class Session:
             "breadth-first": self._cmd_breadth_first,
             "depth-first": self._cmd_depth_first,
             "depth": self._cmd_depth,
-            "width": self._cmd_width,
             "path": self._cmd_path,
             "show": self._cmd_show,
             "showTr": self._cmd_show_tr,
@@ -253,7 +249,7 @@ class Session:
             self._search = reachable(target, expr, SearchStrategy(self.strategy_kind, depth))
             self._stream = total_cterms(self._search)
         else:
-            cfg = EnumConfig(depth=depth, plural_width=self.width, totals_only=True)
+            cfg = EnumConfig(depth=depth, totals_only=True)
             self._search = self._stream = enumerate_values(program, self.semantics, expr, cfg)
         self._drained = False
         self._last_result = None
@@ -369,17 +365,11 @@ class Session:
     def _cmd_depth(self, rest: str) -> List[str]:
         if rest == "inf":
             self.depth = None
+        # isdecimal, not isdigit: int() refuses superscript digits
         elif rest.isdecimal():
             self.depth = int(rest)
         else:
             raise CommandError("depth needs a non-negative number or inf")
-        return []
-
-    def _cmd_width(self, rest: str) -> List[str]:
-        # isdecimal, not isdigit: int() refuses superscript digits
-        if not rest.isdecimal() or int(rest) < 1:
-            raise CommandError("width needs a positive number")
-        self.width = int(rest)
         return []
 
     def _cmd_path(self, rest: str) -> List[str]:
@@ -455,7 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--semantics", choices=MODES + (RUN_TIME,))
     parser.add_argument("--engine", choices=(ENGINE_CALCULI, ENGINE_PST))
     parser.add_argument("--depth", help="default depth ceiling (number or inf)")
-    parser.add_argument("--width", type=int, help="beta compression width")
     args = parser.parse_args(argv)
 
     session = Session()
@@ -466,8 +455,6 @@ def main(argv=None) -> int:
             session.execute("engine " + args.engine)
         if args.depth:
             session.execute("depth " + args.depth)
-        if args.width is not None:
-            session.execute("width %d" % args.width)
     except CommandError as exc:
         print("Error: %s" % exc, file=sys.stderr)
         return 2

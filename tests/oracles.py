@@ -183,13 +183,24 @@ def reference_maximal_matchers(pattern, dom, vset):
 
 
 # ---- calculi: the beta-plural matcher choice as it was before only the
-# maximal values were matched ----
+# maximal values were matched and only the maximal compressible sets passed ----
 
 
-def reference_beta_choices(pattern, dom, vset, width, budget):
+class OracleGaveUp(Exception):
+    """The all-subsets reference met more matchers than it can enumerate
+    the subsets of."""
+
+
+# every subset of this many matchers over one variable is compressible:
+# 2**12 - 1 choices for one argument
+ORACLE_MATCHERS = 12
+
+
+def reference_beta_choices(pattern, dom, vset, budget):
     """(matchers, ?-combination) pairs of a beta-plural argument: match
     every value of the down-closed set, restrict, deduplicate, then
-    ?-combine every compressible subset and deduplicate again."""
+    ?-combine every compressible subset, of any size, and deduplicate
+    again. Gives up past ORACLE_MATCHERS matchers."""
     if pattern.kind == VAR and pattern.name not in dom:
         return [(({},), DisjSubst({}))]
     matchers = []
@@ -210,14 +221,27 @@ def reference_beta_choices(pattern, dom, vset, width, budget):
         raise BudgetExceeded(
             "%d matchers for one argument overrun the budget" % len(matchers)
         )
+    if len(matchers) > ORACLE_MATCHERS:
+        raise OracleGaveUp("%d matchers" % len(matchers))
     choices = []
     seen_ds = set()
-    for combo in compressible_subsets(matchers, width):
+    for combo in compressible_subsets(matchers, None):
         ds = question_combine_set(combo)
         if ds not in seen_ds:
             seen_ds.add(ds)
             choices.append((combo, ds))
     return choices
+
+
+class AllSubsetsEnumerator(Enumerator):
+    """Each beta-plural argument passes every compressible subset of all
+    the matchers of its whole value set (reference_beta_choices); the
+    other arguments choose as the package does."""
+
+    def _choose(self, pattern, dom, singular, vset):
+        if singular or self._alpha:
+            return super()._choose(pattern, dom, singular, vset)
+        return reference_beta_choices(pattern, dom, vset, self._budget)
 
 
 # ---- calculi: the built-ins unfolded through their rules, as they were
@@ -370,7 +394,7 @@ class SupportWideEnumerator(Enumerator):
 def derives(program, mode, expr, target, cfg):
     """A replayable derivation of expr =>> target within the depth bound,
     or None. The derivation uses the least sufficient depth."""
-    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth, cfg.plural_width))
+    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth))
     for value in stream:
         if value == target:
             return stream.derivation(target)
@@ -403,10 +427,10 @@ def runtime_denotation(program, expr, bound=DEFAULT_BOUND, totals_only=True):
     return frozenset(out)
 
 
-def values_at(program, mode, expr, depth, plural_width=4, totals_only=False, enum=None):
+def values_at(program, mode, expr, depth, totals_only=False, enum=None):
     """The value set at one exact depth."""
     if enum is None:
-        enum = Enumerator(program, mode, plural_width)
+        enum = Enumerator(program, mode)
     got = enum.values(expr, depth)
     if totals_only:
         return frozenset(t for t in got if t.total)
@@ -429,7 +453,7 @@ def saturated_at(stream):
 def saturates(program, mode, expr, cfg):
     """Least depth at which the value set has already stopped growing, if
     the bound (or a proven fixpoint) shows it stopped; None otherwise."""
-    stream = DenotationStream(Enumerator(program, mode, cfg.plural_width), expr, cfg)
+    stream = DenotationStream(Enumerator(program, mode), expr, cfg)
     for _ in stream:
         pass
     return saturated_at(stream)

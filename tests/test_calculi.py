@@ -31,6 +31,7 @@ from pluralrw.harness import (
 )
 from pluralrw.syntax import (
     BUILTIN_RULES,
+    SG,
     format_program,
     format_term,
     parse_expression,
@@ -48,13 +49,14 @@ from pluralrw.terms import (
 )
 
 from oracles import (
+    AllSubsetsEnumerator,
     IncrementalProductEnumerator,
+    OracleGaveUp,
     PickedBuiltinsEnumerator,
     SupportWideEnumerator,
     UncachedEnumerator,
     derives,
     positions,
-    reference_beta_choices,
     reference_maximal_matchers,
     saturated_at,
     saturates,
@@ -100,8 +102,8 @@ def ex(program, text):
     return parse_expression(text, program.signature)
 
 
-def totals(program, mode, text, depth=8, width=4):
-    return values_at(program, mode, ex(program, text), depth, width, totals_only=True)
+def totals(program, mode, text, depth=8):
+    return values_at(program, mode, ex(program, text), depth, totals_only=True)
 
 
 def tset(program, texts):
@@ -202,9 +204,34 @@ def test_identity_matching_keeps_free_variables():
         assert got == down_closure(ex(P1, "d(X,X)"))
 
 
-def test_width_one_disables_mixing():
-    narrow = values_at(P1, BETA, ex(P1, "f(c(0?1))"), 8, plural_width=1, totals_only=True)
-    assert narrow == tset(P1, ("d(0,0)", "d(1,1)"))
+def _choice_reprs(program, mode, fname, arg_text, k=2):
+    # the ?-combinations the first rule of fname passes for its first
+    # argument, given the values of arg_text at depth k
+    enum = Enumerator(program, mode)
+    rule, doms, tags = enum._rules(fname)[0]
+    vset = enum.values(ex(program, arg_text), k)
+    return [repr(ds) for _, ds in enum._choices(rule.args[0], doms[0], tags[0] == SG, vset)]
+
+
+def test_beta_passes_the_maximal_products_cut_to_maximal_images():
+    # the matchers of d(X,Y) below X/0,Y/0 and X/1,Y/1 hold four maximal
+    # products; each passes with its maximal images only, in canonical order
+    assert _choice_reprs(EP3, BETA, "g", "d(0,0)?d(1,1)") == [
+        "[X/_|_, Y/0 ? 1]", "[X/0, Y/0]", "[X/0 ? 1, Y/_|_]", "[X/1, Y/1]",
+    ]
+
+
+def test_beta_passes_alphas_chain_over_one_variable_or_below_one_matcher():
+    for program, fname, arg in (
+        (P1, "f", "c(0?1)"),
+        (P1, "f", "c(0)?c(1)"),
+        (P1, "f", "c(d(0,bot)?d(bot,1)?d(0,1))"),
+        (EP3, "g", "d(0,1)"),
+        (EP3, "g", "d(0,bot)?d(0,1)"),
+        (EP3, "g", "d(0?1,1)"),
+    ):
+        got = _choice_reprs(program, BETA, fname, arg)
+        assert got == _choice_reprs(program, ALPHA, fname, arg), arg
 
 
 cterms = st.recursive(
@@ -498,7 +525,7 @@ def _harness_programs(seeds):
 def test_every_value_of_harness_programs_has_a_replayable_derivation():
     # sets past the harness's value cap are skipped, as the harness
     # refuses them: seed 23's f2(f2(0)) outgrows it in every mode but
-    # alpha-plural
+    # the two pure plural ones
     cfg = EnumConfig(depth=3)
     skipped = 0
     for seed, program in _harness_programs(range(1, 31)):
@@ -515,35 +542,23 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation():
                     trace = derives(program, mode, expr, value, cfg)
                     assert trace is not None, (seed, mode, value)
                     assert replay_trace(program, mode, trace), (seed, mode, value)
-    assert skipped == 4
+    assert skipped == 3
 
 
 class _CheckedChoices(Enumerator):
-    """An enumerator that checks every matcher choice against the
-    references, which match the whole down-closed value set: singular and
-    alpha-plural choices against its maximal matchers, beta-plural ones
-    against the subsets of all its matchers, as the same list in the same
-    order. `pruned` counts the singular and alpha-plural choices whose
-    restricted matchers of the maximal values were not yet an antichain;
-    `beta` counts the beta-plural choices checked."""
+    """An enumerator that checks every singular and alpha-plural matcher
+    choice against the reference, which matches the whole down-closed
+    value set, as the same maximal matchers. `pruned` counts the choices
+    whose restricted matchers of the maximal values were not yet an
+    antichain. Beta-plural choices pass fewer sets than the reference's
+    every compressible subset; they are checked by their denotations
+    (test_maximal_products_prove_what_every_compressible_subset_proves)."""
 
-    checked = pruned = beta = 0
+    checked = pruned = 0
 
     def _choices(self, pattern, dom, singular, vset):
         if not (singular or self._alpha):
-            # the guard must trip exactly where the reference's trips
-            try:
-                want = reference_beta_choices(pattern, dom, vset, self.width, self._budget)
-            except BudgetExceeded:
-                want = None
-            try:
-                got = super()._choices(pattern, dom, singular, vset)
-            except BudgetExceeded:
-                assert want is None
-                raise
-            assert got == want
-            _CheckedChoices.beta += 1
-            return got
+            return super()._choices(pattern, dom, singular, vset)
         got = super()._choices(pattern, dom, singular, vset)
         want = reference_maximal_matchers(pattern, dom, vset)
         frozen = {frozenset(m.items()) for m in want}
@@ -613,7 +628,7 @@ def test_maximal_value_matching_agrees_with_matching_every_value(kind):
     # ROADMAP aim 3: the matcher choice from the maximal values against
     # matching every value, for every argument reached at depths 0..4
     # (paper queries 0..6) in every mode
-    _CheckedChoices.checked = _CheckedChoices.pruned = _CheckedChoices.beta = 0
+    _CheckedChoices.checked = _CheckedChoices.pruned = 0
     for program, expr, depths in _differential_cases(kind):
         for mode in MODES:
             enum = _CheckedChoices(program, mode, value_budget=VALUE_CAP)
@@ -622,7 +637,7 @@ def test_maximal_value_matching_agrees_with_matching_every_value(kind):
                     enum.values(expr, depth)
             except BudgetExceeded:
                 pass
-    assert _CheckedChoices.checked > 1000 and _CheckedChoices.beta > 1000
+    assert _CheckedChoices.checked > 1000
     if kind != "paper":
         assert _CheckedChoices.pruned > 0
 
@@ -663,7 +678,7 @@ def test_native_builtins_agree_with_unfolding_their_rules():
                 assert picked._memo[key] == vset, (format_term(key[0]), key[1], mode)
             capped += got[-1] is None
     # pinned, so that a change to the inputs shows
-    assert capped == 13
+    assert capped == 8
 
 
 # the paper queries in the modes where both enumerators prove a fixpoint
@@ -721,7 +736,7 @@ def test_cached_choices_and_bodies_agree_with_rebuilding_them_per_call(kind):
             tripped += got[0][-1][0] == "tripped"
     # pinned, so that a change to the inputs shows; the paper queries'
     # sweeps stop short of the value cap
-    assert tripped == {"plain": 6, "paper": 0}[kind]
+    assert tripped == {"plain": 3, "paper": 0}[kind]
 
 
 class _TripKey:
@@ -872,7 +887,119 @@ def test_the_read_closure_check_proves_what_the_support_wide_check_proves(kind, 
         cases += 1
         tripped += new_tripped
     # pinned, so that a change to the inputs shows
-    assert (cases, earlier, tripped) == {"harness": (258, 113, 9), "paper": (12, 7, 0)}[kind]
+    assert (cases, earlier, tripped) == {"harness": (250, 83, 9), "paper": (12, 7, 0)}[kind]
+
+
+# beta-plural arguments over two and three pattern variables, which the
+# harness programs lack: their maximal products take a search
+PRODUCTS = prog(
+    """
+    g is plural .
+    g(d(X,Y)) -> l(X,X,Y,Y) .
+    k is plural .
+    k(d(X,Y)) -> d(X,Y) .
+    t is plural .
+    t(d(X,d(Y,Z))) -> l(X,Y,Z,X) .
+    u is sp .
+    u(X, d(Y,Z)) -> d(X, d(Y,Z)) .
+    u(c(X), Y) -> l(X,X,Y,Y) .
+    w is plural .
+    w(d(X,Y)) -> X ? w(d(Y,X)) .
+    v(d(X,Y)) -> d(Y,X) .
+    """
+)
+
+
+def _product_query(rng):
+    """A call of PRODUCTS on ?-chains of one to three constructor terms."""
+    def chain(leaf):
+        return " ? ".join(leaf() for _ in range(rng.randint(1, 3)))
+
+    def bit():
+        return rng.choice(("0", "1", "0 ? 1", "bot"))
+
+    def pair():
+        return "d(%s,%s)" % (bit(), bit())
+
+    f = rng.choice("gkwvtu")
+    if f == "t":
+        return "t(%s)" % chain(lambda: "d(%s,d(%s,%s))" % (bit(), bit(), bit()))
+    if f == "u":
+        return "u(%s, %s)" % (chain(lambda: "c(%s)" % bit()), chain(pair))
+    inner = chain(pair)
+    if rng.random() < 0.3:
+        inner = "%s(%s)" % (rng.choice("kv"), inner)
+    return "%s(%s)" % (f, inner)
+
+
+def _beta_cases(kind, monkeypatch):
+    """(program, mode, expr, depth, budget) per beta-plural and
+    combined-beta denotation: every one the hierarchy, pst, cab and
+    bubbling suites ask for on seeds 1..10, 21 and 32; or the paper
+    queries and the small ones above; or 40 calls of PRODUCTS. The last
+    two run under the value cap to depth 40."""
+    if kind == "harness":
+        asked = []
+        denotation = harness._denotation
+        monkeypatch.setattr(
+            harness, "_denotation", lambda *args: asked.append(args) or denotation(*args)
+        )
+        for suite in ("hierarchy", "pst", "cab", "bubbling"):
+            run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
+        yield from (case for case in asked if case[1] in (BETA, COMBINED_BETA))
+        return
+    if kind == "paper":
+        queries = PAPER_QUERIES + MORE_PAPER_QUERIES + FREE_VARIABLE_QUERIES + tuple(
+            (EP3, "%s(d(0,0)?d(1,1))" % f) for f in "ghk"
+        )
+    else:
+        rng = random.Random(1)
+        queries = [(PRODUCTS, _product_query(rng)) for _ in range(40)]
+    for program, q in queries:
+        for mode in (BETA, COMBINED_BETA):
+            yield program, mode, ex(program, q), 40, VALUE_CAP
+
+
+class _Searched(Enumerator):
+    """Counts the product searches of beta-plural arguments."""
+
+    searches = 0
+
+    def _maximal_products(self, maximal, names):
+        self.searches += 1
+        return super()._maximal_products(maximal, names)
+
+
+@pytest.mark.parametrize("kind", ("harness", "paper", "products"))
+def test_maximal_products_prove_what_every_compressible_subset_proves(kind, monkeypatch):
+    # ROADMAP aim 3: beta passing only the maximal compressible sets, cut to
+    # their maximal images, against passing every compressible subset of
+    # every matcher: wherever both prove their fixpoint, the same answers
+    # and the same set. The reference gives up on arguments with more
+    # matchers than it can take the subsets of
+    cases = proven = gave_up = searched = 0
+    for program, mode, expr, depth, budget in _beta_cases(kind, monkeypatch):
+        where = (format_term(expr), mode, depth)
+        enum = _Searched(program, mode, value_budget=budget)
+        sets, got, complete, _ = _drained(enum, expr, depth)
+        try:
+            ref_sets, ref_got, ref_complete, _ = _drained(
+                AllSubsetsEnumerator(program, mode, value_budget=budget), expr, depth
+            )
+        except OracleGaveUp:
+            gave_up += 1
+            ref_complete = False
+        if complete and ref_complete:
+            assert got == ref_got and sets[-1] == ref_sets[-1], where
+            proven += 1
+            searched += enum.searches > 0
+        cases += 1
+    # pinned, so that a change to the inputs shows
+    assert (cases, proven, gave_up, searched) == {
+        "harness": (95, 75, 6, 0),
+        "paper": (26, 21, 1, 3),
+        "products": (80, 76, 2, 42),
+    }[kind]
 
 
 class _CountedWork(Enumerator):
@@ -909,8 +1036,13 @@ def _assert_built_once_per_key(enum):
 
 
 def test_choices_and_bodies_are_built_once_per_key_on_escape_how():
+    # the stream to its proof at depth 19: one chain per argument makes a
+    # single depth too cheap to show the caches
     enum = _CountedWork(DUNGEON, COMBINED_BETA)
-    enum.values(ex(DUNGEON, "escapeHow"), 9)
+    stream = DenotationStream(enum, ex(DUNGEON, "escapeHow"), EnumConfig(depth=None))
+    for _ in stream:
+        pass
+    assert stream.complete
     _assert_built_once_per_key(enum)
     # most lookups find an argument set seen before
     assert enum.lookups > 5 * len(enum.chosen)

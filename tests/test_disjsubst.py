@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from pluralrw.disjsubst import (
     compressible_subsets,
     image_of,
     is_compressible,
+    maximal_products,
     maximal_substs,
     question_combine_set,
     subst_key,
@@ -142,6 +144,22 @@ def test_compressible_subsets_filters_noncompressible():
 def test_compressible_subsets_respects_width():
     pool = [{"X": zero}, {"X": one}, {"X": BOT}, {"X": app("c", (zero,))}]
     assert all(len(s) <= 2 for s in compressible_subsets(pool, width=2))
+
+
+def test_maximal_products_are_the_maximal_compressible_subsets():
+    # against every compressible subset, of any size, kept where no other
+    # contains it
+    for seed in range(1, 301):
+        pool = random_theta_set(seed, 8, ("X", "Y") if seed % 2 else ("X", "Y", "Z"))
+        names = sorted(set().union(*pool)) or ["X"]
+        rows = {tuple(image_of(t, x) for x in names) for t in pool}
+        subsets = [
+            frozenset(tuple(image_of(t, x) for x in names) for t in combo)
+            for combo in compressible_subsets(pool, None)
+        ]
+        want = {s for s in subsets if not any(s < other for other in subsets)}
+        got = {frozenset(product(*columns)) for columns in maximal_products(rows)}
+        assert got == want, "seed %d: %r" % (seed, pool)
 
 
 def test_cross_check_500_seeds():

@@ -1,12 +1,12 @@
 """Golden answers for the paper's two example programs: under combined
 alpha-plural semantics, the REPL's default, and under the pure
-alpha-plural and combined beta-plural modes; and, by rewriting in the
-REPL, the results and search sizes of pST and run-time choice at the
-step bounds the benchmark runs."""
+alpha-plural, pure beta-plural and combined beta-plural modes; and, by
+rewriting in the REPL, the results and search sizes of pST and run-time
+choice at the step bounds the benchmark runs."""
 
 from itertools import permutations, product
 
-from pluralrw.calculi import ALPHA, COMBINED_ALPHA, COMBINED_BETA, EnumConfig, enumerate_values
+from pluralrw.calculi import ALPHA, BETA, COMBINED_ALPHA, COMBINED_BETA, EnumConfig, enumerate_values
 from pluralrw.repl import Session
 from pluralrw.syntax import format_term, parse_expression, parse_program
 
@@ -67,7 +67,7 @@ def test_escape_how_is_the_papers_nine_answers_proven_at_depth_19():
 
 def test_n_clerks_ng_lists_two_distinct_named_clerks_proven_complete():
     # like nClerks, but each clerk keeps their gender: p(name, gender)
-    for mode, depth in ((COMBINED_ALPHA, 12), (COMBINED_BETA, 11)):
+    for mode, depth in ((COMBINED_ALPHA, 12), (COMBINED_BETA, 12)):
         assert totals(CLERKS, "nClerksNG(s(s(z)))", depth, mode) == (NCLERKS_NG_2, True), mode
         assert totals(CLERKS, "nClerksNG(s(s(z)))", depth - 1, mode)[1] is False, mode
 
@@ -80,6 +80,18 @@ def test_n_clerks_lists_two_distinct_clerks_in_either_order():
 def test_pure_alpha_escape_how_pairs_every_guardian_with_every_message():
     assert len(ESCAPE_HOW_ALPHA) == 33 and ESCAPE_HOW < ESCAPE_HOW_ALPHA
     assert totals(DUNGEON, "escapeHow", None, ALPHA) == (ESCAPE_HOW_ALPHA, True)
+
+
+def test_combined_beta_escape_how_is_the_papers_nine_answers_proven_at_depth_19():
+    assert totals(DUNGEON, "escapeHow", 19, COMBINED_BETA) == (ESCAPE_HOW, True)
+    assert totals(DUNGEON, "escapeHow", 18, COMBINED_BETA) == (ESCAPE_HOW, False)
+
+
+def test_pure_beta_escape_how_gives_pure_alphas_answers_proven_at_depth_36():
+    # every plural argument here binds one variable, where beta passes
+    # alpha's chain
+    assert totals(DUNGEON, "escapeHow", 36, BETA) == (ESCAPE_HOW_ALPHA, True)
+    assert totals(DUNGEON, "escapeHow", 35, BETA) == (ESCAPE_HOW_ALPHA, False)
 
 
 def test_combined_beta_n_clerks_lists_two_distinct_clerks():

@@ -85,7 +85,7 @@ def _rendered(start, chain):
 def test_calculi_paths_equal_a_fresh_derivation(program, semantics, depth, query):
     s = _session(program, semantics, CALCULI)
     expr = parse_expression(query, s.program.signature)
-    cfg = EnumConfig(depth=depth, plural_width=s.width)
+    cfg = EnumConfig(depth=depth)
     for text, path in _results_with_paths(s, depth, query):
         value = parse_expression(text, s.program.signature)
         assert path == derives(s.program, semantics, expr, value, cfg).render().splitlines()

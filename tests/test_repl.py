@@ -193,11 +193,11 @@ def test_reboot_restores_every_default(tmp_path):
     load(s, tmp_path, P1_BODY)
     s.execute("semantics run-time")
     s.execute("depth 3")
-    s.execute("width 2")
+    s.execute("path on")
     s.execute("reboot")
     assert s.program is None
     assert s.semantics == "combined-alpha"
-    assert s.width == 4
+    assert not s.path_on
     with pytest.raises(CommandError):
         s.execute("more")
 
@@ -210,6 +210,30 @@ def test_unknown_inputs_are_rejected():
         s.execute("semantics nonsense")
     with pytest.raises(CommandError):
         s.execute("depth minus-one")
+
+
+def test_there_is_no_width_to_set(capsys):
+    # beta-plural passes its maximal compressible sets, whatever their size
+    with pytest.raises(CommandError, match="unknown command 'width'"):
+        Session().execute("width 2")
+    assert not any("width" in line for line in Session().execute("help"))
+    with pytest.raises(SystemExit):
+        main(["--width", "2"])
+    assert "unrecognized arguments: --width" in capsys.readouterr().err
+
+
+def test_beta_passes_all_five_copies_of_a_chain_proven_complete(tmp_path):
+    # each copy of X selects its own alternative: 5**5 totals under both
+    # beta modes, as under alpha-plural. A width of 4 kept the 120 totals
+    # with five distinct arguments out and still said "proven complete"
+    s = Session()
+    load(s, tmp_path, "g is plural .\ng(X) -> p(X,X,X,X,X) .")
+    for semantics in ("beta-plural", "combined-beta", "alpha-plural"):
+        s.execute("semantics " + semantics)
+        first = s.execute("eval g(a ? b ? c ? d ? e)")[0][len("Result: "):]
+        results = {first, *drain(s, limit=4000)}
+        assert len(results) == 5 ** 5 and "p(a,b,c,d,e)" in results, semantics
+        assert s.execute("stats")[0] == "proven complete at depth 6", semantics
 
 
 def test_deep_input_is_a_clear_error_not_a_crash():
@@ -414,7 +438,7 @@ def test_show_path_reads_an_interrupted_eval(tmp_path, monkeypatch, settings):
 def test_superscript_digits_are_a_clear_error(tmp_path, monkeypatch, capsys):
     # str.isdigit accepts them, int() does not
     s = Session()
-    for line in ("depth \u00b2", "width \u00b2", "depth 1\u00b3"):
+    for line in ("depth \u00b2", "depth 1\u00b3"):
         with pytest.raises(CommandError, match="needs a"):
             s.execute(line)
     s.execute("depth \u0663")  # ARABIC-INDIC DIGIT THREE is a decimal digit
@@ -423,10 +447,10 @@ def test_superscript_digits_are_a_clear_error(tmp_path, monkeypatch, capsys):
     script.write_text("quit\n")
     assert main(["--run", str(script), "--depth", "\u00b2"]) == 2
     assert "Error: depth needs" in capsys.readouterr().err
-    lines = iter(["width \u00b2", "quit"])
+    lines = iter(["depth \u00b2", "quit"])
     monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
     assert _interact(Session()) == 0
-    assert "Error: width needs a positive number" in capsys.readouterr().out
+    assert "Error: depth needs a non-negative number or inf" in capsys.readouterr().out
 
 
 def test_the_proving_depth_does_not_depend_on_the_hash_seed(tmp_path):
