@@ -211,7 +211,7 @@ def _maximal_terms(terms) -> List[Term]:
         if not any(t in dc for dc in closures):
             kept.append(t)
             closures.append(down_closure(t))
-    kept.sort(key=lambda t: (-t.weight, t.key))
+    kept.sort(key=lambda t: (-t.weight, term_key(t)))
     return kept
 
 
@@ -575,7 +575,7 @@ class Enumerator:
         cuts = sorted(
             (tuple(_maximal_terms(column) for column in columns)
              for columns in maximal_products(below)),
-            key=lambda cut: [[t.key for t in column] for column in cut],
+            key=lambda cut: [[term_key(t) for t in column] for column in cut],
         )
         return [
             tuple(
@@ -687,7 +687,7 @@ class DenotationStream:
         self.cfg = cfg
         self.swept = -1
         self._yielded: set = set()
-        self._buffer: List[Term] = []
+        self._buffer: deque = deque()
         self.done = False
         self.complete = False
 
@@ -698,7 +698,7 @@ class DenotationStream:
         while not self._buffer and not self.done:
             self._advance()
         if self._buffer:
-            return self._buffer.pop(0)
+            return self._buffer.popleft()
         raise StopIteration
 
     def _advance(self):

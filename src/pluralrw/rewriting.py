@@ -24,8 +24,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import Program
 from .terms import (
+    APP,
     Term,
-    app,
+    _make,
     apply_subst,
     match_value,
     replace_at,
@@ -190,7 +191,7 @@ class ReachStream:
             if not t.symbols.isdisjoint(self._fnames):
                 kids, name = t.children, t.name
                 got = tuple(
-                    [app(name, kids[:i] + (r,) + kids[i + 1:])
+                    [_make(APP, name, kids[:i] + (r,) + kids[i + 1:])
                      for i, c in enumerate(kids) for r in self._successors(c)]
                     + [contractum for _i, _m, contractum in _root_steps(self.program, t)]
                 )

@@ -8,17 +8,26 @@ term is used with, so the same term values can be shared freely between
 programs.
 
 Terms are interned: structurally equal terms are the same object. Equality
-is therefore identity, hashes are precomputed, and frequently needed facts
-(depth, variable set, applied symbols, totality, canonical sort key) are
-stored on the node at construction time. This is what keeps the denotation
-enumerator affordable. Interning is not thread safe; build terms from one
-thread and share them read-only afterwards.
+is therefore identity, and the hash, that of (kind, name, children), is
+computed once. Frequently needed facts (depth, size, weight, variable set,
+applied symbols, totality) are stored on the node at construction time,
+in one pass over its children. The canonical sort key is built the first
+time the term is sorted (`term_key`): the rewriting engine never sorts its
+states. This is what keeps the enumerator and the rewrite search
+affordable. Interning is not thread safe; build terms from one thread and
+share them read-only afterwards.
+
+The intern table holds one dict per node kind, from name to a dict keyed
+by the children tuple that the term itself keeps, so a term costs one
+probe and no object besides itself and its children tuple. A variable and
+a constant of the same name live under different kinds and stay distinct.
 
 Four tables live as long as the process and never shrink: the intern
 table, one object per distinct variable or symbol set (so a full garbage
-collection scans no per-term copy), the down-closure of each term, and the
-constructor closure of each (name, child sets). Both closures depend on
-nothing but their key, so every program, mode and enumerator shares them.
+collection scans no per-term copy; each symbol name also maps to its
+singleton set there), the down-closure of each term, and the constructor
+closure of each (name, child sets). Both closures depend on nothing but
+their key, so every program, mode and enumerator shares them.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ class Term:
         "total",
         "varset",
         "symbols",
-        "key",
+        "_key",
         "_hash",
     )
 
@@ -54,7 +63,6 @@ class Term:
     total: bool
     varset: frozenset
     symbols: frozenset
-    key: tuple
 
     def __hash__(self) -> int:
         return self._hash
@@ -69,52 +77,81 @@ class Term:
         return "%s(%s)" % (self.name, ",".join(repr(c) for c in self.children))
 
 
-_TABLE: dict = {}
-_SETS: dict = {}
+_TABLE: tuple = ({}, {}, {})  # per kind: name -> {children: term}
+_SETS: dict = {}  # each distinct set -> its one object; symbol name -> its singleton
+
+
+def _shared(s: frozenset) -> frozenset:
+    return _SETS.setdefault(s, s)
+
+
+_EMPTY = _shared(frozenset())
 
 
 def _make(kind: int, name: str, children: tuple) -> Term:
-    probe = (kind, name, children)
-    hit = _TABLE.get(probe)
-    if hit is not None:
-        return hit
+    by_name = _TABLE[kind]
+    table = by_name.get(name)
+    if table is None:
+        table = by_name[name] = {}
+    else:
+        t = table.get(children)
+        if t is not None:
+            return t
     t = Term.__new__(Term)
     t.kind = kind
     t.name = name
     t.children = children
-    if kind == BOTTOM:
-        t.depth = 0
-        t.size = 1
-        t.weight = 0
-        t.total = False
-        t.varset = frozenset()
-        t.symbols = frozenset()
-        t.key = (0, 0)
+    if kind == APP:
+        depth = 0
+        size = weight = 1
+        total = True
+        vs = _EMPTY
+        sy = _SETS.get(name)
+        if sy is None:
+            sy = _SETS[name] = _shared(frozenset((name,)))
+        for c in children:
+            if c.depth > depth:
+                depth = c.depth
+            size += c.size
+            weight += c.weight
+            if not c.total:
+                total = False
+            # a child's set that covers the one so far replaces it, and
+            # one that adds nothing leaves it: no union in either case
+            s = c.varset
+            if s is not vs:
+                if vs <= s:
+                    vs = s
+                elif not s <= vs:
+                    vs = _shared(vs | s)
+            s = c.symbols
+            if s is not sy:
+                if sy <= s:
+                    sy = s
+                elif not s <= sy:
+                    sy = _shared(sy | s)
+        t.depth = depth + 1
+        t.size = size
+        t.weight = weight
+        t.total = total
+        t.varset = vs
+        t.symbols = sy
+        t._key = None  # built by term_key when first sorted
     elif kind == VAR:
         t.depth = 0
-        t.size = 1
-        t.weight = 1
+        t.size = t.weight = 1
         t.total = True
-        t.varset = frozenset((name,))
-        t.symbols = frozenset()
-        t.key = (0, 1, name)
+        t.varset = _shared(frozenset((name,)))
+        t.symbols = _EMPTY
+        t._key = (0, 1, name)
     else:
-        t.depth = 1 + max((c.depth for c in children), default=0)
-        t.size = 1 + sum(c.size for c in children)
-        t.weight = 1 + sum(c.weight for c in children)
-        t.total = all(c.total for c in children)
-        vs: frozenset = frozenset()
-        sy: frozenset = frozenset((name,))
-        for c in children:
-            if c.varset:
-                vs = vs | c.varset
-            if c.symbols:
-                sy = sy | c.symbols
-        t.varset = _SETS.setdefault(vs, vs)
-        t.symbols = _SETS.setdefault(sy, sy)
-        t.key = (t.depth, 2, name, tuple(c.key for c in children))
-    t._hash = hash(probe)
-    _TABLE[probe] = t
+        t.depth = t.weight = 0
+        t.size = 1
+        t.total = False
+        t.varset = t.symbols = _EMPTY
+        t._key = (0, 0)
+    t._hash = hash((kind, name, children))
+    table[children] = t
     return t
 
 
@@ -131,8 +168,24 @@ def app(name: str, children: Sequence[Term] = ()) -> Term:
 
 def term_key(t: Term) -> tuple:
     """Canonical sort key: by depth, with _|_ least and variables before
-    applications, then by root name and children."""
-    return t.key
+    applications, then by root name and children.
+
+    An application's key is built the first time it is asked for, and
+    kept. The walk is a loop over an explicit stack, so a deep term is
+    keyed without Python recursion."""
+    if t._key is None:
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u._key is not None:
+                continue
+            pending = [c for c in u.children if c._key is None]
+            if pending:
+                stack.append(u)
+                stack.extend(pending)
+            else:
+                u._key = (u.depth, 2, u.name, tuple(c._key for c in u.children))
+    return t._key
 
 
 def approx_leq(a: Term, b: Term) -> bool:
@@ -197,7 +250,7 @@ def apply_subst(t: Term, mapping: Mapping[str, Term]) -> Term:
         return t
     if t.kind == VAR:
         return mapping.get(t.name, t)
-    return app(t.name, tuple(apply_subst(c, mapping) for c in t.children))
+    return _make(APP, t.name, tuple(apply_subst(c, mapping) for c in t.children))
 
 
 def match_value(pattern: Term, value: Term) -> Optional[dict]:
@@ -248,7 +301,7 @@ def replace_at(t: Term, pos: Sequence[int], repl: Term) -> Term:
         raise PositionError("no position %r in %r" % (tuple(pos), t))
     kids = list(t.children)
     kids[i - 1] = replace_at(kids[i - 1], pos[1:], repl)
-    return app(t.name, tuple(kids))
+    return _make(APP, t.name, tuple(kids))
 
 
 class SignatureError(ValueError):

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 from pluralrw.calculi import ALPHA, CALL_TIME, Enumerator
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.terms import (
+    APP,
     BOT,
+    BOTTOM,
+    VAR,
     PositionError,
     Signature,
     SignatureError,
@@ -56,6 +59,20 @@ def test_interning_gives_identity_equality():
     assert c(zero, one) is c(app("0"), app("1"))
     assert var("X") is X
     assert app("0") is not app("1")
+
+
+def test_a_variable_and_a_constant_of_one_name_are_distinct():
+    assert var("a") is not app("a")
+    assert (var("a").kind, app("a").kind) == (VAR, APP)
+
+
+def test_a_deep_term_is_keyed_and_sorted_without_recursion():
+    t = app("z_deep")
+    for _ in range(5000):
+        t = app("s_deep", (t,))
+    parent = app("s_deep", (t,))
+    assert sorted([parent, t], key=term_key) == [t, parent]
+    assert term_key(t)[:3] == (5001, 2, "s_deep")
 
 
 def test_approx_leq_bottom_is_least():
@@ -195,6 +212,46 @@ cterms = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+# random terms, function symbols and a constant named like a variable
+# included, with up to three children per application
+
+anyterms = st.recursive(
+    st.sampled_from([BOT, zero, var("X"), var("Y"), app("X")]),
+    lambda sub: st.tuples(st.sampled_from(["c", "f", "X"]), st.lists(sub, max_size=3)).map(
+        lambda t: app(t[0], t[1])
+    ),
+    max_leaves=10,
+)
+
+
+def _fields(t):
+    """(depth, size, weight, total, varset, symbols, sort key), recomputed
+    from the children by the definitions, none read from a stored field."""
+    if t.kind == BOTTOM:
+        return 0, 1, 0, False, frozenset(), frozenset(), (0, 0)
+    if t.kind == VAR:
+        return 0, 1, 1, True, frozenset((t.name,)), frozenset(), (0, 1, t.name)
+    kids = [_fields(c) for c in t.children]
+    depth = 1 + max((k[0] for k in kids), default=0)
+    return (
+        depth,
+        1 + sum(k[1] for k in kids),
+        1 + sum(k[2] for k in kids),
+        all(k[3] for k in kids),
+        frozenset().union(*(k[4] for k in kids)),
+        frozenset((t.name,)).union(*(k[5] for k in kids)),
+        (depth, 2, t.name, tuple(k[6] for k in kids)),
+    )
+
+
+@given(anyterms)
+def test_every_stored_field_is_its_definition(t):
+    key = term_key(t)  # the root first, before any child is asked for
+    stored = (t.depth, t.size, t.weight, t.total, t.varset, t.symbols, key)
+    assert stored == _fields(t)
+    assert hash(t) == hash((t.kind, t.name, t.children))
 
 
 @given(cterms, cterms, cterms)
