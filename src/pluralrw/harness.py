@@ -34,7 +34,7 @@ from .calculi import (
     Enumerator,
 )
 from .disjsubst import image_of, is_compressible
-from .rewriting import BREADTH_FIRST, ReachStream, SearchStrategy, total_cterms
+from .rewriting import ReachStream, total_cterms
 # one_step is bound here for perfbench/layers.py, which traces it by module
 from .rewriting import one_step  # noqa: F401
 from .syntax import Program, assemble_program, format_program, format_term
@@ -268,7 +268,7 @@ def _bounded_reach(program, expr, bound, node_cap=NODE_CAP):
     guarded rule whose guard is stuck can grow its own call without
     bound, and walking those chains buys nothing. complete means nothing
     was cut, so the result is the full run-time denotation."""
-    search = ReachStream(program, expr, SearchStrategy(BREADTH_FIRST, bound), node_cap, SIZE_CAP)
+    search = ReachStream(program, expr, bound, node_cap, SIZE_CAP)
     out = frozenset(total_cterms(search))
     return out, not (search.exhausted or search.capped)
 

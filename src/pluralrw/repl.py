@@ -9,8 +9,6 @@ form `(eval twoclerks .)`; the trailing dot is optional either way.
   semantics NAME            call-time | run-time | alpha-plural |
                             beta-plural | combined-alpha | combined-beta
   engine NAME               calculi | rewrite-via-pST
-  breadth-first             explore rewrite searches level by level
-  depth-first               explore rewrite searches by backtracking
   depth N                   default ceiling (a number, or inf); engines
                             read it as OR-nesting depth or rewrite steps
   path on | path off        print a derivation after each result
@@ -42,11 +40,9 @@ from .calculi import (
     enumerate_values,
 )
 from .rewriting import (
-    BREADTH_FIRST,
-    DEPTH_FIRST,
+    DEFAULT_BOUND,
     ReachStream,
     RewriteStep,
-    SearchStrategy,
     one_step,
     reachable,
     total_cterms,
@@ -69,7 +65,6 @@ ENGINE_CALCULI = "calculi"
 ENGINE_PST = "rewrite-via-pST"
 
 DEFAULT_CALCULI_DEPTH = 12
-DEFAULT_REWRITE_BOUND = 10_000
 
 PROMPT = "pluralrw> "
 
@@ -85,8 +80,8 @@ class CommandError(Exception):
 
 
 def _linked_steps(search: ReachStream, target: Term) -> List[RewriteStep]:
-    # a breadth-first search's links from its start to target: a shortest
-    # derivation, each link the first one_step step making its expression
+    # the search's links from its start to target: a shortest derivation,
+    # each link the first one_step step making its expression
     steps, node, parents = [], target, search.parents
     while parents[node] is not None:
         prev = parents[node]
@@ -95,10 +90,11 @@ def _linked_steps(search: ReachStream, target: Term) -> List[RewriteStep]:
     return steps[::-1]
 
 
+# bound only for perfbench/layers.py, which wraps it; it goes once that stops (ROADMAP item 3)
 def _find_path(program: Program, start: Term, target: Term,
                bound: Optional[int]) -> List[RewriteStep]:
     """A shortest derivation of a target reachable within the bound."""
-    search = ReachStream(program, start, SearchStrategy(BREADTH_FIRST, bound))
+    search = ReachStream(program, start, bound)
     for _e in search:
         if target in search.parents:
             return _linked_steps(search, target)
@@ -106,7 +102,7 @@ def _find_path(program: Program, start: Term, target: Term,
 
 class Session:
     """One interpreter state: the loaded module, the active semantics,
-    engine, strategy and bounds, and the live result stream."""
+    engine and depth, and the live result stream."""
 
     def __init__(self):
         self._reset()
@@ -115,7 +111,6 @@ class Session:
         self.program: Optional[Program] = None
         self.semantics = COMBINED_ALPHA
         self.engine = ENGINE_CALCULI
-        self.strategy_kind = BREADTH_FIRST
         self.depth = _UNSET
         self.path_on = False
         self.finished = False
@@ -144,8 +139,6 @@ class Session:
             "more": self._cmd_more,
             "semantics": self._cmd_semantics,
             "engine": self._cmd_engine,
-            "breadth-first": self._cmd_breadth_first,
-            "depth-first": self._cmd_depth_first,
             "depth": self._cmd_depth,
             "path": self._cmd_path,
             "show": self._cmd_show,
@@ -223,7 +216,7 @@ class Session:
         if self.depth is not _UNSET:
             return self.depth
         if self._rewrite_active():
-            return DEFAULT_REWRITE_BOUND
+            return DEFAULT_BOUND
         return DEFAULT_CALCULI_DEPTH
 
     def _cmd_eval(self, rest: str) -> List[str]:
@@ -246,7 +239,7 @@ class Session:
             if not expr.total:
                 raise CommandError("rewriting needs a total expression, without bot")
             target = program if self.semantics == RUN_TIME else self._pst_program()
-            self._search = reachable(target, expr, SearchStrategy(self.strategy_kind, depth))
+            self._search = reachable(target, expr, depth)
             self._stream = total_cterms(self._search)
         else:
             cfg = EnumConfig(depth=depth, totals_only=True)
@@ -284,13 +277,8 @@ class Session:
         if isinstance(search, DenotationStream):
             return search.derivation(value).render().splitlines()
         start = next(iter(search.parents))  # its first key
-        if search.strategy.kind == DEPTH_FIRST:
-            # its links are first visits, not shortest paths
-            steps = _find_path(search.program, start, value, search.strategy.bound)
-        else:
-            steps = _linked_steps(search, value)
         lines = [format_term(start)]
-        for step in steps:
+        for step in _linked_steps(search, value):
             where = ".".join(str(i) for i in step.position) or "root"
             lines.append(
                 "-> %s   [rule %d at %s]"
@@ -315,7 +303,7 @@ class Session:
                 return ["%d expressions reached so far; more may follow" % seen]
             if search.exhausted:
                 return ["step bound %d reached at %d expressions; more may exist"
-                        % (search.strategy.bound, seen)]
+                        % (search.bound, seen)]
             return ["search complete: all %d reachable expressions visited" % seen]
         if search.complete:
             state = "proven complete at depth %d" % search.swept
@@ -350,16 +338,6 @@ class Session:
             raise CommandError(
                 "unknown engine %r (one of %s, %s)" % (rest, ENGINE_CALCULI, ENGINE_PST)
             )
-        return []
-
-    def _cmd_breadth_first(self, rest: str) -> List[str]:
-        self._no_args(rest, "breadth-first")
-        self.strategy_kind = BREADTH_FIRST
-        return []
-
-    def _cmd_depth_first(self, rest: str) -> List[str]:
-        self._no_args(rest, "depth-first")
-        self.strategy_kind = DEPTH_FIRST
         return []
 
     def _cmd_depth(self, rest: str) -> List[str]:

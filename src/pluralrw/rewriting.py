@@ -2,9 +2,9 @@
 
 Once a rule copies an argument, the copies evolve independently, so the
 set of reachable expressions is the whole story. This module provides
-the one-step relation, bounded reachability search in breadth-first or
-depth-first order, and the total c-terms a search reaches: the maximal
-elements of the run-time denotation.
+the one-step relation, bounded breadth-first reachability search, and
+the total c-terms a search reaches: the maximal elements of the run-time
+denotation.
 
 Every search is a ReachStream, which memoizes successors per interned
 subterm for the life of that one search. They are a pure function of the
@@ -32,9 +32,6 @@ from .terms import (
     replace_at,
     subterm_at,
 )
-
-DEPTH_FIRST = "depth-first"
-BREADTH_FIRST = "breadth-first"
 
 DEFAULT_BOUND = 10_000
 
@@ -70,25 +67,6 @@ class RewriteStep:
         return "<step rule %d at %r>" % (self.rule_index, self.position)
 
 
-class SearchStrategy:
-    """Exploration order plus a derivation-length bound.
-
-    `bound` limits derivation length (number of rewrite steps from the
-    start expression); None means unbounded, in which case termination
-    relies on the reachable state space being finite.
-    """
-
-    __slots__ = ("kind", "bound")
-
-    def __init__(self, kind: str = BREADTH_FIRST, bound: Optional[int] = DEFAULT_BOUND):
-        if kind not in (DEPTH_FIRST, BREADTH_FIRST):
-            raise ValueError("unknown search strategy %r" % (kind,))
-        if bound is not None and bound < 0:
-            raise ValueError("bound must be non-negative")
-        self.kind = kind
-        self.bound = bound
-
-
 def _redexes(t: Term) -> Iterator[Tuple[Tuple[int, ...], Term]]:
     # (position, subterm) pairs, leftmost-innermost order
     for i, c in enumerate(t.children, start=1):
@@ -117,15 +95,17 @@ def one_step(program: Program, expr: Term) -> List[RewriteStep]:
 
 
 class ReachStream:
-    """Iterator of (expression, derivation length) pairs, deduplicated.
+    """Iterator of (expression, derivation length) pairs, deduplicated,
+    breadth-first.
 
-    Breadth-first yields by increasing derivation length, so each length
-    is the shortest; depth-first backtracks, with first-visit lengths.
+    Yields by increasing derivation length, so each length is the
+    shortest. `bound` limits that length; None means unbounded, and then
+    termination relies on the reachable state space being finite.
     `parents` maps each expression seen to the one it was first reached
-    from (None for the start). Expressions larger than size_cap or past
-    node_cap seen are turned away; once drained, `capped` tells whether a
-    cap turned one away, and `exhausted` whether the bound cut off one
-    never reached another way.
+    from (None for the start), so its links are shortest derivations.
+    Expressions larger than size_cap or past node_cap seen are turned
+    away; once drained, `capped` tells whether a cap turned one away, and
+    `exhausted` whether the bound cut off one never reached another way.
 
     An expression is expanded before it is yielded, so `parents` already
     holds its successors, except in two cases where no successor of it
@@ -134,18 +114,18 @@ class ReachStream:
     not expanded at all: each new successor would be turned away too, and
     `capped` is already set. At the drain, `exhausted` is settled from the
     cut list: its successors are built, while the memo still lives, until
-    one is not in `parents`. `parents` only grows, so under either
-    strategy that is the flag a check of each successor at its cut gives.
+    one is not in `parents`. `parents` only grows, so that is the flag a
+    check of each successor at its cut gives.
     """
 
-    __slots__ = ("exhausted", "capped", "parents", "program", "_fnames", "strategy",
+    __slots__ = ("exhausted", "capped", "parents", "program", "_fnames", "bound",
                  "_node_cap", "_size_cap", "_todo", "_cut", "_memo")
 
-    def __init__(self, program: Program, expr: Term, strategy: SearchStrategy,
+    def __init__(self, program: Program, expr: Term, bound: Optional[int],
                  node_cap: int = sys.maxsize, size_cap: int = sys.maxsize):
         self.exhausted = self.capped = False
         self.parents: Dict[Term, Optional[Term]] = {expr: None}
-        self.program, self.strategy = program, strategy
+        self.program, self.bound = program, bound
         self._fnames = frozenset(program.signature.functions)
         self._node_cap, self._size_cap = node_cap, size_cap
         self._todo = deque(((expr, 0),))
@@ -165,15 +145,13 @@ class ReachStream:
 
     def _expand(self) -> Tuple[Term, int]:
         parents = self.parents
-        depth_first = self.strategy.kind == DEPTH_FIRST
-        cur, n = self._todo.pop() if depth_first else self._todo.popleft()
-        if self.strategy.bound is not None and n >= self.strategy.bound:
+        cur, n = self._todo.popleft()
+        if self.bound is not None and n >= self.bound:
             self._cut.append(cur)
             return cur, n
         if self.capped and len(parents) >= self._node_cap:
             return cur, n
-        succs = self._successors(cur)
-        for s in reversed(succs) if depth_first else succs:  # leftmost ends on top
+        for s in self._successors(cur):
             if s in parents:
                 continue
             if s.size > self._size_cap or len(parents) >= self._node_cap:
@@ -200,13 +178,15 @@ class ReachStream:
 
 
 def reachable(program: Program, expr: Term,
-              strategy: Optional[SearchStrategy] = None) -> ReachStream:
-    """Stream the expressions reachable from expr within the strategy's
-    derivation-length bound, each exactly once.
+              bound: Optional[int] = DEFAULT_BOUND) -> ReachStream:
+    """Stream the expressions reachable from expr within the
+    derivation-length bound (None for none), each exactly once.
     """
     if not expr.total:
         raise ValueError("rewriting inputs must be total expressions")
-    return ReachStream(program, expr, strategy or SearchStrategy())
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be non-negative")
+    return ReachStream(program, expr, bound)
 
 
 def total_cterms(search: ReachStream) -> Iterator[Term]:

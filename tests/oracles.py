@@ -40,10 +40,8 @@ from pluralrw.terms import (
     var,
 )
 from pluralrw.rewriting import (
-    BREADTH_FIRST,
     DEFAULT_BOUND,
     RewriteStep,
-    SearchStrategy,
     reachable,
     total_cterms,
 )
@@ -105,29 +103,25 @@ def reference_one_step(program, expr):
     return steps
 
 
-def reference_reach(program, expr, strategy, node_cap=sys.maxsize, size_cap=sys.maxsize):
-    """(expression, length) pairs in visit order, whether the bound cut off
-    an expression never reached another way, and whether a cap turned one
-    away: expressions larger than size_cap, or met once node_cap were
-    seen. Every visited expression is expanded, caps or bound regardless."""
-    bound = strategy.bound
+def reference_reach(program, expr, bound, node_cap=sys.maxsize, size_cap=sys.maxsize):
+    """(expression, length) pairs in breadth-first visit order, whether the
+    bound cut off an expression never reached another way, and whether a
+    cap turned one away: expressions larger than size_cap, or met once
+    node_cap were seen. Every visited expression is expanded, caps or
+    bound regardless."""
     visited = {expr}
     suppressed = set()
     capped = False
     queue = deque(((expr, 0),))
-    if strategy.kind == BREADTH_FIRST:
-        pop, order = queue.popleft, iter
-    else:
-        pop, order = queue.pop, reversed
     out = []
     while queue:
-        cur, n = pop()
+        cur, n = queue.popleft()
         out.append((cur, n))
         succs = [s.result for s in reference_one_step(program, cur)]
         if bound is not None and n >= bound:
             suppressed.update(s for s in succs if s not in visited)
             continue
-        for s in order(succs):
+        for s in succs:
             if s in visited:
                 continue
             if s.size > size_cap or len(visited) >= node_cap:
@@ -418,7 +412,7 @@ def runtime_denotation(program, expr, bound=DEFAULT_BOUND, totals_only=True):
     of the shells of all reachable expressions, which is exponential in
     term size and meant for small terms.
     """
-    stream = reachable(program, expr, SearchStrategy(BREADTH_FIRST, bound))
+    stream = reachable(program, expr, bound)
     if totals_only:
         return frozenset(total_cterms(stream))
     out = set()

@@ -2,9 +2,8 @@
 
 On the paper queries, the derivation printed after every result equals a
 freshly computed one: a fresh `derives` for the calculi, and the
-breadth-first reference for rewriting under either strategy. Only a
-depth-first eval makes a search of its own for a path; after any other
-eval, printing paths builds no enumerator, stream or search."""
+breadth-first reference for rewriting. Printing paths builds no
+enumerator, stream or search."""
 
 import os
 
@@ -91,15 +90,16 @@ def test_calculi_paths_equal_a_fresh_derivation(program, semantics, depth, query
         assert path == derives(s.program, semantics, expr, value, cfg).render().splitlines()
 
 
-@pytest.mark.parametrize("strategy", ("breadth-first", "depth-first"))
 @pytest.mark.parametrize(
     "program,semantics,engine,depth,query,checked", REWRITE_QUERIES,
-    ids=["%s-%s" % (m if e == CALCULI else "pst", q) for _p, m, e, _d, q, _c in REWRITE_QUERIES],
+    # these ids keep the suffix they had beside depth-first cases, so results stay comparable
+    ids=["%s-%s-breadth-first" % (m if e == CALCULI else "pst", q)
+         for _p, m, e, _d, q, _c in REWRITE_QUERIES],
 )
 def test_rewrite_paths_equal_the_reference_shortest_derivation(
-    program, semantics, engine, depth, query, checked, strategy
+    program, semantics, engine, depth, query, checked
 ):
-    s = _session(program, semantics, engine, strategy)
+    s = _session(program, semantics, engine)
     target = pst(s.program).output if engine == PST else s.program
     expr = parse_expression(query, s.program.signature)
     for text, path in _results_with_paths(s, depth, query)[checked]:
@@ -121,28 +121,24 @@ def built(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("program,settings,query,per_path", (
-    (CLERKS, ("semantics combined-alpha",), "twoclerks", []),
-    (CLERKS, ("semantics run-time",), "twoclerks", []),
-    (CLERKS, ("engine rewrite-via-pST",), "twoclerks", []),
-    (CLERKS, ("semantics run-time", "depth-first"), "twoclerks", ["ReachStream"]),
-), ids=("calculi", "run-time", "pst", "depth-first"))
-def test_paths_build_no_search_but_for_a_depth_first_eval(built, program, settings, query, per_path):
+@pytest.mark.parametrize("setting", (
+    "semantics combined-alpha", "semantics run-time", "engine rewrite-via-pST",
+), ids=("calculi", "run-time", "pst"))
+def test_paths_build_no_search(built, setting):
     s = Session()
-    for line in ("load " + program,) + settings:
+    for line in ("load " + CLERKS, setting):
         s.execute(line)
-    s.execute("eval " + query)
+    s.execute("eval twoclerks")
     s.execute("more")
     del built[:]
     s.execute("show path")
-    assert built == per_path
+    assert built == []
     s.execute("path on")
-    del built[:]
     results = 0
     while s.execute("more")[0].startswith("Result: "):
         results += 1
     assert results > 0
-    assert built == per_path * results
+    assert built == []
 
 
 def test_printing_paths_leaves_the_eval_and_its_stats_as_they_were():

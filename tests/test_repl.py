@@ -121,16 +121,21 @@ def test_depth_clause_and_parenthesized_form(tmp_path):
     assert s.execute("eval depth = inf f(c(0))") == ["Result: d(0,0)"]
 
 
-def test_strategies_reach_the_same_solutions(tmp_path):
-    results = {}
-    for strategy in ("breadth-first", "depth-first"):
-        s = Session()
-        load(s, tmp_path, P1_BODY)
-        s.execute("semantics run-time")
-        s.execute(strategy)
-        first = s.execute("eval f(c(0 ? 1))")
-        results[strategy] = {first[0][len("Result: "):]} | set(drain(s))
-    assert results["breadth-first"] == results["depth-first"]
+@pytest.mark.parametrize("command", ("breadth-first", "depth-first"))
+def test_search_order_commands_are_unknown(command):
+    with pytest.raises(CommandError, match="unknown command %r" % command):
+        Session().execute(command)
+
+
+def test_run_time_rewriting_of_an_infinite_stream_yields_its_first_values(tmp_path):
+    # one_step lists the redex from(z) before the root ?, so a search that
+    # kept unfolding it first would print nothing
+    s = Session()
+    load(s, tmp_path, "from(X) -> X ? s(from(X)) .")
+    s.execute("semantics run-time")
+    assert s.execute("eval depth = 200 from(z)") == ["Result: z"]
+    assert s.execute("more") == ["Result: s(z)"]
+    assert s.execute("more") == ["Result: s(s(z))"]
 
 
 def test_show_tr_prints_the_transformed_program(tmp_path):
@@ -406,8 +411,7 @@ def test_an_eval_without_results_leaves_no_path_to_show(tmp_path, semantics):
         s.execute("show path")
 
 
-@pytest.mark.parametrize("settings", (("semantics call-time",), ("semantics run-time",),
-                                      ("semantics run-time", "depth-first")))
+@pytest.mark.parametrize("settings", (("semantics call-time",), ("semantics run-time",)))
 def test_show_path_reads_an_interrupted_eval(tmp_path, monkeypatch, settings):
     # what Ctrl-C leaves: a search stopped where it stood, and a dropped
     # stream; the search's memo and parent links stay valid

@@ -1,8 +1,8 @@
-"""The memoized rewrite search against the one_step-driven searches it
-replaced (kept in oracles.py): the same states in the same order with the
-same lengths, the same cut flags under every cap, and the same `show
-path` derivations; and no successors built for a state at the bound or
-past a full node cap, beyond what settling `exhausted` needs."""
+"""The memoized breadth-first rewrite search against the one_step-driven
+searches it replaced (kept in oracles.py): the same states in the same
+order with the same lengths, the same cut flags under every cap, and the
+same `show path` derivations; and no successors built for a state at the
+bound or past a full node cap, beyond what settling `exhausted` needs."""
 
 import os
 import sys
@@ -17,14 +17,7 @@ from oracles import (
 from pluralrw import harness
 from pluralrw.harness import GenConfig, _bounded_reach, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.repl import _find_path
-from pluralrw.rewriting import (
-    BREADTH_FIRST,
-    DEPTH_FIRST,
-    ReachStream,
-    SearchStrategy,
-    one_step,
-    reachable,
-)
+from pluralrw.rewriting import ReachStream, one_step, reachable
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.transform import pst_optimized, pst_simple
 
@@ -69,6 +62,8 @@ def _paper_cases():
 
 CASES = list(_cases())
 PAPER_CASES = list(_paper_cases())
+# these ids keep the suffix they had beside depth-first cases, so results stay comparable
+REACH_CASES = [pytest.param(*p.values, id=p.id + "-breadth-first") for p in CASES + PAPER_CASES]
 
 
 def _steps(chain):
@@ -84,33 +79,30 @@ def test_one_step_matches_the_reference(program, expr, bound):
     ]
 
 
-@pytest.mark.parametrize("kind", (BREADTH_FIRST, DEPTH_FIRST))
-@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
-def test_reach_visits_what_the_reference_visits(program, expr, bound, kind):
+@pytest.mark.parametrize("program,expr,bound", REACH_CASES)
+def test_reach_visits_what_the_reference_visits(program, expr, bound):
     for n in (bound, bound + 1):
-        strategy = SearchStrategy(kind, n)
-        want, exhausted, capped = reference_reach(program, expr, strategy)
-        stream = reachable(program, expr, strategy)
+        want, exhausted, capped = reference_reach(program, expr, n)
+        stream = reachable(program, expr, n)
         assert list(stream) == want
         assert (stream.exhausted, stream.capped) == (exhausted, capped)
 
 
-def _caps(program, expr, strategy):
+def _caps(program, expr, bound):
     # (node cap, size cap) pairs that fill before the bound: one node, half
     # the states the uncapped search visits, and their median size
-    visits = reference_reach(program, expr, strategy)[0]
+    visits = reference_reach(program, expr, bound)[0]
     half = max(1, len(visits) // 2)
     median = sorted(e.size for e, _n in visits)[len(visits) // 2]
     return ((1, sys.maxsize), (half, sys.maxsize), (sys.maxsize, median), (half, median))
 
 
-@pytest.mark.parametrize("kind", (BREADTH_FIRST, DEPTH_FIRST))
-@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
-def test_reach_flags_match_the_reference_under_caps(program, expr, bound, kind):
-    strategy = SearchStrategy(kind, bound + 1)
-    for node_cap, size_cap in _caps(program, expr, strategy):
-        want, exhausted, capped = reference_reach(program, expr, strategy, node_cap, size_cap)
-        stream = ReachStream(program, expr, strategy, node_cap, size_cap)
+@pytest.mark.parametrize("program,expr,bound", REACH_CASES)
+def test_reach_flags_match_the_reference_under_caps(program, expr, bound):
+    bound += 1
+    for node_cap, size_cap in _caps(program, expr, bound):
+        want, exhausted, capped = reference_reach(program, expr, bound, node_cap, size_cap)
+        stream = ReachStream(program, expr, bound, node_cap, size_cap)
         assert list(stream) == want
         assert stream.exhausted == exhausted
         assert stream.capped == capped
@@ -136,12 +128,11 @@ class _CountingStream(ReachStream):
             self._nested = False
 
 
-@pytest.mark.parametrize("kind", (BREADTH_FIRST, DEPTH_FIRST))
-@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
-def test_reach_builds_no_successor_it_cannot_use(program, expr, bound, kind):
-    strategy = SearchStrategy(kind, bound + 1)
-    for node_cap, size_cap in ((sys.maxsize, sys.maxsize),) + _caps(program, expr, strategy):
-        stream = _CountingStream(program, expr, strategy, node_cap, size_cap)
+@pytest.mark.parametrize("program,expr,bound", REACH_CASES)
+def test_reach_builds_no_successor_it_cannot_use(program, expr, bound):
+    bound += 1
+    for node_cap, size_cap in ((sys.maxsize, sys.maxsize),) + _caps(program, expr, bound):
+        stream = _CountingStream(program, expr, bound, node_cap, size_cap)
         cut = []
         while True:
             # once the node cap is full and has turned one away, every new
@@ -152,9 +143,9 @@ def test_reach_builds_no_successor_it_cannot_use(program, expr, bound, kind):
                 e, n = next(stream)
             except StopIteration:
                 break
-            if n >= strategy.bound:
+            if n >= bound:
                 cut.append(e)
-            assert stream.asked[before:] == ([] if n >= strategy.bound or full else [e])
+            assert stream.asked[before:] == ([] if n >= bound or full else [e])
         # settling `exhausted` asks for the cut expressions in yield order,
         # up to and including the first with a successor never reached
         want = []
@@ -169,15 +160,14 @@ def test_reach_builds_no_successor_it_cannot_use(program, expr, bound, kind):
 def test_bounded_reach_cuts_where_the_reference_cuts(program, expr, bound):
     fnames = frozenset(program.signature.functions)
     for n, node_cap in ((30, 40), (30, 400), (bound, harness.NODE_CAP)):
-        strategy = SearchStrategy(BREADTH_FIRST, n)
-        visits, exhausted, capped = reference_reach(program, expr, strategy, node_cap, harness.SIZE_CAP)
+        visits, exhausted, capped = reference_reach(program, expr, n, node_cap, harness.SIZE_CAP)
         totals = frozenset(e for e, _n in visits if e.total and e.symbols.isdisjoint(fnames))
         assert _bounded_reach(program, expr, n, node_cap) == (totals, not (exhausted or capped))
 
 
 @pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
 def test_show_path_matches_the_reference_and_replays(program, expr, bound):
-    targets = [e for e, _n in reachable(program, expr, SearchStrategy(BREADTH_FIRST, bound))]
+    targets = [e for e, _n in reachable(program, expr, bound)]
     # the start, the last state reached, and a few in between
     for target in targets[:: max(1, len(targets) // 4)] + targets[-1:]:
         chain = _find_path(program, expr, target, bound)

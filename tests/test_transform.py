@@ -1,5 +1,5 @@
 from pluralrw.calculi import ALPHA, BETA
-from pluralrw.rewriting import SearchStrategy, reachable
+from pluralrw.rewriting import reachable
 from pluralrw.syntax import BUILTIN_RULES, parse_expression, parse_program
 from pluralrw.terms import app, var
 from pluralrw.transform import (
@@ -115,7 +115,7 @@ def test_output_is_a_valid_program():
 def test_transformed_rewriting_recombines_choices():
     out = pst(P1).output
     e = ex(out, "f(c(0) ? c(1))")
-    hits = [n for x, n in reachable(out, e, SearchStrategy(bound=20))
+    hits = [n for x, n in reachable(out, e, 20)
             if x == ex(out, "d(0,1)")]
     assert hits and hits[0] <= 10
 
