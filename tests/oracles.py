@@ -132,6 +132,37 @@ def reference_reach(program, expr, bound, node_cap=sys.maxsize, size_cap=sys.max
     return out, not suppressed.issubset(visited), capped
 
 
+def depth_first_reach(program, expr, bound, size_cap=sys.maxsize):
+    """Every expression within `bound` steps of expr through expressions no
+    larger than size_cap, mapped to its shortest derivation length, found
+    depth-first: a stack, and an expression expanded again whenever a
+    shorter derivation reaches it. Also whether the bound cut off an
+    expression never reached, and whether size_cap turned one away from an
+    expression below the bound. None of this depends on the search order."""
+    succs = {}
+
+    def successors(e):
+        if e not in succs:
+            succs[e] = [s.result for s in reference_one_step(program, e)]
+        return succs[e]
+
+    shortest = {expr: 0}
+    stack = [(expr, 0)]
+    while stack:
+        cur, n = stack.pop()
+        if n > shortest[cur] or (bound is not None and n >= bound):
+            continue
+        for s in reversed(successors(cur)):
+            if s.size <= size_cap and n + 1 < shortest.get(s, sys.maxsize):
+                shortest[s] = n + 1
+                stack.append((s, n + 1))
+    below = [e for e, n in shortest.items() if bound is None or n < bound]
+    at_bound = [e for e, n in shortest.items() if n == bound]
+    exhausted = any(s not in shortest for e in at_bound for s in successors(e))
+    capped = any(s.size > size_cap for e in below for s in successors(e))
+    return shortest, exhausted, capped
+
+
 def reference_find_path(program, start, target, bound):
     """A shortest derivation by breadth-first parent links, or None."""
     if target == start:

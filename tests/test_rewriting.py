@@ -5,7 +5,7 @@ from pluralrw.terms import BOT, down_closure
 
 import pytest
 
-from oracles import runtime_denotation, values_at
+from oracles import depth_first_reach, runtime_denotation, values_at
 
 
 def prog(body):
@@ -123,6 +123,17 @@ def test_bfs_reports_shortest_lengths():
     assert lengths[ex(P1, "d(0,0)")] == 2
     ns = [n for _, n in sorted(lengths.items(), key=lambda kv: kv[1])]
     assert ns == sorted(ns)
+
+
+def test_bfs_and_dfs_agree_when_neither_hits_the_bound():
+    # the breadth-first stream against the depth-first reference
+    for text in ("f(c(0) ? c(1))", "f(c(0 ? 1))", "d(f(c(0)), f(c(1)))"):
+        e = ex(P1, text)
+        bfs = reachable(P1, e, 50)
+        bset = {x for x, _ in bfs}
+        dfs, exhausted, _capped = depth_first_reach(P1, e, 50)
+        assert not bfs.exhausted and not exhausted
+        assert bset == set(dfs)
 
 
 def test_bound_exhaustion_is_flagged():

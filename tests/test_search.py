@@ -1,8 +1,9 @@
 """The memoized breadth-first rewrite search against the one_step-driven
 searches it replaced (kept in oracles.py): the same states in the same
 order with the same lengths, the same cut flags under every cap, and the
-same `show path` derivations; and no successors built for a state at the
-bound or past a full node cap, beyond what settling `exhausted` needs."""
+same `show path` derivations; against a depth-first reference, the same
+states at their shortest lengths; and no successors built for a state at
+the bound or past a full node cap, beyond what settling `exhausted` needs."""
 
 import os
 import sys
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from oracles import (
+    depth_first_reach,
     reference_find_path,
     reference_one_step,
     reference_reach,
@@ -79,11 +81,34 @@ def test_one_step_matches_the_reference(program, expr, bound):
     ]
 
 
-@pytest.mark.parametrize("program,expr,bound", REACH_CASES)
-def test_reach_visits_what_the_reference_visits(program, expr, bound):
+def _assert_shortest_within(program, expr, bound, stream, node_cap=sys.maxsize,
+                            size_cap=sys.maxsize):
+    # against the depth-first reference, which shares no visit order with
+    # the stream: the first min(node_cap, |reach|) states a breadth-first
+    # search admits, each at its shortest length; capped when the size cap
+    # turned one away or the states outnumber the node cap; and, when all
+    # were admitted, the same bound flag
+    shortest, exhausted, capped = depth_first_reach(program, expr, bound, size_cap)
+    got = list(stream)
+    assert len(got) == len({e for e, _n in got}) == min(node_cap, len(shortest))
+    assert all(shortest.get(e) == n for e, n in got)
+    assert stream.capped == (capped or len(shortest) > node_cap)
+    if len(shortest) <= node_cap:
+        assert stream.exhausted == exhausted
+
+
+# "order" is the order of the reference the breadth-first stream is checked
+# against: breadth-first for the same visits in the same order, depth-first
+# for the same states at their shortest lengths
+@pytest.mark.parametrize("order", ("breadth-first", "depth-first"))
+@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
+def test_reach_visits_what_the_reference_visits(program, expr, bound, order):
     for n in (bound, bound + 1):
-        want, exhausted, capped = reference_reach(program, expr, n)
         stream = reachable(program, expr, n)
+        if order == "depth-first":
+            _assert_shortest_within(program, expr, n, stream)
+            continue
+        want, exhausted, capped = reference_reach(program, expr, n)
         assert list(stream) == want
         assert (stream.exhausted, stream.capped) == (exhausted, capped)
 
@@ -97,12 +122,16 @@ def _caps(program, expr, bound):
     return ((1, sys.maxsize), (half, sys.maxsize), (sys.maxsize, median), (half, median))
 
 
-@pytest.mark.parametrize("program,expr,bound", REACH_CASES)
-def test_reach_flags_match_the_reference_under_caps(program, expr, bound):
+@pytest.mark.parametrize("order", ("breadth-first", "depth-first"))
+@pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
+def test_reach_flags_match_the_reference_under_caps(program, expr, bound, order):
     bound += 1
     for node_cap, size_cap in _caps(program, expr, bound):
-        want, exhausted, capped = reference_reach(program, expr, bound, node_cap, size_cap)
         stream = ReachStream(program, expr, bound, node_cap, size_cap)
+        if order == "depth-first":
+            _assert_shortest_within(program, expr, bound, stream, node_cap, size_cap)
+            continue
+        want, exhausted, capped = reference_reach(program, expr, bound, node_cap, size_cap)
         assert list(stream) == want
         assert stream.exhausted == exhausted
         assert stream.capped == capped
