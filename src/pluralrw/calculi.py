@@ -12,8 +12,24 @@ substitution; alpha-plural arguments pass the whole match set at once;
 beta-plural arguments pass any compressible set, of which the maximal
 ones suffice). The instantiated right-hand side is then evaluated at
 depth k-1.
-Every memoized value set is down-closed: with a value t it holds every
-value below t in the approximation ordering.
+
+A value set is down-closed (polarity): with a value t it holds every value
+below t in the approximation ordering. So it is fixed by its maximal
+elements, an antichain (De Wulf, Doyen, Henzinger and Raskin,
+"Antichains", CAV 2006), and values returns, and the memo keeps, only
+that. A set holds the values below the members of its antichain, which
+per operation is:
+- for a function-free expression e: {e}, the top of its down-closure;
+- for a constructor c(e1..en): c(A1 x ... x An), Ai the antichain of ei.
+  _|_ and every c(t1..tn) of the set lie below one of these, and any two
+  of them differ in a column of incomparable members;
+- for `?` and a call: the maximal elements of the union of their parts'
+  antichains, as the down-closure of a union is the union of the
+  down-closures (maximal_terms).
+Matching reads only the maximal values (below). Down-closed sets are equal
+exactly when their antichains are, so the fixpoint test compares
+antichains. A total value is maximal in every set that holds it, so a
+set's totals are its antichain's. A value budget counts antichain members.
 
 Matchers are restricted to the pattern variables that the rule body
 actually uses. Singular and alpha-plural arguments keep only the maximal
@@ -24,8 +40,8 @@ Dropping dominated matchers can shorten the disjunctions an instantiated
 body carries, so individual values may surface at a smaller depth than
 they would with the full matcher set; the limit is unchanged.
 
-Every mode matches only the maximal values of the argument's set, not
-the whole down-closed set, and loses no matcher by it. Patterns are linear
+Every mode matches only the maximal values of the argument's set, the
+members of its antichain, and loses no matcher by it. Patterns are linear
 total constructor terms, so matching is upward closed (if t matches and
 t <= t', t' matches) and order-reflecting (p.theta <= p.sigma iff
 theta <= sigma). Every matcher's value lies below a maximal value, which
@@ -73,10 +89,11 @@ depth at which a value first surfaces, not the limit.
 The built-ins are evaluated without their rules. `?` passes both
 arguments singularly in every mode, and its rules X ? Y -> X and
 X ? Y -> Y make one pick per maximal value t of either side, whose body is
-t itself. t is function-free, so its set at any depth is down_closure(t).
-Value sets are down-closed, so the union of those closures over the
-maximal t of values(e1, k-1) is that set itself. Hence, at every k >= 1
-and in every mode, values(e1 ? e2, k) = values(e1, k-1) | values(e2, k-1).
+t itself. t is function-free, so its antichain at any depth is {t}, and
+the maximal elements of the union of those over the maximal t of
+values(e1, k-1) are that antichain itself. Hence, at every k >= 1 and in
+every mode, values(e1 ? e2, k) is the maximal elements of
+values(e1, k-1) | values(e2, k-1).
 The rule if tt then E -> E likewise gives values(if_then(c, e), k) =
 values(e, k-1) when tt is in values(c, k-1), and {_|_} otherwise; both
 give {_|_} at k = 0. Programs can neither redefine nor annotate the
@@ -103,17 +120,6 @@ come out as they would without the caches. Each cache lives and dies with
 its enumerator. values keeps the old object for a set that did not change
 from one depth to the next, so a call whose arguments stopped changing
 finds its choices and bodies at once.
-
-Constructor sets are shared by the whole process. A constructor
-application's set {_|_} | c(S1 x ... x Sn) reads nothing but c and its
-children's sets Si: not the program, the mode, the depth or the
-enumerator. So terms.constructor_closure builds it once per (c, S1..Sn)
-for every enumerator, and down_closure builds a function-free
-expression's set from the same table. Equal child sets give the one cached
-object, so a constructor whose children's sets did not change from one
-depth to the next gets the previous depth's object back, with no shortcut
-of its own. Under a budget each of these sets is sized before it is built,
-and trips the budget in the same values call as the built set would.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
@@ -163,8 +169,7 @@ from .terms import (
     Term,
     app,
     apply_subst,
-    closure_size,
-    constructor_closure,
+    approx_leq,
     down_closure,
     match_value,
     term_key,
@@ -191,37 +196,47 @@ _BOTTOM_ONLY: FrozenSet[Term] = frozenset((BOT,))
 _TT = app("tt")
 
 
-def _maximal_terms(terms) -> List[Term]:
-    """Maximal elements of a value set under approximation.
+def _rank(t: Term) -> tuple:
+    # heaviest first, so that derivations do not depend on set order
+    return (-t.weight, term_key(t))
 
-    Heavy-to-light sweep with domination tested as membership in the
-    kept terms' down-closures: one hash lookup instead of a tree walk,
-    which matters because value sets are down-closed and huge while their
-    generator antichain stays small.  Weight (non-bottom node count)
-    strictly decreases along proper approximation, so every dominator
-    precedes its victims and one sweep suffices. Terms of equal weight
-    never dominate each other, so the kept set does not depend on how the
-    sweep orders them; it is returned in canonical order, heaviest first,
-    so that derivations do not depend on set iteration order.
-    """
-    pool = sorted(terms, key=lambda t: -t.weight)
-    kept: List[Term] = []
-    closures: List[frozenset] = []
-    for t in pool:
-        if not any(t in dc for dc in closures):
-            kept.append(t)
-            closures.append(down_closure(t))
-    kept.sort(key=lambda t: (-t.weight, term_key(t)))
-    return kept
+
+def maximal_terms(terms: FrozenSet[Term]) -> FrozenSet[Term]:
+    """The maximal elements of a set of values under approximation.
+
+    A total value lies below no other, and proper approximation keeps the
+    root symbol and lowers the weight (non-bottom node count). So only
+    partial members are tested, each against the heavier members with its
+    root; _|_ is kept only alone."""
+    if all(t.total for t in terms):
+        return terms
+    by_root: Dict[str, List[Term]] = {}
+    for t in terms:
+        if t.kind == APP:
+            by_root.setdefault(t.name, []).append(t)
+    dominated = [
+        t for t in terms if not t.total and (len(terms) > 1 if t is BOT else any(
+            u.weight > t.weight and approx_leq(t, u) for u in by_root[t.name]
+        ))
+    ]
+    return terms.difference(dominated) if dominated else terms
+
+
+def _holds(antichain: FrozenSet[Term], value: Term) -> bool:
+    """Whether the down-closed set the antichain stands for holds value."""
+    return value in antichain or (
+        not value.total and any(approx_leq(value, t) for t in antichain)
+    )
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when an enumeration outgrows the enumerator's value budget.
 
     Only enumerators constructed with a budget raise this; interactive use
-    runs unbudgeted. A constructor or function-free set is sized before it
-    is built, so an overflow builds no set it cannot keep. The sets
-    memoized before the overflow stay valid."""
+    runs unbudgeted. The budget counts maximal values: the members of one
+    memoized antichain. A constructor's set is sized before it is built,
+    so an overflow builds no set it cannot keep. The sets memoized before
+    the overflow stay valid."""
 
 
 # guard on the beta path over two or more variables, the only one that
@@ -408,10 +423,9 @@ class Enumerator:
         got = self._memo.get(key)
         if got is not None:
             return got
-        # a function-free expression is its own down-closure at every depth
+        # a function-free expression is its own maximal value at every depth
         if self._constant(expr):
-            self._fit(closure_size(expr))
-            result = down_closure(expr)
+            result = frozenset((expr,))
         elif self.sig.is_function(expr.name):
             result = self._call_values(expr, k)
             self._fit(len(result))
@@ -432,8 +446,8 @@ class Enumerator:
             )
 
     def _call_values(self, expr, k):
-        # the built-ins natively, by the down-closure argument in the
-        # module docstring; every other call through its picks
+        # the built-ins natively, by the argument in the module docstring;
+        # every other call through its picks
         if k > 0 and expr.name == "?":
             return self._union([self.values(c, k - 1) for c in expr.children])
         if k > 0 and expr.name == "if_then":
@@ -459,14 +473,14 @@ class Enumerator:
         ckey = frozenset(uniq)
         result = self._union_cache.get(ckey)
         if result is None:
-            result = frozenset().union(*uniq)
+            result = maximal_terms(frozenset().union(*uniq))
             self._union_cache[ckey] = result
         return result
 
     def _constructor_values(self, expr, k):
-        child_sets = tuple(self.values(c, k) for c in expr.children)
-        self._fit(1 + prod(map(len, child_sets)))
-        return constructor_closure(expr.name, child_sets)
+        child_sets = [self.values(c, k) for c in expr.children]
+        self._fit(prod(map(len, child_sets)))
+        return frozenset(app(expr.name, combo) for combo in product(*child_sets))
 
     def _unfold(self, expr, k):
         """Every rule of the call expr at depth k, in evaluation order:
@@ -532,7 +546,7 @@ class Enumerator:
         # the maximal matchers are the matchers of the maximal values
         top = self._max_cache.get(vset)
         if top is None:
-            top = self._max_cache[vset] = _maximal_terms(vset)
+            top = self._max_cache[vset] = sorted(vset, key=_rank)
         maximal = [m for t in top if (m := match_value(pattern, t)) is not None]
         if not maximal:
             return []
@@ -573,7 +587,7 @@ class Enumerator:
                 "%d matchers for one argument overrun the budget" % len(below)
             )
         cuts = sorted(
-            (tuple(_maximal_terms(column) for column in columns)
+            (tuple(sorted(maximal_terms(column), key=_rank) for column in columns)
              for columns in maximal_products(below)),
             key=lambda cut: [[term_key(t) for t in column] for column in cut],
         )
@@ -598,7 +612,7 @@ class Enumerator:
         if expr.kind == APP and self.sig.is_function(expr.name):
             for rule, per_arg, bodies in self._unfold(expr, k):
                 for pick, inst in zip(product(*per_arg), bodies):
-                    if value in self.values(inst, k - 1):
+                    if _holds(self.values(inst, k - 1), value):
                         theta = DisjSubst.join([ds for _, ds in pick])
                         choices = tuple(c for c, _ in pick)
                         kids = [
@@ -675,8 +689,8 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
 
 
 class DenotationStream:
-    """Deduplicated value stream: strata by increasing depth, canonical
-    term order within a stratum. `swept` is the deepest depth swept so
+    """Deduplicated stream of maximal values: strata by increasing depth,
+    canonical term order within a stratum. `swept` is the deepest depth swept so
     far, -1 before the first sweep. `complete` is set when the stream
     proved at depth `swept` that it can never yield more (fixpoint), as
     opposed to hitting the bound."""
@@ -725,7 +739,7 @@ class DenotationStream:
         makes, of `?` and `if_then` bodies no sweep evaluates, are dropped,
         so the memo and memo_entries stay what the sweeps make."""
         enum, memo = self.enum, self.enum._memo
-        depth = next(d for d in range(self.swept + 1) if value in memo[(self.expr, d)])
+        depth = next(d for d in range(self.swept + 1) if _holds(memo[(self.expr, d)], value))
         size = len(memo)
         trace = enum.build_trace(self.expr, depth, value)
         for key in list(islice(reversed(memo), len(memo) - size)):

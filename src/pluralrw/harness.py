@@ -32,6 +32,7 @@ from .calculi import (
     DenotationStream,
     EnumConfig,
     Enumerator,
+    maximal_terms,
 )
 from .disjsubst import image_of, is_compressible
 from .rewriting import ReachStream, total_cterms
@@ -229,11 +230,12 @@ VALUE_CAP = 2_000
 
 
 def _denotation(program, mode, expr, depth, cap=VALUE_CAP):
-    """Value set at the depth bound, whether the stream proved its fixpoint
-    (the set is the whole denotation), and whether the enumeration was
-    abandoned because it outgrew the cap. A capped set is still a sound
-    subset of the real one, but proves nothing about what the semantics
-    cannot reach."""
+    """The maximal values the stream yielded up to the depth bound, whether
+    it proved its fixpoint (everything below the yields is then the whole
+    denotation), and whether the enumeration was abandoned because it
+    outgrew the cap, which counts the yields and each memoized antichain.
+    A capped set is still a sound subset of the real one, but proves
+    nothing about what the semantics cannot reach."""
     enum = Enumerator(program, mode, value_budget=cap)
     stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
     got: List[Term] = []
@@ -347,12 +349,15 @@ class _Judge:
 
     def equal(self, pair: str, a: _Side, b: _Side) -> None:
         """a and b have one denotation, judged only where both sets are
-        proven complete at the same scale."""
+        proven complete at the same scale. A side's denotation is what lies
+        below its yields, which can hold comparable values, as bounded sets
+        are not monotone in depth. The denotations differ exactly when a
+        maximal value of all the yields came from one side only."""
         for f in _GROW_FACTORS:
             got_a, complete_a, capped_a = a.at(f)
             got_b, complete_b, capped_b = b.at(f)
             if complete_a and complete_b:
-                self.condemn(pair, got_a ^ got_b)
+                self.condemn(pair, maximal_terms(got_a | got_b) - (got_a & got_b))
                 return
             if capped_a or capped_b:
                 break
@@ -630,13 +635,19 @@ def _parse_seeds(text: str) -> List[int]:
     return [int(text)]
 
 
+def _depth(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("needs a non-negative integer, not %r" % text)
+    return int(text)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pluralrw-harness",
         description="differential checks over randomly generated programs",
     )
     parser.add_argument("--seeds", default="1..20", help="seed range A..B or a single seed")
-    parser.add_argument("--depth", type=int, default=4, help="enumeration depth bound")
+    parser.add_argument("--depth", type=_depth, default=4, help="enumeration depth bound")
     parser.add_argument("--suite", choices=SUITES, default="hierarchy")
     args = parser.parse_args(argv)
     try:

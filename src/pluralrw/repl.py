@@ -177,8 +177,9 @@ class Session:
         if not rest:
             raise CommandError("load needs a file path")
         try:
-            text = open(rest).read()
-        except OSError as exc:
+            with open(rest, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise CommandError("cannot read %s: %s" % (rest, exc))
         try:
             program = parse_program(text)
@@ -376,8 +377,9 @@ class Session:
 
 def _run_script(session: Session, path: str) -> int:
     try:
-        text = open(path).read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print("Error: cannot read %s: %s" % (path, exc), file=sys.stderr)
         return 1
     for line in text.splitlines():

@@ -7,14 +7,13 @@ function is not a property of the tree; it is decided by the Signature the
 term is used with, so the same term values can be shared freely between
 programs.
 
-Terms are interned: structurally equal terms are the same object. Equality
-is therefore identity, and the hash, that of (kind, name, children), is
-computed once. Frequently needed facts (depth, size, weight, variable set,
-applied symbols, totality) are stored on the node at construction time,
-in one pass over its children. The canonical sort key is built the first
-time the term is sorted (`term_key`): the rewriting engine never sorts its
-states. This is what keeps the enumerator and the rewrite search
-affordable. Interning is not thread safe; build terms from one thread and
+Terms are interned: structurally equal terms are the same object, so
+equality and the hash are those of identity. Frequently needed facts
+(depth, size, weight, variable set, applied symbols, totality) are stored
+on the node at construction time, in one pass over its children. The
+canonical sort key is built the first time the term is sorted
+(`term_key`): the rewriting engine never sorts its states. This is what
+keeps the enumerator and the rewrite search affordable. Interning is not thread safe; build terms from one thread and
 share them read-only afterwards.
 
 The intern table holds one dict per node kind, from name to a dict keyed
@@ -22,18 +21,17 @@ by the children tuple that the term itself keeps, so a term costs one
 probe and no object besides itself and its children tuple. A variable and
 a constant of the same name live under different kinds and stay distinct.
 
-Four tables live as long as the process and never shrink: the intern
+Three tables live as long as the process and never shrink: the intern
 table, one object per distinct variable or symbol set (so a full garbage
 collection scans no per-term copy; each symbol name also maps to its
-singleton set there), the down-closure of each term, and the constructor
-closure of each (name, child sets). Both closures depend on nothing but
-their key, so every program, mode and enumerator shares them.
+singleton set there), and the down-closure of each term asked for one. A
+down-closure depends on nothing but its term, so every program, mode and
+enumerator shares it.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import prod
 from typing import Mapping, Optional, Sequence
 
 BOTTOM, VAR, APP = 0, 1, 2
@@ -51,7 +49,6 @@ class Term:
         "varset",
         "symbols",
         "_key",
-        "_hash",
     )
 
     kind: int
@@ -63,9 +60,6 @@ class Term:
     total: bool
     varset: frozenset
     symbols: frozenset
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:  # debugging aid, not the surface printer
         if self.kind == BOTTOM:
@@ -150,7 +144,6 @@ def _make(kind: int, name: str, children: tuple) -> Term:
         t.total = False
         t.varset = t.symbols = _EMPTY
         t._key = (0, 0)
-    t._hash = hash((kind, name, children))
     table[children] = t
     return t
 
@@ -200,27 +193,11 @@ def approx_leq(a: Term, b: Term) -> bool:
 
 
 _DC_CACHE: dict = {}
-_CC_CACHE: dict = {}
-
-
-def constructor_closure(name: str, sets: tuple) -> frozenset:
-    """{_|_} together with name(t1..tn) for every ti in the i-th set.
-
-    Built once per process for each (name, sets): equal child sets give
-    one object. Interning makes distinct tuples distinct terms, none of
-    them _|_, so it has exactly 1 + the product of the set sizes members.
-    """
-    key = (name, sets)
-    got = _CC_CACHE.get(key)
-    if got is None:
-        out = {BOT}
-        out.update(_make(APP, name, combo) for combo in product(*sets))
-        got = _CC_CACHE[key] = frozenset(out)
-    return got
 
 
 def down_closure(t: Term) -> frozenset:
-    """All terms below t in the approximation ordering.
+    """All terms below t in the approximation ordering: _|_, and the root
+    over every choice from its children's down-closures.
 
     Exponential in the size of t; memoized on the interned term so shared
     subterms pay once.
@@ -231,18 +208,12 @@ def down_closure(t: Term) -> frozenset:
         return frozenset((BOT, t))
     got = _DC_CACHE.get(t)
     if got is None:
-        got = _DC_CACHE[t] = constructor_closure(
-            t.name, tuple(down_closure(c) for c in t.children)
+        out = {BOT}
+        out.update(
+            _make(APP, t.name, combo) for combo in product(*map(down_closure, t.children))
         )
+        got = _DC_CACHE[t] = frozenset(out)
     return got
-
-
-def closure_size(t: Term) -> int:
-    """len(down_closure(t)), without building it."""
-    if t.kind != APP:
-        return 1 if t is BOT else 2
-    got = _DC_CACHE.get(t)
-    return len(got) if got is not None else 1 + prod(map(closure_size, t.children))
 
 
 def apply_subst(t: Term, mapping: Mapping[str, Term]) -> Term:

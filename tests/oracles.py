@@ -9,6 +9,7 @@ import random
 import sys
 from collections import deque
 from itertools import product
+from math import prod
 
 from pluralrw.calculi import (
     _MATCHER_GUARD,
@@ -33,6 +34,7 @@ from pluralrw.terms import (
     VAR,
     app,
     apply_subst,
+    approx_leq,
     down_closure,
     match_value,
     replace_at,
@@ -191,13 +193,18 @@ def reference_find_path(program, start, target, bound):
     return None
 
 
+def down_closed(antichain):
+    """The down-closed value set an enumerator's antichain stands for."""
+    return frozenset().union(*map(down_closure, antichain))
+
+
 # ---- calculi: the singular and alpha-plural matcher choice as it was
 # before only the maximal values were matched ----
 
 
 def reference_maximal_matchers(pattern, dom, vset):
-    """The maximal matchers of a value set restricted to dom: match every
-    value of the down-closed set, restrict each matcher, keep the maximal
+    """The maximal matchers of a down-closed value set restricted to dom:
+    match every value of the set, restrict each matcher, keep the maximal
     ones."""
     matchers = []
     for t in vset:
@@ -223,7 +230,7 @@ ORACLE_MATCHERS = 12
 
 def reference_beta_choices(pattern, dom, vset, budget):
     """(matchers, ?-combination) pairs of a beta-plural argument: match
-    every value of the down-closed set, restrict, deduplicate, then
+    every value of a down-closed set, restrict, deduplicate, then
     ?-combine every compressible subset, of any size, and deduplicate
     again. Gives up past ORACLE_MATCHERS matchers."""
     if pattern.kind == VAR and pattern.name not in dom:
@@ -260,13 +267,14 @@ def reference_beta_choices(pattern, dom, vset, budget):
 
 class AllSubsetsEnumerator(Enumerator):
     """Each beta-plural argument passes every compressible subset of all
-    the matchers of its whole value set (reference_beta_choices); the
-    other arguments choose as the package does."""
+    the matchers of its whole down-closed value set
+    (reference_beta_choices); the other arguments choose as the package
+    does."""
 
     def _choose(self, pattern, dom, singular, vset):
         if singular or self._alpha:
             return super()._choose(pattern, dom, singular, vset)
-        return reference_beta_choices(pattern, dom, vset, self._budget)
+        return reference_beta_choices(pattern, dom, down_closed(vset), self._budget)
 
 
 # ---- calculi: the built-ins unfolded through their rules, as they were
@@ -320,15 +328,43 @@ class UncachedEnumerator(Enumerator):
                     yield DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs)
 
 
-# ---- calculi: constructor sets built per enumerator, as they were before
-# the process shared them ----
+# ---- calculi: every value set kept down-closed, as it was before the
+# memo kept only its maximal antichain ----
 
 
-class IncrementalProductEnumerator(Enumerator):
-    """Each constructor set is built term by term, counting the budget
-    while it grows, unless every child's set is the object it was one depth
-    down, which hands back the previous depth's set; a function-free
-    expression's set is built in full before the budget sees it."""
+def closure_size(t):
+    """len(down_closure(t)), without building it."""
+    if t.kind != APP:
+        return 1 if t is BOT else 2
+    return 1 + prod(map(closure_size, t.children))
+
+
+def sweep_maximal_terms(terms):
+    """Maximal elements of a down-closed value set: a heavy-to-light sweep
+    with domination tested as membership in the kept terms'
+    down-closures. Weight strictly decreases along proper approximation,
+    so every dominator precedes its victims."""
+    kept = []
+    closures = []
+    for t in sorted(terms, key=lambda t: -t.weight):
+        if not any(t in dc for dc in closures):
+            kept.append(t)
+            closures.append(down_closure(t))
+    return frozenset(kept)
+
+
+class DownClosedEnumerator(Enumerator):
+    """Every memoized set holds all of its values, not only the maximal
+    ones: a function-free expression's set is its down-closure, a
+    constructor's is _|_ and the root over the product of its children's
+    sets, and a `?` or call unions its parts. Matching reads the maximal
+    values, found by sweep_maximal_terms. The budget counts the members of
+    the down-closed sets, and a function-free or constructor set is sized
+    before it is built."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tops = {}
 
     def values(self, expr, k):
         key = (expr, k)
@@ -336,37 +372,32 @@ class IncrementalProductEnumerator(Enumerator):
         if got is not None:
             return got
         if self._constant(expr):
+            self._fit(closure_size(expr))
             result = down_closure(expr)
         elif self.sig.is_function(expr.name):
             result = self._call_values(expr, k)
+            self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        if self._budget is not None and len(result) > self._budget:
-            raise BudgetExceeded(
-                "value set of size %d exceeds the budget %d" % (len(result), self._budget)
-            )
         prev = self._memo.get((expr, k - 1)) if k > 0 else None
         if prev is not result and prev == result:
             result = prev
         self._memo[key] = result
         return result
 
+    def _union(self, parts):
+        return frozenset((BOT,)).union(*parts)
+
     def _constructor_values(self, expr, k):
         child_sets = [self.values(c, k) for c in expr.children]
-        if k > 0:
-            prev = self._memo.get((expr, k - 1))
-            if prev is not None and all(
-                cs is self._memo.get((c, k - 1))
-                for cs, c in zip(child_sets, expr.children)
-            ):
-                return prev
-        out = {BOT}
-        budget = self._budget
-        for combo in product(*child_sets):
-            out.add(app(expr.name, combo))
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded("constructor product exceeds the budget")
-        return frozenset(out)
+        self._fit(1 + prod(map(len, child_sets)))
+        return frozenset((BOT,)).union(app(expr.name, combo) for combo in product(*child_sets))
+
+    def _choose(self, pattern, dom, singular, vset):
+        top = self._tops.get(vset)
+        if top is None:
+            top = self._tops[vset] = sweep_maximal_terms(vset)
+        return super()._choose(pattern, dom, singular, top)
 
 
 # ---- calculi: the fixpoint check over the whole support, as it was
@@ -421,7 +452,7 @@ def derives(program, mode, expr, target, cfg):
     or None. The derivation uses the least sufficient depth."""
     stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth))
     for value in stream:
-        if value == target:
+        if approx_leq(target, value):
             return stream.derivation(target)
     return None
 
@@ -453,13 +484,13 @@ def runtime_denotation(program, expr, bound=DEFAULT_BOUND, totals_only=True):
 
 
 def values_at(program, mode, expr, depth, totals_only=False, enum=None):
-    """The value set at one exact depth."""
+    """The down-closed value set at one exact depth, or its totals."""
     if enum is None:
         enum = Enumerator(program, mode)
     got = enum.values(expr, depth)
     if totals_only:
         return frozenset(t for t in got if t.total)
-    return got
+    return down_closed(got)
 
 
 def saturated_at(stream):

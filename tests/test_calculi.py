@@ -41,6 +41,7 @@ from pluralrw.terms import (
     BOT,
     VAR,
     app,
+    approx_leq,
     down_closure,
     match_value,
     replace_at,
@@ -50,17 +51,19 @@ from pluralrw.terms import (
 
 from oracles import (
     AllSubsetsEnumerator,
-    IncrementalProductEnumerator,
+    DownClosedEnumerator,
     OracleGaveUp,
     PickedBuiltinsEnumerator,
     SupportWideEnumerator,
     UncachedEnumerator,
     derives,
+    down_closed,
     positions,
     reference_maximal_matchers,
     saturated_at,
     saturates,
     shell,
+    sweep_maximal_terms,
     values_at,
 )
 
@@ -274,7 +277,7 @@ def test_value_sets_grow_monotonically_with_depth(e):
         enum = Enumerator(P1, mode)
         previous = frozenset()
         for depth in range(5):
-            current = enum.values(e, depth)
+            current = down_closed(enum.values(e, depth))
             assert previous <= current
             previous = current
 
@@ -282,10 +285,14 @@ def test_value_sets_grow_monotonically_with_depth(e):
 @given(exprs)
 @settings(max_examples=40, deadline=None)
 def test_value_sets_are_down_closed(e):
+    # each memo entry is an antichain, and the set it stands for is the
+    # down-closed set the enumerator that keeps every value builds
     for mode in (CALL_TIME, ALPHA, BETA):
-        got = values_at(P1, mode, e, 3)
-        for t in got:
-            assert down_closure(t) <= got
+        got = Enumerator(P1, mode).values(e, 3)
+        assert not any(s is not t and approx_leq(s, t) for s in got for t in got)
+        want = DownClosedEnumerator(P1, mode).values(e, 3)
+        assert all(down_closure(t) <= want for t in want)
+        assert down_closed(got) == want
 
 
 @given(exprs, st.data())
@@ -449,7 +456,7 @@ def test_replay_rejects_trace_from_wrong_mode():
 
 def test_shared_enumerator_memo_is_consistent():
     enum = Enumerator(EP3, BETA)
-    direct = values_at(EP3, BETA, ex(EP3, "g(d(0,0)?d(1,1))"), 8)
+    direct = Enumerator(EP3, BETA).values(ex(EP3, "g(d(0,0)?d(1,1))"), 8)
     warm = enum.values(ex(EP3, "h(d(0,0)?d(1,1))"), 8)
     again = enum.values(ex(EP3, "g(d(0,0)?d(1,1))"), 8)
     assert again == direct
@@ -522,10 +529,30 @@ def _harness_programs(seeds):
     yield 19, program
 
 
+# a value budget at which a few antichains of harness programs still trip,
+# so that the gates below cover the budget path: at VALUE_CAP none does
+TRIP_BUDGET = 50
+
+
+def test_an_antichain_over_the_budget_raises():
+    # each copy of X picks its own alternative: 5**5 maximal values, all
+    # total, at the depth that proves them
+    p = prog("g is plural .\ng(X) -> p(X,X,X,X,X) .")
+    e = ex(p, "g(a ? b ? c ? d ? e)")
+
+    def stream(budget):
+        return DenotationStream(Enumerator(p, BETA, value_budget=budget), e, EnumConfig(depth=None))
+
+    whole = stream(5 ** 5)
+    assert sum(t.total for t in whole) == 5 ** 5 and whole.complete
+    with pytest.raises(BudgetExceeded, match="value set of size 3125 exceeds the budget 3124"):
+        list(stream(5 ** 5 - 1))
+
+
 def test_every_value_of_harness_programs_has_a_replayable_derivation():
-    # sets past the harness's value cap are skipped, as the harness
-    # refuses them: seed 23's f2(f2(0)) outgrows it in every mode but
-    # the two pure plural ones
+    # sets past the budget are skipped, as the harness refuses them: seed
+    # 23's f2(f2(0)) outgrows it in every mode but the two pure plural
+    # ones, with 110 maximal values against their 13
     cfg = EnumConfig(depth=3)
     skipped = 0
     for seed, program in _harness_programs(range(1, 31)):
@@ -534,7 +561,7 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation():
             expr = gen_ground_expr(program, rng, 2)
             for mode in MODES:
                 try:
-                    got = Enumerator(program, mode, value_budget=VALUE_CAP).values(expr, 3)
+                    got = Enumerator(program, mode, value_budget=TRIP_BUDGET).values(expr, 3)
                 except BudgetExceeded:
                     skipped += 1
                     continue
@@ -547,10 +574,10 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation():
 
 class _CheckedChoices(Enumerator):
     """An enumerator that checks every singular and alpha-plural matcher
-    choice against the reference, which matches the whole down-closed
-    value set, as the same maximal matchers. `pruned` counts the choices
-    whose restricted matchers of the maximal values were not yet an
-    antichain. Beta-plural choices pass fewer sets than the reference's
+    choice against the reference, which matches every value of the
+    down-closed set the antichain stands for, as the same maximal
+    matchers. `pruned` counts the choices whose restricted matchers of the
+    maximal values were not yet an antichain. Beta-plural choices pass fewer sets than the reference's
     every compressible subset; they are checked by their denotations
     (test_maximal_products_prove_what_every_compressible_subset_proves)."""
 
@@ -560,7 +587,7 @@ class _CheckedChoices(Enumerator):
         if not (singular or self._alpha):
             return super()._choices(pattern, dom, singular, vset)
         got = super()._choices(pattern, dom, singular, vset)
-        want = reference_maximal_matchers(pattern, dom, vset)
+        want = reference_maximal_matchers(pattern, dom, down_closed(vset))
         frozen = {frozenset(m.items()) for m in want}
         if not want:
             assert got == []
@@ -670,15 +697,15 @@ def test_native_builtins_agree_with_unfolding_their_rules():
     capped = 0
     for program, expr, depths in _builtin_cases():
         for mode in MODES:
-            native = Enumerator(program, mode, value_budget=VALUE_CAP)
-            picked = PickedBuiltinsEnumerator(program, mode, value_budget=VALUE_CAP)
+            native = Enumerator(program, mode, value_budget=TRIP_BUDGET)
+            picked = PickedBuiltinsEnumerator(program, mode, value_budget=TRIP_BUDGET)
             got = _sweeps(native, expr, depths)
             assert got == _sweeps(picked, expr, depths), (format_term(expr), mode)
             for key, vset in native._memo.items():
                 assert picked._memo[key] == vset, (format_term(key[0]), key[1], mode)
             capped += got[-1] is None
     # pinned, so that a change to the inputs shows
-    assert capped == 8
+    assert capped == 3
 
 
 # the paper queries in the modes where both enumerators prove a fixpoint
@@ -728,14 +755,14 @@ def test_cached_choices_and_bodies_agree_with_rebuilding_them_per_call(kind):
     tripped = 0
     for program, expr, depths in _differential_cases(kind):
         for mode in MODES:
-            cached = Enumerator(program, mode, value_budget=VALUE_CAP)
-            uncached = UncachedEnumerator(program, mode, value_budget=VALUE_CAP)
+            cached = Enumerator(program, mode, value_budget=TRIP_BUDGET)
+            uncached = UncachedEnumerator(program, mode, value_budget=TRIP_BUDGET)
             got = _stream_run(cached, expr, depths[-1])
             assert got == _stream_run(uncached, expr, depths[-1]), (format_term(expr), mode)
             assert cached._memo == uncached._memo, (format_term(expr), mode)
             tripped += got[0][-1][0] == "tripped"
     # pinned, so that a change to the inputs shows; the paper queries'
-    # sweeps stop short of the value cap
+    # sweeps stop short of the budget
     assert tripped == {"plain": 3, "paper": 0}[kind]
 
 
@@ -753,33 +780,53 @@ class _TripKey:
             raise
 
 
-class _SharedProducts(_TripKey, Enumerator):
+class _Antichains(_TripKey, Enumerator):
     pass
 
 
-class _IncrementalProducts(_TripKey, IncrementalProductEnumerator):
+class _DownClosed(_TripKey, DownClosedEnumerator):
     pass
 
 
 def _kept(memo):
-    """Per memo entry (e, k): whether it is the object of (e, k-1), and
-    whether that entry was made first. values can keep only an entry made
-    first; one made later may still be the same object in the shared
-    table, which holds one object per equal constructor set."""
+    """Per memo entry (e, k) whose (e, k-1) was made first, whether it is
+    that entry's object. values can keep only an entry made first; the
+    down-closure of a function-free expression is one object per process,
+    so its entries are the same object in whatever order they were made."""
     order = {key: i for i, key in enumerate(memo)}
     return [
-        (vset is memo.get((e, k - 1)), order.get((e, k - 1), len(order)) < order[(e, k)])
+        vset is memo[(e, k - 1)]
         for (e, k), vset in memo.items()
+        if order.get((e, k - 1), len(order)) < order[(e, k)]
     ]
 
 
-def _product_cases(kind, monkeypatch):
+def _harness_asked(monkeypatch):
+    """(program, mode, expr, depth, cap) per denotation that the hierarchy,
+    pst, cab and bubbling suites ask for on seeds 1..10, 21 and 32."""
+    asked = []
+    denotation = harness._denotation
+    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
+    for suite in ("hierarchy", "pst", "cab", "bubbling"):
+        run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
+    return asked
+
+
+# the paper-denote jobs of the benchmark that PAPER_FIXPOINTS leaves out
+PAPER_JOBS = (
+    (DUNGEON, COMBINED_BETA, "escapeHow", 9),
+    (CLERKS, COMBINED_ALPHA, "nClerks(s(s(s(z))))", None),
+    (CLERKS, COMBINED_BETA, "nClerks(s(s(s(z))))", None),
+    (CLERKS, COMBINED_ALPHA, "nClerksNG(s(s(z)))", 16),
+)
+
+
+def _antichain_cases(kind, monkeypatch):
     """(program, mode, expr, depth, budget) per denotation: every one the
-    hierarchy, cab and bubbling suites ask for on seeds 1..10, where no set
-    trips the cap, and on two seeds whose sets do: in a constructor
-    (bubbling 21), and in a call and a function-free body (hierarchy 32).
-    Or the paper queries in every mode, at depth 6 under the value cap,
-    and unbounded where they prove their fixpoint."""
+    hierarchy, pst, cab and bubbling suites ask for on seeds 1..10, 21 and
+    32. Or the paper queries in every mode, at depth 6 under the value
+    cap, and the paper jobs of the benchmark, unbounded where they prove
+    their fixpoint."""
     if kind == "paper":
         for program, q in PAPER_QUERIES + MORE_PAPER_QUERIES:
             for mode in MODES:
@@ -787,45 +834,58 @@ def _product_cases(kind, monkeypatch):
         for program, q, modes in PAPER_FIXPOINTS:
             for mode in modes:
                 yield program, mode, ex(program, q), None, None
+        for program, mode, q, depth in PAPER_JOBS:
+            yield program, mode, ex(program, q), depth, None
         return
-    asked = []
-    denotation = harness._denotation
-    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
-    for suite, tripping in (("hierarchy", [32]), ("cab", []), ("bubbling", [21])):
-        run_suite(suite, list(range(1, 11)) + tripping, 4, out=lambda line: None)
-    yield from asked
+    yield from _harness_asked(monkeypatch)
+
+
+def _totals_run(run):
+    rows, complete, swept = run
+    return [row for row in rows if row[0] == "tripped" or row[1].total], complete, swept
 
 
 @pytest.mark.parametrize("kind", ("harness", "paper"))
-def test_shared_constructor_sets_agree_with_building_them_per_enumerator(kind, monkeypatch):
-    # the process-wide constructor sets, sized before they are built,
-    # against each enumerator building its own with the budget counted
-    # term by term: the same memo keys in the same order with equal sets,
-    # the same sets kept from one depth to the next (see _kept), the same
-    # strata, complete and swept, and the budget tripping in the same
-    # values call
-    cases = tripped = 0
-    for program, mode, expr, depth, budget in _product_cases(kind, monkeypatch):
-        shared = _SharedProducts(program, mode, value_budget=budget)
-        built = _IncrementalProducts(program, mode, value_budget=budget)
-        got = _stream_run(shared, expr, depth)
-        assert got == _stream_run(built, expr, depth), (format_term(expr), mode)
-        assert list(shared._memo.items()) == list(built._memo.items()), (format_term(expr), mode)
-        kept, was_kept = _kept(shared._memo), _kept(built._memo)
-        assert [a for a, first in kept if first] == [a for a, first in was_kept if first]
-        assert all(a for (a, _), (b, _) in zip(kept, was_kept) if b)
-        assert shared.tripped == built.tripped, (format_term(expr), mode)
+def test_antichains_are_the_maximal_values_of_the_down_closed_sets(kind, monkeypatch):
+    # ROADMAP aim 3: the memo of maximal antichains against the memo of
+    # whole down-closed sets, wherever neither trips its budget: the same
+    # memo keys in the same order, each antichain the maximal values of
+    # the old set, the same sets kept from one depth to the next, and the
+    # same strata of totals, complete and swept. The antichains trip
+    # their budget only where the down-closed sets do
+    cases = compared = 0
+    for program, mode, expr, depth, budget in _antichain_cases(kind, monkeypatch):
+        where = (format_term(expr), mode, depth)
+        new = _Antichains(program, mode, value_budget=budget)
+        old = _DownClosed(program, mode, value_budget=budget)
+        got = _totals_run(_stream_run(new, expr, depth))
+        want = _totals_run(_stream_run(old, expr, depth))
+        assert new.tripped is None or old.tripped is not None, where
         cases += 1
-        tripped += shared.tripped is not None
+        if old.tripped is not None:
+            continue
+        assert got == want, where
+        assert list(new._memo) == list(old._memo), where
+        for key, vset in old._memo.items():
+            assert new._memo[key] == sweep_maximal_terms(vset), where
+        assert _kept(new._memo) == _kept(old._memo), where
+        compared += 1
     # pinned, so that a change to the inputs shows
-    assert (cases, tripped) == {"harness": (201, 7), "paper": (41, 0)}[kind]
+    assert (cases, compared) == {"harness": (250, 241), "paper": (45, 45)}[kind]
+
+
+# no antichain of these harness denotations holds more than 10 values; at
+# this budget a few of them trip
+FIXPOINT_BUDGET = 4
 
 
 def _fixpoint_cases(kind, monkeypatch):
     """(program, mode, expr, depth, budget) per denotation: every one the
     hierarchy, pst, cab and bubbling suites ask for on seeds 1..10, 21
     and 32, asked as the support-wide check asks them, which escalates
-    wherever the read-closure check does. Or the paper queries where they
+    wherever the read-closure check does. Each runs under a budget of
+    FIXPOINT_BUDGET values in place of the harness's cap, which none of
+    their antichains reaches. Or the paper queries where they
     prove their fixpoint, and combined-alpha nClerksNG, which only the
     read-closure check proves by depth 16."""
     if kind == "paper":
@@ -834,13 +894,9 @@ def _fixpoint_cases(kind, monkeypatch):
                 yield program, mode, ex(program, q), None, None
         yield CLERKS, COMBINED_ALPHA, ex(CLERKS, "nClerksNG(s(s(z)))"), 16, None
         return
-    asked = []
-    denotation = harness._denotation
     monkeypatch.setattr(harness, "Enumerator", SupportWideEnumerator)
-    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
-    for suite in ("hierarchy", "pst", "cab", "bubbling"):
-        run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
-    yield from asked
+    for program, mode, expr, depth, _cap in _harness_asked(monkeypatch):
+        yield program, mode, expr, depth, FIXPOINT_BUDGET
 
 
 def _drained(enum, expr, depth):
@@ -887,7 +943,7 @@ def test_the_read_closure_check_proves_what_the_support_wide_check_proves(kind, 
         cases += 1
         tripped += new_tripped
     # pinned, so that a change to the inputs shows
-    assert (cases, earlier, tripped) == {"harness": (250, 83, 9), "paper": (12, 7, 0)}[kind]
+    assert (cases, earlier, tripped) == {"harness": (250, 83, 5), "paper": (12, 7, 0)}[kind]
 
 
 # beta-plural arguments over two and three pattern variables, which the
@@ -939,13 +995,7 @@ def _beta_cases(kind, monkeypatch):
     queries and the small ones above; or 40 calls of PRODUCTS. The last
     two run under the value cap to depth 40."""
     if kind == "harness":
-        asked = []
-        denotation = harness._denotation
-        monkeypatch.setattr(
-            harness, "_denotation", lambda *args: asked.append(args) or denotation(*args)
-        )
-        for suite in ("hierarchy", "pst", "cab", "bubbling"):
-            run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
+        asked = _harness_asked(monkeypatch)
         yield from (case for case in asked if case[1] in (BETA, COMBINED_BETA))
         return
     if kind == "paper":
@@ -990,13 +1040,15 @@ def test_maximal_products_prove_what_every_compressible_subset_proves(kind, monk
             gave_up += 1
             ref_complete = False
         if complete and ref_complete:
-            assert got == ref_got and sets[-1] == ref_sets[-1], where
+            # yields of other depths can differ below the maximal ones
+            assert down_closed(got) == down_closed(ref_got), where
+            assert sets[-1] == ref_sets[-1], where
             proven += 1
             searched += enum.searches > 0
         cases += 1
     # pinned, so that a change to the inputs shows
     assert (cases, proven, gave_up, searched) == {
-        "harness": (95, 75, 6, 0),
+        "harness": (95, 77, 6, 0),
         "paper": (26, 21, 1, 3),
         "products": (80, 76, 2, 42),
     }[kind]

@@ -4,6 +4,7 @@ import pytest
 
 from pluralrw import harness, terms
 from pluralrw.harness import SUITES, run_suite
+from pluralrw.terms import BOT, app
 
 SEEDS = (6, 8, 10)
 
@@ -39,11 +40,12 @@ def test_hierarchy_runs_clean_on_seed_76():
 
 def test_hierarchy_seed_32_builds_no_set_past_the_cap():
     # call-time f1(d(f1(1),f1(1))) reaches a function-free body whose
-    # down-closure has about 59,000 terms: sized against the cap, it trips
-    # without being built. The intern table is shared by the whole test
-    # process, so only its growth during this run is measured.
+    # down-closure has about 59,000 terms. Its antichain is the body
+    # alone, so the check is judged, and none of those terms is built.
+    # The intern table is shared by the whole test process, so only its
+    # growth during this run is measured.
     before = _interned_terms()
-    assert run_suite("hierarchy", [32], 4, out=lambda line: None) == (2, 0)
+    assert run_suite("hierarchy", [32], 4, out=lambda line: None) == (3, 0)
     assert _interned_terms() - before < 10_000
 
 
@@ -86,3 +88,30 @@ def test_deepening_computes_each_denotation_once_per_check(monkeypatch, suite, s
     assert per_check
     for calls in per_check:
         assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("depth", ("-1", "x"))
+def test_the_cli_rejects_a_depth_that_is_not_a_non_negative_integer(depth, capsys):
+    with pytest.raises(SystemExit) as stop:
+        harness.main(["--suite", "compress", "--seeds", "1", "--depth", depth])
+    assert stop.value.code == 2
+    assert "argument --depth: needs a non-negative integer" in capsys.readouterr().err
+
+
+def test_equal_compares_the_maximal_values_each_side_yielded():
+    # a bounded set need not hold the sets of lower depths, so one stream
+    # can yield c(_|_) and later c(0), and another c(0) alone: the same
+    # down-closed denotation
+    zero = app("0")
+    program = harness.gen_program(harness.GenConfig(seed=1))
+    expr = app("c", (zero,))
+
+    def side(*values):
+        return harness._Side(lambda f: (frozenset(values), True, False))
+
+    judge = harness._Judge(program, expr)
+    judge.equal("same", side(BOT, app("c", (BOT,)), expr), side(expr))
+    assert not judge.inconclusive and judge.failures == []
+    # c(_|_) is maximal on the right, but lies below c(0) on the left
+    judge.equal("differ", side(BOT, app("c", (BOT,)), expr), side(app("c", (BOT,)), app("1")))
+    assert [line.rsplit("\t", 1)[1] for line in judge.failures] == ["1", "c(0)"]

@@ -53,6 +53,26 @@ def test_load_rejects_invalid_module_and_keeps_session(tmp_path):
     assert s.execute("eval f(c(0))") == ["Result: d(0,0)"]
 
 
+def test_load_reports_a_module_that_is_not_utf8(tmp_path):
+    s = Session()
+    load(s, tmp_path, P1_BODY)
+    bad = tmp_path / "bad.plural"
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(CommandError, match="cannot read %s: .*utf-8" % bad):
+        s.execute("load %s" % bad)
+    assert s.execute("eval f(c(0))") == ["Result: d(0,0)"]
+
+
+def test_script_mode_reports_files_that_are_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.plural"
+    bad.write_bytes(b"\xff\xfe")
+    loads = tmp_path / "loads.cmd"
+    loads.write_text("load %s\n" % bad)
+    for script, unread in ((loads, bad), (bad, bad)):
+        assert main(["--run", str(script)]) == 1
+        assert "Error: cannot read %s: " % unread in capsys.readouterr().err
+
+
 def test_eval_and_more_follow_the_call_time_stream(tmp_path):
     s = Session()
     load(s, tmp_path, P1_BODY)
@@ -455,6 +475,41 @@ def test_superscript_digits_are_a_clear_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
     assert _interact(Session()) == 0
     assert "Error: depth needs a non-negative number or inf" in capsys.readouterr().out
+
+
+def test_transcripts_and_harness_verdicts_do_not_depend_on_the_hash_seed(tmp_path):
+    # terms hash by identity, so set iteration order follows memory
+    # addresses rather than the hash seed; no output may depend on it
+    script = tmp_path / "paper.cmd"
+    script.write_text(
+        "path on\nload programs/dungeon.plural\nsemantics combined-alpha\n"
+        "eval depth = inf escapeHow\n" + "more\n" * 9 + "stats\nshow path\n"
+        "semantics run-time\neval depth = 5 escapeHow\nmore\nstats\nshow path\n"
+        "load programs/clerks.plural\nsemantics beta-plural\n"
+        "eval depth = inf twoclerks\n" + "more\n" * 16 + "stats\nshow path\n"
+        "semantics combined-alpha\nengine rewrite-via-pST\neval depth = inf twoclerks\n"
+        "more\nmore\nshow path\nstats\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    runs = (
+        ["pluralrw.repl", "--run", str(script)],
+        ["pluralrw.harness", "--suite", "hierarchy", "--seeds", "21..24"],
+        ["pluralrw.harness", "--suite", "bubbling", "--seeds", "1..8"],
+    )
+    outputs = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m"] + args, cwd=root, env=env, capture_output=True,
+            )
+            for args in runs
+        ])
+    for first, second in zip(*outputs):
+        assert first.returncode == second.returncode == 0
+        assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
+    transcript = outputs[0][0].stdout.decode()
+    assert transcript.count("proven complete") == 2 and "BPOR  twoclerks =>> " in transcript
 
 
 def test_the_proving_depth_does_not_depend_on_the_hash_seed(tmp_path):
