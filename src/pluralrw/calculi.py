@@ -107,19 +107,20 @@ A DenotationStream rebuilds the derivation of a value it yielded at the
 depth it yielded it; equal memo entries give equal picks, so the stream
 gives the derivation a fresh one stopped at that depth would.
 
-Each enumerator builds an argument's matcher choices once per (pattern,
-variables used, singular, value set), and a rule's instantiated bodies,
-in the order of the choices' product, once per (rule, value sets of the
-arguments consulted). Neither cache loses or adds a value: the picks read
-nothing but the rule, the mode and those argument sets, and the mode is
-fixed per enumerator, so equal keys give equal choices
-and bodies. Every body still goes through values, so the same values calls
-happen in the same order, with the same stop at the first argument
+Each enumerator keeps three caches, which live and die with it:
+_choice_cache holds an argument's matcher choices per (pattern, variables
+used, singular, value set); _body_cache a rule's instantiated bodies, in
+the order of the choices' product, per (rule, value sets of the arguments
+consulted); _union_cache the maximal elements of the union of each set of
+distinct parts. None loses or adds a value: the picks read nothing but
+the rule, the mode and those argument sets, the mode is fixed per
+enumerator, and a union reads nothing but its parts, so equal keys give
+equal entries. Every body still goes through values, so the same values
+calls happen in the same order, with the same stop at the first argument
 without choices, and the memo, the fixpoint test and the budget trips
-come out as they would without the caches. Each cache lives and dies with
-its enumerator. values keeps the old object for a set that did not change
-from one depth to the next, so a call whose arguments stopped changing
-finds its choices and bodies at once.
+come out as they would without the caches. values keeps the old object
+for a set that did not change from one depth to the next, so a call whose
+arguments stopped changing finds its choices, bodies and union at once.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. The fixpoint test
@@ -246,18 +247,6 @@ class BudgetExceeded(RuntimeError):
 _MATCHER_GUARD = 48
 
 
-class EnumConfig:
-    """depth None means unbounded (terminates only on a proven fixpoint)."""
-
-    __slots__ = ("depth", "totals_only")
-
-    def __init__(self, depth=12, totals_only=False):
-        if depth is not None and depth < 0:
-            raise ValueError("depth must be non-negative")
-        self.depth = depth
-        self.totals_only = totals_only
-
-
 def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str, ...]:
     """How each argument of fname is passed under the mode: SG or PL."""
     # for ? and if_then this serves only build_trace, through _unfold, and
@@ -349,13 +338,9 @@ class Enumerator:
         self._or_tag = _OR_TAG[mode]
         self._rule_cache: Dict[str, list] = {}
         self._fnames = frozenset(program.signature.functions)
-        self._max_cache: Dict[FrozenSet[Term], List[Term]] = {}
         self._union_cache: Dict[FrozenSet[FrozenSet[Term]], FrozenSet[Term]] = {}
         self._choice_cache: Dict[tuple, list] = {}
         self._body_cache: Dict[tuple, Tuple[Tuple[Term, ...], bool]] = {}
-        # equal ?-combinations recur in the cached choices of many value
-        # sets; they share one object
-        self._combined: Dict[DisjSubst, DisjSubst] = {}
 
     # sweep protocol: begin_sweep, then values(root, d); where that repeats
     # the depth d-1 set, confirm_fixpoint(d) with self.root the root.
@@ -463,8 +448,9 @@ class Enumerator:
     def _union(self, parts: List[FrozenSet[Term]]) -> FrozenSet[Term]:
         # union the per-pick result sets by reference; repeated unions of
         # the same parts (the common case once low levels stabilize) come
-        # out of the cache as the same object, so the unchanged-set check
-        # in values stays an identity test instead of a big-set comparison
+        # out of _union_cache (one of the three caches the module docstring
+        # names) as the same object, so the unchanged-set check in values
+        # stays an identity test instead of a big-set comparison
         uniq = list({id(p): p for p in parts}.values())
         if not uniq:
             return _BOTTOM_ONLY
@@ -544,10 +530,8 @@ class Enumerator:
             # body ignores this argument; every value matches trivially
             return [(({},), DisjSubst({}))]
         # the maximal matchers are the matchers of the maximal values
-        top = self._max_cache.get(vset)
-        if top is None:
-            top = self._max_cache[vset] = sorted(vset, key=_rank)
-        maximal = [m for t in top if (m := match_value(pattern, t)) is not None]
+        maximal = [m for t in sorted(vset, key=_rank)
+                   if (m := match_value(pattern, t)) is not None]
         if not maximal:
             return []
         if not pattern.varset <= dom:
@@ -569,7 +553,7 @@ class Enumerator:
             ds = question_combine_set(combo)
             if ds not in seen:
                 seen.add(ds)
-                choices.append((combo, self._combined.setdefault(ds, ds)))
+                choices.append((combo, ds))
         return choices
 
     def _maximal_products(self, maximal, names):
@@ -690,15 +674,21 @@ def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
 
 class DenotationStream:
     """Deduplicated stream of maximal values: strata by increasing depth,
-    canonical term order within a stratum. `swept` is the deepest depth swept so
-    far, -1 before the first sweep. `complete` is set when the stream
-    proved at depth `swept` that it can never yield more (fixpoint), as
-    opposed to hitting the bound."""
+    canonical term order within a stratum, totals only if asked. `depth`
+    bounds the sweeps; None means unbounded (the stream then ends only on
+    a proven fixpoint). `swept` is the deepest depth swept so far, -1
+    before the first sweep. `complete` is set when the stream proved at
+    depth `swept` that it can never yield more (fixpoint), as opposed to
+    hitting the bound."""
 
-    def __init__(self, enum: Enumerator, expr: Term, cfg: EnumConfig):
+    def __init__(self, enum: Enumerator, expr: Term, depth: Optional[int],
+                 totals_only: bool = False):
+        if depth is not None and depth < 0:
+            raise ValueError("depth must be non-negative")
         self.enum = enum
         self.expr = expr
-        self.cfg = cfg
+        self.depth = depth
+        self.totals_only = totals_only
         self.swept = -1
         self._yielded: set = set()
         self._buffer: deque = deque()
@@ -717,13 +707,13 @@ class DenotationStream:
 
     def _advance(self):
         d = self.swept + 1
-        if self.cfg.depth is not None and d > self.cfg.depth:
+        if self.depth is not None and d > self.depth:
             self.done = True
             return
         self.enum.begin_sweep()
         current = self.enum.values(self.expr, d)
         fresh = current - self._yielded
-        if self.cfg.totals_only:
+        if self.totals_only:
             fresh = [t for t in fresh if t.total]
         stratum = sorted(fresh, key=term_key)
         self._yielded.update(stratum)
@@ -748,6 +738,7 @@ class DenotationStream:
         return trace
 
 
-def enumerate_values(program: Program, mode: str, expr: Term, cfg: EnumConfig) -> DenotationStream:
-    return DenotationStream(Enumerator(program, mode), expr, cfg)
+def enumerate_values(program: Program, mode: str, expr: Term, depth: Optional[int],
+                     totals_only: bool = False) -> DenotationStream:
+    return DenotationStream(Enumerator(program, mode), expr, depth, totals_only)
 

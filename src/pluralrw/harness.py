@@ -30,7 +30,6 @@ from .calculi import (
     BudgetExceeded,
     CALL_TIME,
     DenotationStream,
-    EnumConfig,
     Enumerator,
     maximal_terms,
 )
@@ -237,7 +236,7 @@ def _denotation(program, mode, expr, depth, cap=VALUE_CAP):
     A capped set is still a sound subset of the real one, but proves
     nothing about what the semantics cannot reach."""
     enum = Enumerator(program, mode, value_budget=cap)
-    stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
+    stream = DenotationStream(enum, expr, depth)
     got: List[Term] = []
     try:
         for t in stream:
@@ -251,10 +250,6 @@ def _denotation(program, mode, expr, depth, cap=VALUE_CAP):
 
 def _totals(terms: FrozenSet[Term]) -> FrozenSet[Term]:
     return frozenset(t for t in terms if t.total)
-
-
-def _sorted_missing(missing) -> List[Term]:
-    return sorted(missing, key=lambda t: (t.depth, term_key(t)))
 
 
 NODE_CAP = 20_000
@@ -326,7 +321,7 @@ class _Judge:
         self.inconclusive = False
 
     def condemn(self, pair: str, missing) -> None:
-        for t in _sorted_missing(missing):
+        for t in sorted(missing, key=term_key):
             self.failures.append(witness_line(self.program, self.expr, pair, t))
 
     def included(self, pair: str, small: FrozenSet[Term], big: _Side) -> None:

@@ -36,7 +36,6 @@ from .calculi import (
     COMBINED_ALPHA,
     MODES,
     DenotationStream,
-    EnumConfig,
     enumerate_values,
 )
 from .rewriting import (
@@ -243,8 +242,8 @@ class Session:
             self._search = reachable(target, expr, depth)
             self._stream = total_cterms(self._search)
         else:
-            cfg = EnumConfig(depth=depth, totals_only=True)
-            self._search = self._stream = enumerate_values(program, self.semantics, expr, cfg)
+            self._search = self._stream = enumerate_values(
+                program, self.semantics, expr, depth, totals_only=True)
         self._drained = False
         self._last_result = None
         return self._next_result("No solution.")
@@ -309,15 +308,14 @@ class Session:
         if search.complete:
             state = "proven complete at depth %d" % search.swept
         elif self._drained:
-            state = "depth bound %d reached; more may exist" % search.cfg.depth
+            state = "depth bound %d reached; more may exist" % search.depth
         else:
             state = "depth %d swept so far; more may follow" % search.swept
         return [state, "memo entries: %d" % search.enum.memo_entries]
 
     def _cmd_show_tr(self, rest: str) -> List[str]:
         self._no_args(rest, "showTr")
-        report = pst(self._require_program())
-        return format_program(report.output).splitlines()
+        return format_program(self._pst_program()).splitlines()
 
     # ---- settings ----
 

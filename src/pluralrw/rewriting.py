@@ -30,7 +30,6 @@ from .terms import (
     apply_subst,
     match_value,
     replace_at,
-    subterm_at,
 )
 
 DEFAULT_BOUND = 10_000
@@ -38,12 +37,9 @@ DEFAULT_BOUND = 10_000
 
 class RewriteStep:
     """One application of rule `rule_index` (into Program.all_rules) at
-    `position`, with `matcher` binding the rule's variables.
-
-    Internal equations, checkable against the expression it was taken
-    from:  result == replace_at(source, position, rhs·matcher)  and
-    subterm_at(source, position) == lhs·matcher.
-    """
+    `position`, with `matcher` binding the rule's variables: the subterm
+    of the source at `position` is lhs·matcher, and `result` is the source
+    with that subterm replaced by rhs·matcher."""
 
     __slots__ = ("rule_index", "position", "matcher", "result")
 
@@ -53,15 +49,6 @@ class RewriteStep:
         self.position = position
         self.matcher = matcher
         self.result = result
-
-    def replay(self, program: Program, source: Term) -> bool:
-        """Recheck both internal equations against the source expression."""
-        rule = program.all_rules[self.rule_index]
-        sub = subterm_at(source, self.position)
-        if apply_subst(rule.lhs, self.matcher) is not sub:
-            return False
-        rebuilt = replace_at(source, self.position, apply_subst(rule.rhs, self.matcher))
-        return rebuilt is self.result
 
     def __repr__(self):
         return "<step rule %d at %r>" % (self.rule_index, self.position)

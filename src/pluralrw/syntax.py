@@ -264,13 +264,12 @@ def _collect_arities(t: Term, seen: dict, diagnostics: List[str]) -> None:
 def assemble_program(
     name: str,
     raw_rules: Sequence[Tuple[Term, Term]],
-    annotations: Sequence[Tuple[str, object]] = (),
+    annotations: Sequence[Tuple[str, str]] = (),
 ) -> Program:
     """Validate raw (lhs, rhs) pairs and annotations into a Program.
 
-    Annotation values may be "singular", "plural", an s/p string, or an
-    explicit tuple over {"sg","pl"}. Raises ProgramError with the full
-    diagnostic list on any violation.
+    Annotation values may be "singular", "plural" or an s/p string. Raises
+    ProgramError with the full diagnostic list on any violation.
     """
     diagnostics: List[str] = []
     arities: dict = {}
@@ -331,22 +330,17 @@ def assemble_program(
             tags: Tuple[str, ...] = (SG,) * arity
         elif spec == "plural":
             tags = (PL,) * arity
-        elif isinstance(spec, str):
-            if not re.fullmatch(r"[sp]+", spec):
-                diagnostics.append("bad plurality annotation %r for %s" % (spec, fname))
-                continue
-            if len(spec) != arity:
-                diagnostics.append(
-                    "plurality annotation %r for %s has %d positions, %s takes %d arguments"
-                    % (spec, fname, len(spec), fname, arity)
-                )
-                continue
-            tags = tuple(SG if ch == "s" else PL for ch in spec)
+        elif not re.fullmatch(r"[sp]+", spec):
+            diagnostics.append("bad plurality annotation %r for %s" % (spec, fname))
+            continue
+        elif len(spec) != arity:
+            diagnostics.append(
+                "plurality annotation %r for %s has %d positions, %s takes %d arguments"
+                % (spec, fname, len(spec), fname, arity)
+            )
+            continue
         else:
-            tags = tuple(spec)
-            if len(tags) != arity or not all(t in (SG, PL) for t in tags):
-                diagnostics.append("bad plurality annotation %r for %s" % (spec, fname))
-                continue
+            tags = tuple(SG if ch == "s" else PL for ch in spec)
         if fname in plurality and plurality[fname] != tags:
             diagnostics.append("conflicting plurality annotations for %s" % fname)
             continue
@@ -363,16 +357,14 @@ def parse_program(text: str) -> Program:
     name = p.expect("ident").text
     p.expect("kw", "is")
     raw_rules: List[Tuple[Term, Term]] = []
-    annotations: List[Tuple[str, object]] = []
+    annotations: List[Tuple[str, str]] = []
     while not p.at("kw", "endp"):
         if p.at("eof"):
             raise p.error("missing endp")
         if p.at("ident") and p.peek(1).kind == "kw" and p.peek(1).text == "is":
             fname = p.advance().text
             p.advance()
-            if p.at("kw", "singular") or p.at("kw", "plural"):
-                annotations.append((fname, p.advance().text))
-            elif p.at("ident"):
+            if p.at("kw", "singular") or p.at("kw", "plural") or p.at("ident"):
                 annotations.append((fname, p.advance().text))
             else:
                 raise p.error("expected singular, plural, or an s/p string")

@@ -255,15 +255,6 @@ class PositionError(ValueError):
     pass
 
 
-def subterm_at(t: Term, pos: Sequence[int]) -> Term:
-    cur = t
-    for i in pos:
-        if cur.kind != APP or not (1 <= i <= len(cur.children)):
-            raise PositionError("no position %r in %r" % (tuple(pos), t))
-        cur = cur.children[i - 1]
-    return cur
-
-
 def replace_at(t: Term, pos: Sequence[int], repl: Term) -> Term:
     if not pos:
         return repl

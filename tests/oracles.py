@@ -15,7 +15,6 @@ from pluralrw.calculi import (
     _MATCHER_GUARD,
     BudgetExceeded,
     DenotationStream,
-    EnumConfig,
     Enumerator,
     enumerate_values,
 )
@@ -103,6 +102,16 @@ def reference_one_step(program, expr):
             result = replace_at(expr, pos, apply_subst(rule.rhs, m))
             steps.append(RewriteStep(idx, pos, m, result))
     return steps
+
+
+def is_reference_step(program, source, step):
+    """Whether step is one of reference_one_step's steps out of source:
+    the same rule, position, matcher and result."""
+    fields = (step.rule_index, step.position, step.matcher, step.result)
+    return any(
+        fields == (s.rule_index, s.position, s.matcher, s.result)
+        for s in reference_one_step(program, source)
+    )
 
 
 def reference_reach(program, expr, bound, node_cap=sys.maxsize, size_cap=sys.maxsize):
@@ -447,10 +456,10 @@ class SupportWideEnumerator(Enumerator):
 # ---- helpers only the tests use, over the public enumerator and stream ----
 
 
-def derives(program, mode, expr, target, cfg):
+def derives(program, mode, expr, target, depth):
     """A replayable derivation of expr =>> target within the depth bound,
     or None. The derivation uses the least sufficient depth."""
-    stream = enumerate_values(program, mode, expr, EnumConfig(cfg.depth))
+    stream = enumerate_values(program, mode, expr, depth)
     for value in stream:
         if approx_leq(target, value):
             return stream.derivation(target)
@@ -506,10 +515,10 @@ def saturated_at(stream):
     return least
 
 
-def saturates(program, mode, expr, cfg):
+def saturates(program, mode, expr, depth):
     """Least depth at which the value set has already stopped growing, if
     the bound (or a proven fixpoint) shows it stopped; None otherwise."""
-    stream = DenotationStream(Enumerator(program, mode), expr, cfg)
+    stream = DenotationStream(Enumerator(program, mode), expr, depth)
     for _ in stream:
         pass
     return saturated_at(stream)

@@ -14,7 +14,6 @@ from pluralrw.calculi import (
     _OR_TAG,
     BudgetExceeded,
     DenotationStream,
-    EnumConfig,
     Enumerator,
     enumerate_values,
     replay_trace,
@@ -325,39 +324,42 @@ def test_combined_all_plural_collapses_to_pure_modes():
 
 
 def test_saturates_ground_term_immediately():
-    assert saturates(P1, CALL_TIME, ex(P1, "0"), EnumConfig(depth=1)) == 0
+    assert saturates(P1, CALL_TIME, ex(P1, "0"), 1) == 0
 
 
 def test_saturates_after_finitely_many_unfoldings():
-    got = saturates(P1, CALL_TIME, ex(P1, "f(c(0?1))"), EnumConfig(depth=8))
+    got = saturates(P1, CALL_TIME, ex(P1, "f(c(0?1))"), 8)
     assert got is not None and 2 <= got <= 4
 
 
 def test_saturates_none_for_productive_recursion():
-    assert saturates(FROM, CALL_TIME, ex(FROM, "from(z)"), EnumConfig(depth=10)) is None
+    assert saturates(FROM, CALL_TIME, ex(FROM, "from(z)"), 10) is None
 
 
 def test_saturates_with_unbounded_depth_uses_fixpoint():
-    got = saturates(P1, ALPHA, ex(P1, "f(c(0)?c(1))"), EnumConfig(depth=None))
+    got = saturates(P1, ALPHA, ex(P1, "f(c(0)?c(1))"), None)
     assert got is not None
 
 
+def test_a_stream_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="non-negative"):
+        DenotationStream(Enumerator(P1, CALL_TIME), ex(P1, "f(c(0))"), depth=-1)
+
+
 def test_stream_yields_totals_in_stratified_canonical_order():
-    cfg = EnumConfig(depth=8, totals_only=True)
-    stream = enumerate_values(P1, CALL_TIME, ex(P1, "f(c(0?1))"), cfg)
+    stream = enumerate_values(P1, CALL_TIME, ex(P1, "f(c(0?1))"), 8, totals_only=True)
     assert list(stream) == [ex(P1, "d(0,0)"), ex(P1, "d(1,1)")]
     assert stream.complete
     assert saturated_at(stream) is not None
 
 
 def test_stream_first_value_is_bottom_when_partials_included():
-    stream = enumerate_values(P1, CALL_TIME, ex(P1, "f(c(0?1))"), EnumConfig(depth=8))
+    stream = enumerate_values(P1, CALL_TIME, ex(P1, "f(c(0?1))"), 8)
     assert next(iter(stream)) is BOT
 
 
 def test_stream_unbounded_depth_stops_at_fixpoint():
-    cfg = EnumConfig(depth=None, totals_only=True)
-    stream = enumerate_values(P1, BETA, ex(P1, "f(c(0)?c(1))"), cfg)
+    stream = enumerate_values(P1, BETA, ex(P1, "f(c(0)?c(1))"), None, totals_only=True)
     assert frozenset(stream) == tset(P1, ALL_FOUR_D)
     assert stream.complete
 
@@ -371,15 +373,14 @@ def test_stream_yields_each_value_once_though_sets_are_not_monotone():
     twice = ex(p, "c(d(c(1),c(1)))")
     enum = Enumerator(p, ALPHA)
     assert twice in enum.values(e, 2) and twice not in enum.values(e, 3)
-    stream = enumerate_values(p, ALPHA, e, EnumConfig(depth=None, totals_only=True))
+    stream = enumerate_values(p, ALPHA, e, None, totals_only=True)
     got = list(stream)
     assert stream.complete and twice in got
     assert len(got) == len(set(got)) == 18
 
 
 def test_stream_reports_bound_exhaustion():
-    cfg = EnumConfig(depth=4, totals_only=True)
-    stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), cfg)
+    stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), 4, totals_only=True)
     list(stream)
     assert stream.done and not stream.complete
     assert saturated_at(stream) is None
@@ -411,15 +412,14 @@ def test_a_stream_over_a_warmed_enumerator_gives_what_a_fresh_one_gives():
 def test_plateau_within_bound_counts_as_observed_saturation():
     # growth of from(z) stalls at odd depths; the bound only certifies
     # what it can see
-    cfg = EnumConfig(depth=3)
-    stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), cfg)
+    stream = enumerate_values(FROM, CALL_TIME, ex(FROM, "from(z)"), 3)
     list(stream)
     assert not stream.complete
     assert saturated_at(stream) == 2
 
 
 def test_derives_builds_replayable_calltime_trace():
-    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0?1))"), ex(P1, "d(0,0)"), EnumConfig(depth=8))
+    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0?1))"), ex(P1, "d(0,0)"), 8)
     assert trace is not None
     assert trace.tag == "OR"
     assert replay_trace(P1, CALL_TIME, trace)
@@ -427,29 +427,29 @@ def test_derives_builds_replayable_calltime_trace():
 
 
 def test_derives_bottom_needs_no_unfolding():
-    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0))"), BOT, EnumConfig(depth=0))
+    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0))"), BOT, 0)
     assert trace is not None and trace.tag == "B"
 
 
 def test_derives_respects_mode_distinctions():
     query = ex(EP3, "k(d(0,0)?d(1,1))")
     mixed = ex(EP3, "d(0,1)")
-    assert derives(EP3, CALL_TIME, query, mixed, EnumConfig(depth=8)) is None
-    assert derives(EP3, BETA, query, mixed, EnumConfig(depth=8)) is None
-    trace = derives(EP3, ALPHA, query, mixed, EnumConfig(depth=8))
+    assert derives(EP3, CALL_TIME, query, mixed, 8) is None
+    assert derives(EP3, BETA, query, mixed, 8) is None
+    trace = derives(EP3, ALPHA, query, mixed, 8)
     assert trace is not None and trace.tag == "APOR"
 
 
 def test_derives_beta_trace_for_component_preserving_value():
     trace = derives(
-        EP3, BETA, ex(EP3, "g(d(0,0)?d(1,1))"), ex(EP3, "l(0,0,0,0)"), EnumConfig(depth=8)
+        EP3, BETA, ex(EP3, "g(d(0,0)?d(1,1))"), ex(EP3, "l(0,0,0,0)"), 8
     )
     assert trace is not None and trace.tag == "BPOR"
     assert replay_trace(EP3, BETA, trace)
 
 
 def test_replay_rejects_trace_from_wrong_mode():
-    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0))"), ex(P1, "d(0,0)"), EnumConfig(depth=6))
+    trace = derives(P1, CALL_TIME, ex(P1, "f(c(0))"), ex(P1, "d(0,0)"), 6)
     assert trace is not None
     assert not replay_trace(P1, ALPHA, trace)
 
@@ -473,7 +473,6 @@ def _builtin_steps(node):
 
 def test_derivations_name_the_builtin_rules_in_every_mode():
     # values skips the built-in rules; build_trace and replay_trace do not
-    cfg = EnumConfig(depth=4)
     cases = (
         ("0?1", "0", BUILTIN_RULES[0]),
         ("0?1", "1", BUILTIN_RULES[1]),
@@ -481,7 +480,7 @@ def test_derivations_name_the_builtin_rules_in_every_mode():
     )
     for mode in MODES:
         for text, target, rule in cases:
-            trace = derives(P1, mode, ex(P1, text), ex(P1, target), cfg)
+            trace = derives(P1, mode, ex(P1, text), ex(P1, target), 4)
             assert trace is not None and replay_trace(P1, mode, trace), (mode, text)
             assert trace.tag == _OR_TAG[mode] and trace.rule is rule, (mode, text)
             assert trace.children[-1].source is ex(P1, target)
@@ -489,7 +488,7 @@ def test_derivations_name_the_builtin_rules_in_every_mode():
 
 def test_twoclerks_derivation_names_the_builtin_rules():
     target = ex(CLERKS, "p(maria,laura)")
-    trace = derives(CLERKS, ALPHA, ex(CLERKS, "twoclerks"), target, EnumConfig(depth=8))
+    trace = derives(CLERKS, ALPHA, ex(CLERKS, "twoclerks"), target, 8)
     assert trace is not None and replay_trace(CLERKS, ALPHA, trace)
     steps = list(_builtin_steps(trace))
     # maria and laura come from the two later branches of madrid ? vigo ? badajoz
@@ -509,7 +508,7 @@ FACTS = prog("g(a) -> t .\ng(b) -> t .")
 
 def test_replay_follows_the_rule_the_trace_names():
     # both facts agree on theta and body; only the rule tells them apart
-    trace = derives(FACTS, CALL_TIME, ex(FACTS, "g(b)"), ex(FACTS, "t"), EnumConfig(depth=2))
+    trace = derives(FACTS, CALL_TIME, ex(FACTS, "g(b)"), ex(FACTS, "t"), 2)
     assert trace is not None and replay_trace(FACTS, CALL_TIME, trace)
     assert trace.rule is FACTS.rules[1]
     trace.rule = FACTS.rules[0]
@@ -541,7 +540,7 @@ def test_an_antichain_over_the_budget_raises():
     e = ex(p, "g(a ? b ? c ? d ? e)")
 
     def stream(budget):
-        return DenotationStream(Enumerator(p, BETA, value_budget=budget), e, EnumConfig(depth=None))
+        return DenotationStream(Enumerator(p, BETA, value_budget=budget), e, None)
 
     whole = stream(5 ** 5)
     assert sum(t.total for t in whole) == 5 ** 5 and whole.complete
@@ -553,7 +552,6 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation():
     # sets past the budget are skipped, as the harness refuses them: seed
     # 23's f2(f2(0)) outgrows it in every mode but the two pure plural
     # ones, with 110 maximal values against their 13
-    cfg = EnumConfig(depth=3)
     skipped = 0
     for seed, program in _harness_programs(range(1, 31)):
         rng = random.Random(seed)
@@ -566,7 +564,7 @@ def test_every_value_of_harness_programs_has_a_replayable_derivation():
                     skipped += 1
                     continue
                 for value in sorted((t for t in got if t.total), key=term_key):
-                    trace = derives(program, mode, expr, value, cfg)
+                    trace = derives(program, mode, expr, value, 3)
                     assert trace is not None, (seed, mode, value)
                     assert replay_trace(program, mode, trace), (seed, mode, value)
     assert skipped == 3
@@ -602,8 +600,7 @@ class _CheckedChoices(Enumerator):
             assert ds == question_combine_set(want)
         _CheckedChoices.checked += 1
         if pattern.kind != VAR and not pattern.varset <= dom and want:
-            top = self._max_cache[vset]
-            matched = sum(match_value(pattern, t) is not None for t in top)
+            matched = sum(match_value(pattern, t) is not None for t in vset)
             _CheckedChoices.pruned += len(want) < matched
         return got
 
@@ -727,7 +724,7 @@ def test_native_builtins_prove_the_same_fixpoints(program, query, modes):
     for mode in modes:
         runs = []
         for cls in (Enumerator, PickedBuiltinsEnumerator):
-            stream = DenotationStream(cls(program, mode), expr, EnumConfig(depth=None))
+            stream = DenotationStream(cls(program, mode), expr, None)
             runs.append((list(stream), stream.complete, stream.swept))
         assert runs[0] == runs[1], mode
         assert runs[0][1], mode
@@ -736,7 +733,7 @@ def test_native_builtins_prove_the_same_fixpoints(program, query, modes):
 def _stream_run(enum, expr, depth):
     """(depth, value) per value the stream yields, then ("tripped",
     depth) if the budget stopped it there; and complete and swept."""
-    stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
+    stream = DenotationStream(enum, expr, depth)
     rows = []
     try:
         for value in stream:
@@ -902,7 +899,7 @@ def _fixpoint_cases(kind, monkeypatch):
 def _drained(enum, expr, depth):
     """The root's set at each depth the stream swept, what it yielded,
     whether it proved its fixpoint, and whether the budget stopped it."""
-    stream = DenotationStream(enum, expr, EnumConfig(depth=depth))
+    stream = DenotationStream(enum, expr, depth)
     got, tripped = set(), False
     try:
         got.update(stream)
@@ -1091,7 +1088,7 @@ def test_choices_and_bodies_are_built_once_per_key_on_escape_how():
     # the stream to its proof at depth 19: one chain per argument makes a
     # single depth too cheap to show the caches
     enum = _CountedWork(DUNGEON, COMBINED_BETA)
-    stream = DenotationStream(enum, ex(DUNGEON, "escapeHow"), EnumConfig(depth=None))
+    stream = DenotationStream(enum, ex(DUNGEON, "escapeHow"), None)
     for _ in stream:
         pass
     assert stream.complete

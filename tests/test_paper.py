@@ -6,7 +6,7 @@ choice at the step bounds the benchmark runs."""
 
 from itertools import permutations, product
 
-from pluralrw.calculi import ALPHA, BETA, COMBINED_ALPHA, COMBINED_BETA, EnumConfig, enumerate_values
+from pluralrw.calculi import ALPHA, BETA, COMBINED_ALPHA, COMBINED_BETA, enumerate_values
 from pluralrw.repl import Session
 from pluralrw.syntax import format_term, parse_expression, parse_program
 
@@ -50,12 +50,8 @@ NCLERKS_NG_2 = {
 
 
 def totals(program, query, depth, mode=COMBINED_ALPHA):
-    stream = enumerate_values(
-        program,
-        mode,
-        parse_expression(query, program.signature),
-        EnumConfig(depth=depth, totals_only=True),
-    )
+    expr = parse_expression(query, program.signature)
+    stream = enumerate_values(program, mode, expr, depth, totals_only=True)
     return {format_term(t) for t in stream}, stream.complete
 
 

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from oracles import derives, reference_find_path
-from pluralrw.calculi import DenotationStream, EnumConfig, Enumerator
+from pluralrw.calculi import DenotationStream, Enumerator
 from pluralrw.repl import Session
 from pluralrw.rewriting import ReachStream
 from pluralrw.syntax import format_term, parse_expression
@@ -84,10 +84,9 @@ def _rendered(start, chain):
 def test_calculi_paths_equal_a_fresh_derivation(program, semantics, depth, query):
     s = _session(program, semantics, CALCULI)
     expr = parse_expression(query, s.program.signature)
-    cfg = EnumConfig(depth=depth)
     for text, path in _results_with_paths(s, depth, query):
         value = parse_expression(text, s.program.signature)
-        assert path == derives(s.program, semantics, expr, value, cfg).render().splitlines()
+        assert path == derives(s.program, semantics, expr, value, depth).render().splitlines()
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from pluralrw.calculi import EnumConfig, Enumerator, enumerate_values
+from pluralrw.calculi import Enumerator, enumerate_values
 from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
 from pluralrw.syntax import parse_expression
+from pluralrw.transform import pst
 
 P1_BODY = "f(c(X)) -> d(X,X) ."
 
@@ -165,6 +166,23 @@ def test_show_tr_prints_the_transformed_program(tmp_path):
     assert any("match$0" in line for line in out)
     assert any("proj$0$X" in line for line in out)
     assert out[-1] == "endp"
+
+
+def test_show_tr_and_a_pst_eval_transform_the_program_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(program):
+        calls.append(program)
+        return pst(program)
+
+    monkeypatch.setattr("pluralrw.repl.pst", counted)
+    s = Session()
+    load(s, tmp_path, P1_BODY)
+    s.execute("showTr")
+    s.execute("semantics alpha-plural")
+    s.execute("engine rewrite-via-pST")
+    assert s.execute("eval f(c(0))") == ["Result: d(0,0)"]
+    assert calls == [s.program]
 
 
 def test_show_path_for_the_calculi_engine(tmp_path):
@@ -371,7 +389,7 @@ def test_stats_says_how_complete_a_calculi_eval_is(tmp_path):
     assert drain(s) == ["d(1,1)"]
     # the same stream run directly says what to expect
     expr = parse_expression("f(c(0) ? c(1))", s.program.signature)
-    stream = enumerate_values(s.program, "call-time", expr, EnumConfig(depth=None))
+    stream = enumerate_values(s.program, "call-time", expr, None)
     list(stream)
     assert stream.complete
     assert s.execute("stats") == [

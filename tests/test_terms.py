@@ -15,7 +15,6 @@ from pluralrw.terms import (
     is_linear,
     match_value,
     replace_at,
-    subterm_at,
     term_key,
     var,
 )
@@ -115,12 +114,6 @@ def test_match_value_mismatch():
     assert match_value(zero, X) is None
 
 
-def test_positions_and_subterm():
-    t = f(c(zero, one))
-    assert subterm_at(t, (1, 1)) is zero
-    assert subterm_at(t, ()) is t
-
-
 def test_replace_at():
     nine = app("9")
     assert replace_at(d(zero, one), (2,), nine) is d(zero, nine)
@@ -129,11 +122,11 @@ def test_replace_at():
 
 def test_position_errors():
     with pytest.raises(PositionError):
-        subterm_at(X, (1,))
+        replace_at(X, (1,), zero)
     with pytest.raises(PositionError):
         replace_at(d(zero, one), (3,), zero)
     with pytest.raises(PositionError):
-        subterm_at(d(zero, one), (1, 1))
+        replace_at(d(zero, one), (1, 1), zero)
 
 
 def test_signature_rejects_overlap():
