@@ -5,7 +5,7 @@ Subpackages:
   syntax     concrete syntax: lexer, parser, printer, programs
   disjsubst  disjunctive substitutions and compressibility
   calculi    denotation enumerators for the five semantics
-  rewriting  plain term rewriting engine
+  rewriting  plain term rewriting engine, call-by-need run-time sets
   transform  the plural-to-rewriting program transformation
   repl       interactive command loop
   harness    randomized differential test harness

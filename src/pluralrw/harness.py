@@ -7,8 +7,11 @@ machine-readable witness lines, one per line: program text, expression,
 semantics pair, witness term. A command line runner drives seed ranges.
 
 Every check judges by one rule. A semantics is deepened through the
-scales of _GROW_FACTORS: depth, step bound and caps all grow by the same
-factor. Any bounded set is a sound subset of its denotation, so coverage
+scales of _GROW_FACTORS: its depth and its value cap grow by the same
+factor. Run-time choice, the source programs' and the pST outputs', is
+enumerated by call-by-need (rewriting.NeedEnumerator), not by a walk
+over rewrite steps, at a depth _RUN_TIME_SCALE times the check's. Any
+bounded set is a sound subset of its denotation, so coverage
 at any scale proves an inclusion; only a set with a proven fixpoint can
 condemn one (equality needs both sides proven at the same scale). A set
 cut by a value cap stops the deepening. A check whose judgements were all
@@ -34,7 +37,7 @@ from .calculi import (
     maximal_terms,
 )
 from .disjsubst import image_of, is_compressible
-from .rewriting import ReachStream, total_cterms
+from .rewriting import NeedEnumerator
 # one_step is bound here for perfbench/layers.py, which traces it by module
 from .rewriting import one_step  # noqa: F401
 from .syntax import Program, assemble_program, format_program, format_term
@@ -221,10 +224,6 @@ def witness_line(program: Program, expr: Term, pair: str, witness: Term) -> str:
     return "\t".join((text, format_term(expr), pair, format_term(witness)))
 
 
-def program_size(program: Program) -> int:
-    return max(1, sum(r.lhs.size + r.rhs.size for r in program.rules))
-
-
 VALUE_CAP = 2_000
 
 
@@ -235,7 +234,18 @@ def _denotation(program, mode, expr, depth, cap=VALUE_CAP):
     outgrew the cap, which counts the yields and each memoized antichain.
     A capped set is still a sound subset of the real one, but proves
     nothing about what the semantics cannot reach."""
-    enum = Enumerator(program, mode, value_budget=cap)
+    return _drain(Enumerator(program, mode, value_budget=cap), expr, depth, cap)
+
+
+def _bounded_reach(program, expr, depth, cap=VALUE_CAP):
+    """The total c-terms rewriting reaches from expr, by call-by-need
+    enumeration to the depth bound, as (values, complete, capped) like
+    _denotation; the cap counts the yields, each memoized set and each
+    match list."""
+    return _drain(NeedEnumerator(program, value_budget=cap), expr, depth, cap)
+
+
+def _drain(enum, expr, depth, cap):
     stream = DenotationStream(enum, expr, depth)
     got: List[Term] = []
     try:
@@ -252,25 +262,11 @@ def _totals(terms: FrozenSet[Term]) -> FrozenSet[Term]:
     return frozenset(t for t in terms if t.total)
 
 
-NODE_CAP = 20_000
-SIZE_CAP = 256
-
-
-def _bounded_reach(program, expr, bound, node_cap=NODE_CAP):
-    """Totals reachable within the derivation-length bound by breadth-first
-    search over all rewrite steps, abandoning the walk once node_cap
-    distinct expressions were seen and one more was turned away: the
-    expressions still queued are visited for their totals but not
-    expanded. Oversized intermediate expressions are cut as well: a
-    guarded rule whose guard is stuck can grow its own call without
-    bound, and walking those chains buys nothing. complete means nothing
-    was cut, so the result is the full run-time denotation."""
-    search = ReachStream(program, expr, bound, node_cap, SIZE_CAP)
-    out = frozenset(total_cterms(search))
-    return out, not (search.exhausted or search.capped)
-
-
 _GROW_FACTORS = (1, 2, 4)
+# a run-time variable binds its argument unevaluated, so the argument's
+# unfoldings count again inside the body that uses it, where a calculus
+# binds values: run-time sets get this many times the check's depth
+_RUN_TIME_SCALE = _GROW_FACTORS[-1]
 
 
 class _Side:
@@ -298,15 +294,9 @@ def _mode_side(program, mode, expr, depth) -> _Side:
     return _Side(lambda f: _denotation(program, mode, expr, depth * f, VALUE_CAP * f))
 
 
-def _reach_side(program, expr, bound) -> _Side:
-    """The node cap grows with the scale, so a cut search is retried at the
-    next scale and never counts as capped."""
-
-    def compute(f):
-        got, complete = _bounded_reach(program, expr, bound * f, NODE_CAP * f)
-        return got, complete, False
-
-    return _Side(compute)
+def _reach_side(program, expr, depth) -> _Side:
+    return _Side(lambda f: _bounded_reach(
+        program, expr, depth * _RUN_TIME_SCALE * f, VALUE_CAP * f))
 
 
 class _Judge:
@@ -365,10 +355,9 @@ class _Judge:
 
 
 def check_hierarchy(program: Program, expr: Term, depth: int) -> CheckReport:
-    """Total values must grow along call-time, run-time, beta, alpha. The
-    run-time set uses a step bound of 2^depth times the program size."""
+    """Total values must grow along call-time, run-time, beta, alpha."""
     ct = _mode_side(program, CALL_TIME, expr, depth)
-    rt = _reach_side(program, expr, (2 ** depth) * program_size(program))
+    rt = _reach_side(program, expr, depth)
     beta = _mode_side(program, BETA, expr, depth)
     alpha = _mode_side(program, ALPHA, expr, depth)
     judge = _Judge(program, expr)
@@ -394,29 +383,21 @@ def check_cab_equivalence(program: Program, expr: Term, depth: int) -> CheckRepo
 
 def check_pst_adequacy(program: Program, expr: Term, depth: int) -> CheckReport:
     """Rewriting the transformed program must stay inside the alpha-plural
-    totals of the source, and must reach all of them when alpha proves its
-    fixpoint and the rewrite search was not cut. On uncut searches the
-    simple and optimized transforms must reach identical totals."""
+    totals of the source, and must reach all of them when both sides
+    prove their fixpoints. Where both are proven, the simple and optimized
+    transforms must reach identical totals."""
     opt = pst_optimized(program).output
     sim = pst_simple(program).output
-    # the reach is the small side of the soundness inclusion, so cutting
-    # it early is sound; the routed programs branch too wide for the full
-    # node budget to pay off
-    reached, complete = _bounded_reach(
-        opt, expr, (2 ** depth) * program_size(opt), NODE_CAP // 4
-    )
+    rt_depth = depth * _RUN_TIME_SCALE
+    reached, complete, _capped = _bounded_reach(opt, expr, rt_depth)
     alpha = _mode_side(program, ALPHA, expr, depth)
     judge = _Judge(program, expr)
     judge.included("pst-reach<=%s" % ALPHA, reached, alpha)
     if complete and alpha.at(1)[1]:  # alpha proved its fixpoint
         judge.condemn("%s<=pst-reach" % ALPHA, alpha.totals() - reached)
     if complete:
-        # the all-argument routing multiplies interleavings, and a cut
-        # search cannot be judged anyway, so give up on the differential
-        # early instead of walking the full node cap for nothing
-        plain, plain_complete = _bounded_reach(
-            sim, expr, (2 ** depth) * program_size(sim), NODE_CAP // 8
-        )
+        # an unproven set cannot be judged equal to anything
+        plain, plain_complete, _capped = _bounded_reach(sim, expr, rt_depth)
         if plain_complete:
             judge.condemn("pst-simple=pst-optimized", plain ^ reached)
     return judge.report("pst")
@@ -575,7 +556,7 @@ def run_suite(suite: str, seeds: Sequence[int], depth: int, out=None) -> Tuple[i
                 record(check_cab_equivalence(program, gen_ground_expr(program, rng), depth))
         elif suite == "pst":
             # shallow expressions: the transforms copy routed arguments, and
-            # deep nesting makes the interleaving space explode
+            # each copy of a nested choice is evaluated apart
             for _ in range(2):
                 record(check_pst_adequacy(program, gen_ground_expr(program, rng, 2), depth))
         elif suite == "bubbling":

@@ -22,7 +22,7 @@ are part of every program and are appended after the user rules.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .terms import (
     BOT,

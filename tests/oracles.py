@@ -42,6 +42,7 @@ from pluralrw.terms import (
 )
 from pluralrw.rewriting import (
     DEFAULT_BOUND,
+    ReachStream,
     RewriteStep,
     reachable,
     total_cterms,
@@ -483,13 +484,22 @@ def runtime_denotation(program, expr, bound=DEFAULT_BOUND, totals_only=True):
     of the shells of all reachable expressions, which is exponential in
     term size and meant for small terms.
     """
-    stream = reachable(program, expr, bound)
     if totals_only:
-        return frozenset(total_cterms(stream))
+        return capped_runtime_denotation(program, expr, bound)[0]
+    stream = reachable(program, expr, bound)
     out = set()
     for e, _n in stream:
         out |= down_closure(shell(e, program.signature))
     return frozenset(out)
+
+
+def capped_runtime_denotation(program, expr, bound, node_cap=sys.maxsize,
+                              size_cap=sys.maxsize):
+    """runtime_denotation's totals by a breadth-first walk under node and
+    size caps, and whether the bound or a cap cut the walk: only an uncut
+    walk has found the whole denotation."""
+    search = ReachStream(program, expr, bound, node_cap, size_cap)
+    return frozenset(total_cterms(search)), search.exhausted or search.capped
 
 
 def values_at(program, mode, expr, depth, totals_only=False, enum=None):

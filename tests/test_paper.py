@@ -1,14 +1,25 @@
 """Golden answers for the paper's two example programs: under combined
 alpha-plural semantics, the REPL's default, and under the pure
-alpha-plural, pure beta-plural and combined beta-plural modes; and, by
+alpha-plural, pure beta-plural and combined beta-plural modes; by
 rewriting in the REPL, the results and search sizes of pST and run-time
-choice at the step bounds the benchmark runs."""
+choice at the step bounds the benchmark runs; and the run-time and pST
+answers that call-by-need enumeration reaches where the REPL's walk does
+not."""
 
 from itertools import permutations, product
 
-from pluralrw.calculi import ALPHA, BETA, COMBINED_ALPHA, COMBINED_BETA, enumerate_values
+from pluralrw.calculi import (
+    ALPHA,
+    BETA,
+    COMBINED_ALPHA,
+    COMBINED_BETA,
+    DenotationStream,
+    enumerate_values,
+)
 from pluralrw.repl import Session
+from pluralrw.rewriting import NeedEnumerator
 from pluralrw.syntax import format_term, parse_expression, parse_program
+from pluralrw.transform import pst_optimized
 
 
 def load(path):
@@ -125,3 +136,41 @@ def test_run_time_escape_how_and_n_clerks_at_their_step_bounds():
         [],
         ["step bound 8 reached at 4080 expressions; more may exist"],
     )
+
+
+def need(program, query, depth):
+    """The run-time totals of a query by call-by-need enumeration, and
+    whether they are proven complete."""
+    expr = parse_expression(query, program.signature)
+    stream = DenotationStream(NeedEnumerator(program), expr, depth)
+    return {format_term(t) for t in stream}, stream.complete
+
+
+def test_pst_optimized_escape_how_reaches_every_pure_alpha_answer():
+    # the walk finds only ulysses' pair within 8 steps; call-by-need has
+    # all 33 at depth 27, unproven, as discoverHow's argument keeps growing
+    assert need(pst_optimized(DUNGEON).output, "escapeHow", 40) == (ESCAPE_HOW_ALPHA, False)
+
+
+def test_run_time_escape_how_never_combines_two_different_items():
+    # ask(aeolus, item(M)) rewrites its message to a single item, so M is
+    # one constant and combine(M, M) repeats it: run-time choice never
+    # builds combine(treasure-map,chest-code), nor polyphemus' key, and
+    # reaches 21 of the 33 pure alpha-plural answers. Each discoverHow
+    # unfolding nests a larger unevaluated argument, so nothing repeats
+    # for a fixpoint proof.
+    mixed = ("combine(treasure-map,chest-code)", "combine(chest-code,treasure-map)", "key")
+    missing = {"p(%s,%s)" % (g, m)
+               for g in ("circe", "calypso", "aeolus", "polyphemus") for m in mixed}
+    assert need(DUNGEON, "escapeHow", 40) == (ESCAPE_HOW_ALPHA - missing, False)
+
+
+def test_run_time_twoclerks_proves_each_clerk_paired_with_themself():
+    assert need(CLERKS, "twoclerks", None) == ({"p(%s,%s)" % (c, c) for c in CLERK_NAMES}, True)
+
+
+def test_run_time_n_clerks_proves_every_two_list_of_clerks():
+    # run-time choice copies the clerk before diffL compares it, so a list
+    # may repeat a clerk
+    want = {"cons(%s,cons(%s,nil))" % pair for pair in product(CLERK_NAMES, repeat=2)}
+    assert need(CLERKS, "nClerks(s(s(z)))", None) == (want, True)

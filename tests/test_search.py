@@ -17,10 +17,9 @@ from oracles import (
     reference_one_step,
     reference_reach,
 )
-from pluralrw import harness
-from pluralrw.harness import GenConfig, _bounded_reach, _expr_rng, gen_ground_expr, gen_program
+from pluralrw.harness import GenConfig, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.repl import _find_path
-from pluralrw.rewriting import ReachStream, one_step, reachable
+from pluralrw.rewriting import ReachStream, one_step, reachable, total_cterms
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.transform import pst_optimized, pst_simple
 
@@ -186,13 +185,19 @@ def test_reach_builds_no_successor_it_cannot_use(program, expr, bound):
         assert stream.asked[before:] == want
 
 
+SIZE_CAP = 256
+
+
 @pytest.mark.parametrize("program,expr,bound", CASES)
 def test_bounded_reach_cuts_where_the_reference_cuts(program, expr, bound):
+    # the total c-terms of a search cut by a node or size cap, and its flags
     fnames = frozenset(program.signature.functions)
-    for n, node_cap in ((30, 40), (30, 400), (bound, harness.NODE_CAP)):
-        visits, exhausted, capped = reference_reach(program, expr, n, node_cap, harness.SIZE_CAP)
+    for n, node_cap in ((30, 40), (30, 400), (bound, 20_000)):
+        visits, exhausted, capped = reference_reach(program, expr, n, node_cap, SIZE_CAP)
         totals = frozenset(e for e, _n in visits if e.total and e.symbols.isdisjoint(fnames))
-        assert _bounded_reach(program, expr, n, node_cap) == (totals, not (exhausted or capped))
+        search = ReachStream(program, expr, n, node_cap, SIZE_CAP)
+        assert frozenset(total_cterms(search)) == totals
+        assert (search.exhausted, search.capped) == (exhausted, capped)
 
 
 @pytest.mark.parametrize("program,expr,bound", CASES + PAPER_CASES)
