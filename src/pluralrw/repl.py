@@ -9,11 +9,11 @@ form `(eval twoclerks .)`; the trailing dot is optional either way.
   semantics NAME            call-time | run-time | alpha-plural |
                             beta-plural | combined-alpha | combined-beta
   engine NAME               calculi | rewrite-via-pST
-  depth N                   default ceiling (a number, or inf); engines
-                            read it as OR-nesting depth or rewrite steps
+  depth N                   default ceiling (a number, or inf): nested
+                            function unfoldings, for every engine
   path on | path off        print a derivation after each result
-  show path                 print a derivation of the last result from
-                            its search (a shortest one when rewriting)
+  show path                 print a derivation of the last result,
+                            rebuilt from its eval's memo
   stats                     how complete the last eval is, and what it cost
   showTr                    print the transformed (match/proj) program
   reboot                    forget the module and restore every default
@@ -24,7 +24,11 @@ Evaluation is driven by the active semantics and engine: the calculi
 engine enumerates denotations directly, `engine rewrite-via-pST` rewrites
 the transformed program instead (faithful for alpha-plural; for
 beta-plural only on programs the load banner approves), and `semantics
-run-time` always means plain rewriting of the loaded rules.
+run-time` always means plain rewriting of the loaded rules. Both kinds
+of rewriting are answered by call-by-need enumeration of the reachable
+total c-terms (rewriting.NeedEnumerator), driven by the same
+DenotationStream as the calculi, so `stats` reads alike for every engine;
+a rewrite path is rebuilt from that enumerator's memo.
 """
 
 import argparse
@@ -38,14 +42,7 @@ from .calculi import (
     DenotationStream,
     enumerate_values,
 )
-from .rewriting import (
-    DEFAULT_BOUND,
-    ReachStream,
-    RewriteStep,
-    one_step,
-    reachable,
-    total_cterms,
-)
+from .rewriting import NeedEnumerator, RewriteStep, one_step
 from .syntax import (
     ParseError,
     Program,
@@ -56,14 +53,14 @@ from .syntax import (
     parse_expression,
     parse_program,
 )
-from .terms import Term
+from .terms import Term, replace_at
 from .transform import is_class_cab, pst
 
 RUN_TIME = "run-time"
 ENGINE_CALCULI = "calculi"
 ENGINE_PST = "rewrite-via-pST"
 
-DEFAULT_CALCULI_DEPTH = 12
+DEFAULT_DEPTH = 12
 
 PROMPT = "pluralrw> "
 
@@ -78,25 +75,29 @@ class CommandError(Exception):
     pass
 
 
-def _linked_steps(search: ReachStream, target: Term) -> List[RewriteStep]:
-    # the search's links from its start to target: a shortest derivation,
-    # each link the first one_step step making its expression
-    steps, node, parents = [], target, search.parents
-    while parents[node] is not None:
-        prev = parents[node]
-        steps.append(next(s for s in one_step(search.program, prev) if s.result is node))
-        node = prev
-    return steps[::-1]
+def reachable(program: Program, expr: Term, depth: Optional[int]) -> DenotationStream:
+    """The total c-terms rewriting reaches from expr within the depth
+    bound (None for none), by call-by-need enumeration."""
+    return DenotationStream(NeedEnumerator(program), expr, depth, totals_only=True)
 
 
-# bound only for perfbench/layers.py, which wraps it; it goes once that stops (ROADMAP item 3)
-def _find_path(program: Program, start: Term, target: Term,
-               bound: Optional[int]) -> List[RewriteStep]:
-    """A shortest derivation of a target reachable within the bound."""
-    search = ReachStream(program, start, bound)
-    for _e in search:
-        if target in search.parents:
-            return _linked_steps(search, target)
+def _find_path(enum: NeedEnumerator, start: Term, target: Term,
+               depth: int) -> List[RewriteStep]:
+    """A rewrite derivation of target from start, rebuilt from the
+    enumerator's memo at the least depth up to `depth` whose set holds
+    target. Each step is the one_step entry making its successor, so a
+    step that is not a rewrite fails here."""
+    least = next(d for d in range(depth + 1) if target in enum.values(start, d))
+    steps, node = [], start
+    for pos, contractum in enum.build_path(start, least, target):
+        after = replace_at(node, pos, contractum)
+        step = next((s for s in one_step(enum.program, node) if s.result is after), None)
+        if step is None:
+            raise AssertionError("no rewrite step from %s to %s"
+                                 % (format_term(node), format_term(after)))
+        steps.append(step)
+        node = after
+    return steps
 
 
 class Session:
@@ -114,7 +115,7 @@ class Session:
         self.path_on = False
         self.finished = False
         self._stream: Optional[Iterator[Term]] = None
-        self._search = None  # the DenotationStream or ReachStream behind it
+        self._search: Optional[DenotationStream] = None  # the stream behind it
         self._drained = False
         self._last_result: Optional[Term] = None
         self._pst_cache: Optional[Program] = None
@@ -213,11 +214,7 @@ class Session:
         return self.semantics == RUN_TIME or self.engine == ENGINE_PST
 
     def _current_depth(self):
-        if self.depth is not _UNSET:
-            return self.depth
-        if self._rewrite_active():
-            return DEFAULT_BOUND
-        return DEFAULT_CALCULI_DEPTH
+        return DEFAULT_DEPTH if self.depth is _UNSET else self.depth
 
     def _cmd_eval(self, rest: str) -> List[str]:
         program = self._require_program()
@@ -239,8 +236,7 @@ class Session:
             if not expr.total:
                 raise CommandError("rewriting needs a total expression, without bot")
             target = program if self.semantics == RUN_TIME else self._pst_program()
-            self._search = reachable(target, expr, depth)
-            self._stream = total_cterms(self._search)
+            self._search = self._stream = reachable(target, expr, depth)
         else:
             self._search = self._stream = enumerate_values(
                 program, self.semantics, expr, depth, totals_only=True)
@@ -274,11 +270,10 @@ class Session:
         search, value = self._search, self._last_result
         if value is None:
             raise CommandError("no result to show a path for")
-        if isinstance(search, DenotationStream):
+        if not isinstance(search.enum, NeedEnumerator):
             return search.derivation(value).render().splitlines()
-        start = next(iter(search.parents))  # its first key
-        lines = [format_term(start)]
-        for step in _linked_steps(search, value):
+        lines = [format_term(search.expr)]
+        for step in _find_path(search.enum, search.expr, value, search.swept):
             where = ".".join(str(i) for i in step.position) or "root"
             lines.append(
                 "-> %s   [rule %d at %s]"
@@ -296,15 +291,6 @@ class Session:
         if self._stream is None:
             raise CommandError("no eval to report on")
         search = self._search
-        if isinstance(search, ReachStream):
-            seen = len(search.parents)
-            # the REPL sets no node or size cap, so only the bound can cut
-            if not self._drained:
-                return ["%d expressions reached so far; more may follow" % seen]
-            if search.exhausted:
-                return ["step bound %d reached at %d expressions; more may exist"
-                        % (search.bound, seen)]
-            return ["search complete: all %d reachable expressions visited" % seen]
         if search.complete:
             state = "proven complete at depth %d" % search.swept
         elif self._drained:

@@ -2,26 +2,14 @@
 
 Once a rule copies an argument, the copies evolve independently, so the
 set of reachable expressions is the whole story. This module provides
-the one-step relation, bounded breadth-first reachability search, the
-total c-terms a search reaches (the maximal elements of the run-time
-denotation), and the NeedEnumerator, which finds those c-terms without
-the search.
+the one-step relation and the NeedEnumerator, which finds the total
+c-terms reachable from an expression (the maximal elements of the
+run-time denotation) without walking the reachable expressions.
 
-Every search is a ReachStream, which memoizes successors per interned
-subterm for the life of that one search. They are a pure function of the
-program and the term: none for a term without function symbols, else
-each child's successors left to right, wrapped back into the term, then
-the contracta at its root in program order. That is `one_step`'s order,
-so the search yields what a search calling `one_step` on every state
-would, in the same order and with the same cut flags; yet a subterm
-shared by many states is matched once, a successor costs one application
-per new ancestor, and a state none of whose successors could be visited
-is not expanded (see ReachStream).
-
-The harness does not walk: it asks a NeedEnumerator for the total
-c-terms alone, by call-by-need evaluation (Antoy, Echahed and Hanus,
-"A needed narrowing strategy", JACM 2000) read as a value semantics, as
-in CRWL (Gonzalez-Moreno et al., JLP 1999). The rules are left-linear
+The harness and the REPL ask a NeedEnumerator for the total c-terms,
+by call-by-need evaluation (Antoy, Echahed and Hanus, "A needed
+narrowing strategy", JACM 2000) read as a value semantics, as in CRWL
+(Gonzalez-Moreno et al., JLP 1999). The rules are left-linear
 constructor rules. So in a derivation from f(e1..en) to a c-term, a
 step inside a subterm that the root step binds to a pattern variable
 commutes past that root step: it becomes one step in each copy of the
@@ -60,18 +48,29 @@ matches it read at d, which equal those at d-1, so it unfolds to the
 same bodies, whose sets are the same too. Variable patterns, and the
 _|_ wildcards that stand for variables a body ignores, are left out of
 the closure: their one match does not depend on the depth.
+
+Derivations are not recorded while sets are computed. build_path
+rebuilds one from the memo afterwards, by the argument above read
+backwards. For a value of a call at k it takes the first rule and
+argument matches at k-1, in program order and then canonical term order,
+whose body yields the value at k-1; rewrites each argument to its
+pattern instance by steps at pattern positions, following the matches;
+takes the root step to the body; and goes on in the body. A constructor
+rewrites its children left to right. A match of a call is rebuilt the
+same way, with the pattern in place of the value. The sweep that made
+an entry made every entry this reads, so the memo does not grow. The
+derivation is a real one, but not always a shortest one.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from itertools import chain, product
 from math import prod
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .calculi import BudgetExceeded
-from .syntax import Program
+from .syntax import Program, format_term
 from .terms import (
     APP,
     BOT,
@@ -81,10 +80,8 @@ from .terms import (
     apply_subst,
     match_value,
     replace_at,
+    term_key,
 )
-
-DEFAULT_BOUND = 10_000
-
 
 class RewriteStep:
     """One application of rule `rule_index` (into Program.all_rules) at
@@ -132,110 +129,6 @@ def one_step(program: Program, expr: Term) -> List[RewriteStep]:
             for pos, sub in _redexes(expr) for idx, m, contractum in _root_steps(program, sub)]
 
 
-class ReachStream:
-    """Iterator of (expression, derivation length) pairs, deduplicated,
-    breadth-first.
-
-    Yields by increasing derivation length, so each length is the
-    shortest. `bound` limits that length; None means unbounded, and then
-    termination relies on the reachable state space being finite.
-    `parents` maps each expression seen to the one it was first reached
-    from (None for the start), so its links are shortest derivations.
-    Expressions larger than size_cap or past node_cap seen are turned
-    away; once drained, `capped` tells whether a cap turned one away, and
-    `exhausted` whether the bound cut off one never reached another way.
-
-    An expression is expanded before it is yielded, so `parents` already
-    holds its successors, except in two cases where no successor of it
-    could enter `parents`. One at the bound is put on a cut list instead.
-    One met after the node cap is full and has turned a successor away is
-    not expanded at all: each new successor would be turned away too, and
-    `capped` is already set. At the drain, `exhausted` is settled from the
-    cut list: its successors are built, while the memo still lives, until
-    one is not in `parents`. `parents` only grows, so that is the flag a
-    check of each successor at its cut gives.
-    """
-
-    __slots__ = ("exhausted", "capped", "parents", "program", "_fnames", "bound",
-                 "_node_cap", "_size_cap", "_todo", "_cut", "_memo")
-
-    def __init__(self, program: Program, expr: Term, bound: Optional[int],
-                 node_cap: int = sys.maxsize, size_cap: int = sys.maxsize):
-        self.exhausted = self.capped = False
-        self.parents: Dict[Term, Optional[Term]] = {expr: None}
-        self.program, self.bound = program, bound
-        self._fnames = frozenset(program.signature.functions)
-        self._node_cap, self._size_cap = node_cap, size_cap
-        self._todo = deque(((expr, 0),))
-        self._cut, self._memo = [], {}  # both dropped once drained
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Tuple[Term, int]:
-        if self._todo:
-            return self._expand()
-        if self._memo is not None:  # drained just now: settle, drop the memo
-            parents = self.parents
-            self.exhausted = any(s not in parents for c in self._cut for s in self._successors(c))
-            self._memo = self._cut = None
-        raise StopIteration
-
-    def _expand(self) -> Tuple[Term, int]:
-        parents = self.parents
-        cur, n = self._todo.popleft()
-        if self.bound is not None and n >= self.bound:
-            self._cut.append(cur)
-            return cur, n
-        if self.capped and len(parents) >= self._node_cap:
-            return cur, n
-        for s in self._successors(cur):
-            if s in parents:
-                continue
-            if s.size > self._size_cap or len(parents) >= self._node_cap:
-                self.capped = True
-                continue
-            parents[s] = cur
-            self._todo.append((s, n + 1))
-        return cur, n
-
-    def _successors(self, t: Term) -> Tuple[Term, ...]:
-        # the results of one_step(program, t), in its order, memoized
-        got = self._memo.get(t)
-        if got is None:
-            got = ()
-            if not t.symbols.isdisjoint(self._fnames):
-                kids, name = t.children, t.name
-                got = tuple(
-                    [_make(APP, name, kids[:i] + (r,) + kids[i + 1:])
-                     for i, c in enumerate(kids) for r in self._successors(c)]
-                    + [contractum for _i, _m, contractum in _root_steps(self.program, t)]
-                )
-            self._memo[t] = got
-        return got
-
-
-def reachable(program: Program, expr: Term,
-              bound: Optional[int] = DEFAULT_BOUND) -> ReachStream:
-    """Stream the expressions reachable from expr within the
-    derivation-length bound (None for none), each exactly once.
-    """
-    if not expr.total:
-        raise ValueError("rewriting inputs must be total expressions")
-    if bound is not None and bound < 0:
-        raise ValueError("bound must be non-negative")
-    return ReachStream(program, expr, bound)
-
-
-def total_cterms(search: ReachStream) -> Iterator[Term]:
-    """The total c-terms among the expressions a search yields, in its
-    order."""
-    fnames = search._fnames
-    for e, _n in search:
-        if e.total and e.symbols.isdisjoint(fnames):
-            yield e
-
-
 _NONE: FrozenSet = frozenset()
 _ANY: FrozenSet = frozenset(((),))  # the one empty match of a wildcard
 
@@ -250,6 +143,10 @@ def _bind(pattern: Term, t: Term, out: list) -> bool:
         return True
     return (t.kind == APP and t.name == pattern.name
             and all(_bind(q, c, out) for q, c in zip(pattern.children, t.children)))
+
+
+def _match_key(match: tuple) -> list:
+    return [term_key(t) for t in match]
 
 
 def _pattern_vars(pattern: Term) -> List[str]:
@@ -270,7 +167,8 @@ class NeedEnumerator:
     it: begin_sweep, then values(root, d); where that repeats the depth
     d-1 set, confirm_fixpoint(d) with self.root the root. With a
     value_budget, a set or match list larger than it raises
-    BudgetExceeded; a product is sized before it is built."""
+    BudgetExceeded; a product is sized before it is built. build_path
+    rebuilds a rewrite derivation of a value from the memo."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         self.program = program
@@ -424,6 +322,63 @@ class NeedEnumerator:
         self._bodies[key] = got
         return got
 
+    def build_path(self, expr: Term, k: int, value: Term) -> List[Tuple[Tuple[int, ...], Term]]:
+        """A rewrite derivation of expr to a value in values(expr, k),
+        rebuilt from the memo (module docstring): its steps in order, each
+        the position rewritten and the contractum put there."""
+        out: list = []
+        self._path_to_value(expr, k, value, (), out)
+        return out
+
+    def _path_to_value(self, expr, k, value, pos, out):
+        if expr.symbols.isdisjoint(self._fnames):
+            return
+        if expr.name in self._fnames:
+            body = self._root_step(expr, k, pos, out, lambda b: value in self.values(b, k - 1))
+            self._path_to_value(body, k - 1, value, pos, out)
+        else:
+            for i, (c, v) in enumerate(zip(expr.children, value.children), start=1):
+                self._path_to_value(c, k, v, pos + (i,), out)
+
+    def _path_to_match(self, pattern, expr, k, match, pos, out):
+        # rewrite expr, at pattern positions only, to the instance of the
+        # constructor pattern that binds match
+        if expr.symbols.isdisjoint(self._fnames):
+            return
+        if expr.name in self._fnames:
+            body = self._root_step(expr, k, pos, out,
+                                   lambda b: match in self.matches(pattern, b, k - 1))
+            self._path_to_match(pattern, body, k - 1, match, pos, out)
+            return
+        at = 0
+        for i, (q, c) in enumerate(zip(pattern.children, expr.children), start=1):
+            n = len(_pattern_vars(q))
+            if q.kind == APP:
+                self._path_to_match(q, c, k, match[at:at + n], pos + (i,), out)
+            at += n
+
+    def _root_step(self, call, k, pos, out, wanted):
+        # the first body of the call at k that is wanted, in rule order and
+        # then canonical term order of the argument matches; the steps to
+        # it go to out, and it is returned
+        for rhs, patterns, names, _plain in self._rule_table(call.name):
+            lists = []
+            for p, arg in zip(patterns, call.children):
+                found = self._arg_matches(p, arg, k - 1)
+                if not found:
+                    break
+                lists.append(sorted(found, key=_match_key))
+            else:
+                for combo in product(*lists):
+                    body = apply_subst(rhs, dict(zip(names, chain.from_iterable(combo))))
+                    if wanted(body):
+                        for i, (p, arg, m) in enumerate(zip(patterns, call.children, combo), 1):
+                            if p.kind == APP:
+                                self._path_to_match(p, arg, k - 1, m, pos + (i,), out)
+                        out.append((pos, body))
+                        return body
+        raise ValueError("no body of %s at depth %d is the one sought" % (format_term(call), k))
+
     def confirm_fixpoint(self, depth: int) -> bool:
         """Whether values(self.root, depth + n) equals values(self.root,
         depth) for every n, by a breadth-first walk over the read-closure
@@ -457,7 +412,9 @@ class NeedEnumerator:
                         yield p, arg
                         if not self.matches(p, arg, k - 1):
                             break
-            for body in self._unfold(x, k):
+            # in term order, so the entries a failing check forces do not
+            # depend on where the bodies lie in memory
+            for body in sorted(self._unfold(x, k), key=term_key):
                 yield pattern, body
         elif pattern is None:
             for c in x.children:

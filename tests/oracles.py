@@ -31,6 +31,7 @@ from pluralrw.terms import (
     APP,
     BOT,
     VAR,
+    _make,
     app,
     apply_subst,
     approx_leq,
@@ -40,13 +41,7 @@ from pluralrw.terms import (
     term_key,
     var,
 )
-from pluralrw.rewriting import (
-    DEFAULT_BOUND,
-    ReachStream,
-    RewriteStep,
-    reachable,
-    total_cterms,
-)
+from pluralrw.rewriting import RewriteStep, _root_steps, one_step
 
 
 _TERM_POOL = (
@@ -73,6 +68,131 @@ def random_theta_set(seed, max_substs=5, names=("X", "Y", "Z")):
                 theta[x] = rng.choice(_TERM_POOL)
         out.append(theta)
     return out
+
+
+# ---- rewriting: the memoized breadth-first walk over every
+# interleaving, which answered run-time and pST queries before the
+# call-by-need enumerator ----
+
+DEFAULT_BOUND = 10_000
+
+
+class ReachStream:
+    """Iterator of (expression, derivation length) pairs, deduplicated,
+    breadth-first.
+
+    Yields by increasing derivation length, so each length is the
+    shortest. `bound` limits that length; None means unbounded, and then
+    termination relies on the reachable state space being finite.
+    `parents` maps each expression seen to the one it was first reached
+    from (None for the start), so its links are shortest derivations.
+    Expressions larger than size_cap or past node_cap seen are turned
+    away; once drained, `capped` tells whether a cap turned one away, and
+    `exhausted` whether the bound cut off one never reached another way.
+
+    An expression is expanded before it is yielded, so `parents` already
+    holds its successors, except in two cases where no successor of it
+    could enter `parents`. One at the bound is put on a cut list instead.
+    One met after the node cap is full and has turned a successor away is
+    not expanded at all: each new successor would be turned away too, and
+    `capped` is already set. At the drain, `exhausted` is settled from the
+    cut list: its successors are built, while the memo still lives, until
+    one is not in `parents`. `parents` only grows, so that is the flag a
+    check of each successor at its cut gives.
+    """
+
+    __slots__ = ("exhausted", "capped", "parents", "program", "_fnames", "bound",
+                 "_node_cap", "_size_cap", "_todo", "_cut", "_memo")
+
+    def __init__(self, program, expr, bound, node_cap=sys.maxsize, size_cap=sys.maxsize):
+        self.exhausted = self.capped = False
+        self.parents = {expr: None}
+        self.program, self.bound = program, bound
+        self._fnames = frozenset(program.signature.functions)
+        self._node_cap, self._size_cap = node_cap, size_cap
+        self._todo = deque(((expr, 0),))
+        self._cut, self._memo = [], {}  # both dropped once drained
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._todo:
+            return self._expand()
+        if self._memo is not None:  # drained just now: settle, drop the memo
+            parents = self.parents
+            self.exhausted = any(s not in parents for c in self._cut for s in self._successors(c))
+            self._memo = self._cut = None
+        raise StopIteration
+
+    def _expand(self):
+        parents = self.parents
+        cur, n = self._todo.popleft()
+        if self.bound is not None and n >= self.bound:
+            self._cut.append(cur)
+            return cur, n
+        if self.capped and len(parents) >= self._node_cap:
+            return cur, n
+        for s in self._successors(cur):
+            if s in parents:
+                continue
+            if s.size > self._size_cap or len(parents) >= self._node_cap:
+                self.capped = True
+                continue
+            parents[s] = cur
+            self._todo.append((s, n + 1))
+        return cur, n
+
+    def _successors(self, t):
+        # the results of one_step(program, t), in its order, memoized
+        got = self._memo.get(t)
+        if got is None:
+            got = ()
+            if not t.symbols.isdisjoint(self._fnames):
+                kids, name = t.children, t.name
+                got = tuple(
+                    [_make(APP, name, kids[:i] + (r,) + kids[i + 1:])
+                     for i, c in enumerate(kids) for r in self._successors(c)]
+                    + [contractum for _i, _m, contractum in _root_steps(self.program, t)]
+                )
+            self._memo[t] = got
+        return got
+
+
+def reachable(program, expr, bound=DEFAULT_BOUND):
+    """Stream the expressions reachable from expr within the
+    derivation-length bound (None for none), each exactly once.
+    """
+    if not expr.total:
+        raise ValueError("rewriting inputs must be total expressions")
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be non-negative")
+    return ReachStream(program, expr, bound)
+
+
+def total_cterms(search):
+    """The total c-terms among the expressions a search yields, in its
+    order."""
+    fnames = search._fnames
+    for e, _n in search:
+        if e.total and e.symbols.isdisjoint(fnames):
+            yield e
+
+
+def linked_find_path(program, start, target, bound):
+    """A shortest derivation of a target reachable within the bound, read
+    from a walk's links: each link the first one_step step making its
+    expression."""
+    search = ReachStream(program, start, bound)
+    for _e in search:
+        if target in search.parents:
+            break
+    steps, node, parents = [], target, search.parents
+    while parents[node] is not None:
+        prev = parents[node]
+        steps.append(next(s for s in one_step(program, prev) if s.result is node))
+        node = prev
+    return steps[::-1]
 
 
 # ---- rewriting: one_step and the breadth-first searches over it, as

@@ -1,10 +1,10 @@
 """Golden answers for the paper's two example programs: under combined
 alpha-plural semantics, the REPL's default, and under the pure
 alpha-plural, pure beta-plural and combined beta-plural modes; by
-rewriting in the REPL, the results and search sizes of pST and run-time
-choice at the step bounds the benchmark runs; and the run-time and pST
-answers that call-by-need enumeration reaches where the REPL's walk does
-not."""
+rewriting in the REPL, the results, `stats` and `show path` of pST and
+run-time choice at the depth bounds the benchmark runs and where the
+answers are complete; and the run-time and pST answers of call-by-need
+enumeration, which the REPL's rewriting uses too."""
 
 from itertools import permutations, product
 
@@ -106,7 +106,8 @@ def test_combined_beta_n_clerks_lists_two_distinct_clerks():
 
 
 def rewrite(path, semantics, query, engine=None):
-    """The results of a REPL eval by rewriting, and its `stats` reply."""
+    """The results of a REPL eval by rewriting, its `stats` reply, and the
+    first and last lines of `show path` after the last result."""
     s = Session()
     s.execute("load " + path)
     s.execute("semantics " + semantics)
@@ -116,26 +117,51 @@ def rewrite(path, semantics, query, engine=None):
     while lines[0].startswith("Result: "):
         results.append(lines[0][len("Result: "):])
         lines = s.execute("more")
-    return results, s.execute("stats")
+    stats = s.execute("stats")
+    if not results:
+        return results, stats, None
+    path = s.execute("show path")
+    assert path[-1].startswith("-> %s   [" % results[-1])
+    return results, stats, (path[0], path[-1])
 
 
-def test_pst_escape_how_at_step_bound_6_finds_only_ulysses():
+def test_pst_escape_how_at_depth_6_finds_only_ulysses():
     assert rewrite("programs/dungeon.plural", "combined-alpha", "depth = 6 escapeHow",
                    "rewrite-via-pST") == (
         ["p(ulysses,trojan-gold)"],
-        ["step bound 6 reached at 2423 expressions; more may exist"],
+        ["depth bound 6 reached; more may exist", "memo entries: 158"],
+        ("escapeHow", "-> p(ulysses,trojan-gold)   [rule 16 at root]"),
     )
 
 
-def test_run_time_escape_how_and_n_clerks_at_their_step_bounds():
+def test_run_time_escape_how_and_n_clerks_at_their_depth_bounds():
     assert rewrite("programs/dungeon.plural", "run-time", "depth = 6 escapeHow") == (
         ["p(ulysses,trojan-gold)"],
-        ["step bound 6 reached at 1509 expressions; more may exist"],
+        ["depth bound 6 reached; more may exist", "memo entries: 130"],
+        ("escapeHow", "-> p(ulysses,trojan-gold)   [rule 12 at root]"),
     )
     assert rewrite("programs/clerks.plural", "run-time", "depth = 8 nClerks(s(s(z)))") == (
         [],
-        ["step bound 8 reached at 4080 expressions; more may exist"],
+        ["depth bound 8 reached; more may exist", "memo entries: 268"],
+        None,
     )
+
+
+def test_the_repl_reaches_every_pure_alpha_answer_of_pst_escape_how():
+    results, stats, path = rewrite("programs/dungeon.plural", "combined-alpha",
+                                   "depth = 40 escapeHow", "rewrite-via-pST")
+    assert len(results) == len(ESCAPE_HOW_ALPHA) and set(results) == ESCAPE_HOW_ALPHA
+    assert stats == ["depth bound 40 reached; more may exist", "memo entries: 38502"]
+    assert path == ("escapeHow", "-> p(polyphemus,key)   [rule 6 at 2]")
+
+
+def test_the_repl_proves_every_run_time_two_list_of_clerks():
+    results, stats, path = rewrite("programs/clerks.plural", "run-time",
+                                   "depth = inf nClerks(s(s(z)))")
+    want = {"cons(%s,cons(%s,nil))" % pair for pair in product(CLERK_NAMES, repeat=2)}
+    assert len(results) == 16 and set(results) == want
+    assert stats == ["proven complete at depth 13", "memo entries: 534"]
+    assert path == ("nClerks(s(s(z)))", "-> cons(pepe,cons(pepe,nil))   [rule 43 at 2.2]")
 
 
 def need(program, query, depth):

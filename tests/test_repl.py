@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from pluralrw.calculi import Enumerator, enumerate_values
+from pluralrw.calculi import DenotationStream, Enumerator, enumerate_values
 from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
+from pluralrw.rewriting import NeedEnumerator
 from pluralrw.syntax import parse_expression
 from pluralrw.transform import pst
 
@@ -415,18 +416,44 @@ def test_more_ends_a_stream_whose_root_ignores_a_growing_argument(tmp_path):
 
 
 def test_stats_says_how_a_rewrite_search_ended(tmp_path):
+    # rewriting is enumerated by depth like the calculi, and says so alike
     s = Session()
     load(s, tmp_path, P1_BODY)
     s.execute("semantics run-time")
     s.execute("eval f(c(0 ? 1))")
-    assert s.execute("stats")[0].endswith(" expressions reached so far; more may follow")
+    state, memo = s.execute("stats")
+    assert state.startswith("depth ") and state.endswith(" swept so far; more may follow")
+    assert memo.startswith("memo entries: ")
     drain(s)
-    assert s.execute("stats") == ["search complete: all 12 reachable expressions visited"]
+    # the same stream run directly says what to expect
+    expr = parse_expression("f(c(0 ? 1))", s.program.signature)
+    stream = DenotationStream(NeedEnumerator(s.program), expr, None)
+    list(stream)
+    assert stream.complete
+    assert s.execute("stats") == [
+        "proven complete at depth %d" % stream.swept,
+        "memo entries: %d" % stream.enum.memo_entries,
+    ]
     assert s.execute("eval depth = 1 f(c(0 ? 1))") == ["No solution."]
-    assert s.execute("stats") == ["step bound 1 reached at 4 expressions; more may exist"]
+    assert s.execute("stats")[0] == "depth bound 1 reached; more may exist"
     s.execute("reboot")
     with pytest.raises(CommandError, match="no eval"):
         s.execute("stats")
+
+
+@pytest.mark.parametrize("settings", (
+    ("semantics run-time",), ("semantics combined-alpha", "engine rewrite-via-pST"),
+), ids=("run-time", "pst"))
+def test_every_engine_defaults_to_twelve_unfoldings(settings):
+    # escapeHow is never proven by rewriting: without a depth clause the
+    # stream ends at the default depth instead of sweeping on
+    s = Session()
+    s.execute("load programs/dungeon.plural")
+    for line in settings:
+        s.execute(line)
+    assert s.execute("eval escapeHow")[0].startswith("Result: ")
+    drain(s)
+    assert s.execute("stats")[0] == "depth bound 12 reached; more may exist"
 
 
 def test_help_lists_stats_and_rewriting_refuses_bottom(tmp_path):
@@ -451,8 +478,8 @@ def test_an_eval_without_results_leaves_no_path_to_show(tmp_path, semantics):
 
 @pytest.mark.parametrize("settings", (("semantics call-time",), ("semantics run-time",)))
 def test_show_path_reads_an_interrupted_eval(tmp_path, monkeypatch, settings):
-    # what Ctrl-C leaves: a search stopped where it stood, and a dropped
-    # stream; the search's memo and parent links stay valid
+    # what Ctrl-C leaves: a sweep stopped where it stood, and a dropped
+    # stream; the memo of the depths already swept stays valid
     s = Session()
     load(s, tmp_path, P1_BODY + "\nfrom(X) -> X ? s(from(X)) .")
     for line in settings:
@@ -465,7 +492,7 @@ def test_show_path_reads_an_interrupted_eval(tmp_path, monkeypatch, settings):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(Enumerator, "values", interrupted)
-    monkeypatch.setattr("pluralrw.rewriting.ReachStream._successors", interrupted)
+    monkeypatch.setattr(NeedEnumerator, "values", interrupted)
     with pytest.raises(KeyboardInterrupt):
         s.execute("more")
     s.drop_stream()

@@ -1,11 +1,17 @@
 from pluralrw.calculi import BETA
-from pluralrw.rewriting import one_step, reachable
+from pluralrw.rewriting import one_step
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.terms import BOT, down_closure
 
 import pytest
 
-from oracles import depth_first_reach, is_reference_step, runtime_denotation, values_at
+from oracles import (
+    depth_first_reach,
+    is_reference_step,
+    reachable,
+    runtime_denotation,
+    values_at,
+)
 
 
 def prog(body):

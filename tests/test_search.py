@@ -1,9 +1,11 @@
-"""The memoized breadth-first rewrite search against the one_step-driven
-searches it replaced (kept in oracles.py): the same states in the same
-order with the same lengths, the same cut flags under every cap, and the
-same `show path` derivations; against a depth-first reference, the same
-states at their shortest lengths; and no successors built for a state at
-the bound or past a full node cap, beyond what settling `exhausted` needs."""
+"""one_step against its reference, and the memoized breadth-first
+rewrite walk (oracles.ReachStream, the oracle the call-by-need enumerator
+is gated against) against the one_step-driven searches it replaced: the
+same states in the same order with the same lengths, the same cut flags
+under every cap, and the same shortest derivations from its links;
+against a depth-first reference, the same states at their shortest
+lengths; and no successors built for a state at the bound or past a full
+node cap, beyond what settling `exhausted` needs."""
 
 import os
 import sys
@@ -11,15 +13,18 @@ import sys
 import pytest
 
 from oracles import (
+    ReachStream,
     depth_first_reach,
     is_reference_step,
+    linked_find_path,
+    reachable,
     reference_find_path,
     reference_one_step,
     reference_reach,
+    total_cterms,
 )
 from pluralrw.harness import GenConfig, _expr_rng, gen_ground_expr, gen_program
-from pluralrw.repl import _find_path
-from pluralrw.rewriting import ReachStream, one_step, reachable, total_cterms
+from pluralrw.rewriting import one_step
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.transform import pst_optimized, pst_simple
 
@@ -205,7 +210,7 @@ def test_show_path_matches_the_reference_and_replays(program, expr, bound):
     targets = [e for e, _n in reachable(program, expr, bound)]
     # the start, the last state reached, and a few in between
     for target in targets[:: max(1, len(targets) // 4)] + targets[-1:]:
-        chain = _find_path(program, expr, target, bound)
+        chain = linked_find_path(program, expr, target, bound)
         assert _steps(chain) == _steps(reference_find_path(program, expr, target, bound))
         source = expr
         for step in chain:

@@ -1,5 +1,4 @@
 from pluralrw.calculi import ALPHA, BETA
-from pluralrw.rewriting import reachable
 from pluralrw.syntax import BUILTIN_RULES, parse_expression, parse_program
 from pluralrw.terms import app, var
 from pluralrw.transform import (
@@ -13,7 +12,7 @@ from pluralrw.transform import (
     pst_simple,
 )
 
-from oracles import runtime_denotation, values_at
+from oracles import reachable, runtime_denotation, values_at
 
 
 def prog(body):
