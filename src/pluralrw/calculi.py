@@ -123,26 +123,14 @@ for a set that did not change from one depth to the next, so a call whose
 arguments stopped changing finds its choices, bodies and union at once.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
-a ?-chain, so a value can vanish and resurface later. The fixpoint test
-needs no monotonicity. The read-closure of a root at depth d holds the
-root and, with each non-constant x, what values(x, d) reads: a
-constructor's children, a `?`'s arguments, an if_then's condition and its
-branch where taken, and per rule of a call its arguments up to the one it
-stops at, then its bodies. If every non-constant x of the closure has
-values(x, d) == values(x, d-1), then values(root, d+n) == values(root, d)
-for every n, by induction on n and then on the size of x: at d+n+1 a call
-reads at d+n the expressions it read at d, whose sets are their d-1 sets,
-so it makes the same choices, bodies and union; `?` and if_then alike; a
-constructor reads its strict subterms at its own depth; a function-free
-expression never changes. An argument whose pattern is a variable the body
-ignores is left out: its one choice does not depend on its set.
-
-A stream checks at every depth d > 0 where its root's set repeats; the
-walk stops at the first changed set, since each step forces entries at
-depth d. Neither the whole support nor a sweep that changed no entry is
-needed: nothing outside the closure reaches the root. A check over the
-whole support passes only when the support is closed under reads at d and
-kept its sets; the closure lies inside it, so this check proves no later.
+a ?-chain, so a value can vanish and resurface later. A node of the
+fixpoint proof (sweep) is an expression. values(x, k) reads a
+constructor's children at k; at k-1 a `?`'s arguments, an if_then's
+condition and its branch where taken, and per rule of a call its
+arguments up to the one it stops at, then its bodies. A call that finds
+the sets it found one depth down makes the same choices, bodies and
+union; `?` and if_then alike. An argument whose pattern is a variable the
+body ignores is left out: its one choice does not depend on its set.
 """
 
 from __future__ import annotations
@@ -162,6 +150,7 @@ from .disjsubst import (
 # compressible_subsets is bound here for perfbench/layers.py, which traces
 # it by module
 from .disjsubst import compressible_subsets  # noqa: F401
+from .sweep import BudgetExceeded, Sweeper
 from .syntax import PL, SG, Program, format_term
 from .terms import (
     APP,
@@ -228,16 +217,6 @@ def _holds(antichain: FrozenSet[Term], value: Term) -> bool:
     return value in antichain or (
         not value.total and any(approx_leq(value, t) for t in antichain)
     )
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration outgrows the enumerator's value budget.
-
-    Only enumerators constructed with a budget raise this; interactive use
-    runs unbudgeted. The budget counts maximal values: the members of one
-    memoized antichain. A constructor's set is sized before it is built,
-    so an overflow builds no set it cannot keep. The sets memoized before
-    the overflow stay valid."""
 
 
 # guard on the beta path over two or more variables, the only one that
@@ -311,7 +290,7 @@ class TraceNode:
         )
 
 
-class Enumerator:
+class Enumerator(Sweeper):
     """Memoized value-set computation for one (program, mode).
 
     values may be asked for any expressions and depths; the memo is shared,
@@ -328,55 +307,18 @@ class Enumerator:
     ):
         if mode not in MODES:
             raise ValueError("unknown mode %r" % mode)
-        self.program = program
+        super().__init__(program, value_budget)
         self.mode = mode
-        self.sig = program.signature
-        self._budget = value_budget
-        self._memo: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
-        self.root: Optional[Term] = None
         self._alpha = mode in (ALPHA, COMBINED_ALPHA)
         self._or_tag = _OR_TAG[mode]
         self._rule_cache: Dict[str, list] = {}
-        self._fnames = frozenset(program.signature.functions)
         self._union_cache: Dict[FrozenSet[FrozenSet[Term]], FrozenSet[Term]] = {}
         self._choice_cache: Dict[tuple, list] = {}
         self._body_cache: Dict[tuple, Tuple[Tuple[Term, ...], bool]] = {}
 
-    # sweep protocol: begin_sweep, then values(root, d); where that repeats
-    # the depth d-1 set, confirm_fixpoint(d) with self.root the root.
-    # begin_sweep does nothing: it stays as the benchmark tracer's hook.
-    def begin_sweep(self):
-        pass
-
-    @property
-    def memo_entries(self) -> int:
-        return len(self._memo)
-
-    def _constant(self, expr: Term) -> bool:
-        return expr.kind != APP or expr.symbols.isdisjoint(self._fnames)
-
-    def confirm_fixpoint(self, depth: int) -> bool:
-        """Whether values(self.root, depth + n) equals values(self.root,
-        depth) for every n, by a breadth-first walk (module docstring)."""
-        seen = {self.root}
-        todo = deque(seen)
-        while todo:
-            x = todo.popleft()
-            if self._constant(x):
-                continue
-            before = self.values(x, depth - 1)
-            now = self.values(x, depth)
-            if now is not before and now != before:
-                return False
-            for y in self._reads(x, depth):
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return True
-
     def _reads(self, expr: Term, k: int):
         """What values(expr, k) reads, for k >= 1 (module docstring)."""
-        if not self.sig.is_function(expr.name) or expr.name == "?":
+        if expr.name not in self._fnames or expr.name == "?":
             yield from expr.children
         elif expr.name == "if_then":
             cond, then = expr.children
@@ -409,26 +351,14 @@ class Enumerator:
         if got is not None:
             return got
         # a function-free expression is its own maximal value at every depth
-        if self._constant(expr):
+        if self._settled(expr):
             result = frozenset((expr,))
-        elif self.sig.is_function(expr.name):
+        elif expr.name in self._fnames:
             result = self._call_values(expr, k)
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        prev = self._memo.get((expr, k - 1)) if k > 0 else None
-        if prev is not result and prev == result:
-            # share the object so unchanged sets can be recognized by
-            # identity at the next depth
-            result = prev
-        self._memo[key] = result
-        return result
-
-    def _fit(self, size):
-        if self._budget is not None and size > self._budget:
-            raise BudgetExceeded(
-                "value set of size %d exceeds the budget %d" % (size, self._budget)
-            )
+        return self._keep(key, (expr, k - 1), result)
 
     def _call_values(self, expr, k):
         # the built-ins natively, by the argument in the module docstring;
@@ -593,7 +523,7 @@ class Enumerator:
             return TraceNode("B", expr, BOT)
         if expr.kind == VAR and value is expr:
             return TraceNode("RR", expr, value)
-        if expr.kind == APP and self.sig.is_function(expr.name):
+        if expr.kind == APP and expr.name in self._fnames:
             for rule, per_arg, bodies in self._unfold(expr, k):
                 for pick, inst in zip(product(*per_arg), bodies):
                     if _holds(self.values(inst, k - 1), value):
@@ -681,7 +611,7 @@ class DenotationStream:
     depth `swept` that it can never yield more (fixpoint), as opposed to
     hitting the bound."""
 
-    def __init__(self, enum: Enumerator, expr: Term, depth: Optional[int],
+    def __init__(self, enum: Sweeper, expr: Term, depth: Optional[int],
                  totals_only: bool = False):
         if depth is not None and depth < 0:
             raise ValueError("depth must be non-negative")

@@ -601,14 +601,14 @@ def _gen_context(program: Program, rng: random.Random) -> Term:
     return ctx
 
 
-def _parse_seeds(text: str) -> List[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        a, b = int(lo), int(hi)
-        if b < a:
-            raise ValueError("empty seed range %s" % text)
-        return list(range(a, b + 1))
-    return [int(text)]
+def _seeds(text: str) -> range:
+    lo, dots, hi = text.partition("..")
+    if not lo.isdecimal() or dots and not hi.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "needs a seed A or a range A..B of non-negative integers, not %r" % text)
+    if dots and int(hi) < int(lo):
+        raise argparse.ArgumentTypeError("empty seed range %r" % text)
+    return range(int(lo), int(hi if dots else lo) + 1)
 
 
 def _depth(text: str) -> int:
@@ -622,19 +622,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="pluralrw-harness",
         description="differential checks over randomly generated programs",
     )
-    parser.add_argument("--seeds", default="1..20", help="seed range A..B or a single seed")
+    parser.add_argument("--seeds", type=_seeds, default="1..20",
+                        help="seed range A..B or a single seed")
     parser.add_argument("--depth", type=_depth, default=4, help="enumeration depth bound")
     parser.add_argument("--suite", choices=SUITES, default="hierarchy")
     args = parser.parse_args(argv)
-    try:
-        seeds = _parse_seeds(args.seeds)
-    except ValueError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
+    seeds = args.seeds
     checked, failed = run_suite(args.suite, seeds, args.depth)
+    # the seeds in canonical form: A..B, or A for a single seed
+    shown = seeds.start if len(seeds) == 1 else "%d..%d" % (seeds.start, seeds[-1])
     print(
         "suite=%s seeds=%s depth=%d checked=%d failed=%d"
-        % (args.suite, args.seeds, args.depth, checked, failed),
+        % (args.suite, shown, args.depth, checked, failed),
         file=sys.stderr,
     )
     if args.suite == "rightlinear":

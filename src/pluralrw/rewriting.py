@@ -35,19 +35,16 @@ every reachable total c-term is found at some k, by the commutation
 above. Copies of a variable are evaluated apart: that is run-time
 choice.
 
-Sets and match lists grow with k, by induction on k. So a fixpoint is
-proven as the calculi prove theirs, on a read-closure. A set reads its
+Sets and match lists grow with k, by induction on k. A node is (None, e)
+for the set of e, (p, e) for the match list of p against e, and a
+fixpoint is proven on its read-closure (sweep). A set reads its
 constructor children; a call reads its argument matches at k-1, up to
 the first argument none matches, and its bodies at k-1; a match reads
-its children's matches, or, on a call, that call's argument matches
-and the bodies' matches. Take the closure of the root's reads at depth
-d. If every member's set or match list at d equals the one at d-1, then
-each is unchanged at every depth past d, by induction on the depth and
-then on the size of the expression: a call at d+n+1 reads at d+n the
-matches it read at d, which equal those at d-1, so it unfolds to the
-same bodies, whose sets are the same too. Variable patterns, and the
-_|_ wildcards that stand for variables a body ignores, are left out of
-the closure: their one match does not depend on the depth.
+its children's matches, or, on a call, that call's argument matches and
+the bodies' matches. A call that finds the matches it found one depth
+down unfolds to the same bodies. Variable patterns, and the _|_
+wildcards that stand for variables a body ignores, are left out of the
+closure: their one match does not depend on the depth.
 
 Derivations are not recorded while sets are computed. build_path
 rebuilds one from the memo afterwards, by the argument above read
@@ -64,12 +61,11 @@ derivation is a real one, but not always a shortest one.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, product
 from math import prod
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .calculi import BudgetExceeded
+from .sweep import Sweeper
 from .syntax import Program, format_term
 from .terms import (
     APP,
@@ -155,7 +151,7 @@ def _pattern_vars(pattern: Term) -> List[str]:
     return [x for c in pattern.children for x in _pattern_vars(c)]
 
 
-class NeedEnumerator:
+class NeedEnumerator(Sweeper):
     """Call-by-need run-time denotations of one program: values(e, k) is
     the set of total c-terms reachable from e with at most k nested
     unfoldings, and matches(p, e, k) the matches of a constructor pattern
@@ -163,44 +159,14 @@ class NeedEnumerator:
     in the pattern's variable order (module docstring). Each rule's
     patterns have the variables its body ignores cut to _|_, a wildcard.
 
-    It speaks the calculi's sweep protocol, so a DenotationStream drives
-    it: begin_sweep, then values(root, d); where that repeats the depth
-    d-1 set, confirm_fixpoint(d) with self.root the root. With a
-    value_budget, a set or match list larger than it raises
-    BudgetExceeded; a product is sized before it is built. build_path
-    rebuilds a rewrite derivation of a value from the memo."""
+    A DenotationStream drives it by the sweep protocol, with its memo
+    keyed (expr, k) for a set and (pattern, expr, k) for a match list.
+    build_path rebuilds a rewrite derivation of a value from the memo."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
-        self.program = program
-        self.root: Optional[Term] = None
-        self._budget = value_budget
-        self._fnames = frozenset(program.signature.functions)
-        # (expr, k) -> set; (pattern, expr, k) -> match list
-        self._memo: Dict[tuple, FrozenSet] = {}
+        super().__init__(program, value_budget)
         self._bodies: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
         self._rules: Dict[str, list] = {}
-
-    def begin_sweep(self):
-        pass
-
-    @property
-    def memo_entries(self) -> int:
-        return len(self._memo)
-
-    def _fit(self, size: int) -> None:
-        if self._budget is not None and size > self._budget:
-            raise BudgetExceeded(
-                "a set or match list of size %d exceeds the budget %d" % (size, self._budget)
-            )
-
-    def _keep(self, key: tuple, prev_key: tuple, result: FrozenSet) -> FrozenSet:
-        # share the depth k-1 object when the set did not change, so
-        # unchanged sets compare by identity at the next depth
-        prev = self._memo.get(prev_key)
-        if prev is not None and prev == result:
-            result = prev
-        self._memo[key] = result
-        return result
 
     def _rule_table(self, fname: str) -> list:
         """Per rule of fname: its body, its patterns with the variables
@@ -379,32 +345,20 @@ class NeedEnumerator:
                         return body
         raise ValueError("no body of %s at depth %d is the one sought" % (format_term(call), k))
 
-    def confirm_fixpoint(self, depth: int) -> bool:
-        """Whether values(self.root, depth + n) equals values(self.root,
-        depth) for every n, by a breadth-first walk over the read-closure
-        (module docstring). A node is (None, expr) for a set, (pattern,
-        expr) for a match list."""
-        seen = {(None, self.root)}
-        todo = deque(seen)
-        while todo:
-            pattern, x = todo.popleft()
-            if x.symbols.isdisjoint(self._fnames):
-                continue
-            if pattern is None:
-                before, now = self.values(x, depth - 1), self.values(x, depth)
-            else:
-                before, now = self.matches(pattern, x, depth - 1), self.matches(pattern, x, depth)
-            if now is not before and now != before:
-                return False
-            for node in self._reads(pattern, x, depth):
-                if node not in seen:
-                    seen.add(node)
-                    todo.append(node)
-        return True
+    def _node(self, expr: Term):
+        return None, expr
 
-    def _reads(self, pattern: Optional[Term], x: Term, k: int):
+    def _settled(self, node) -> bool:
+        return node[1].symbols.isdisjoint(self._fnames)
+
+    def _at(self, node, k: int) -> FrozenSet:
+        pattern, x = node
+        return self.values(x, k) if pattern is None else self.matches(pattern, x, k)
+
+    def _reads(self, node, k: int):
         """What the set (pattern None) or the match list of x at k reads,
         for k >= 1, leaving out variable and wildcard patterns."""
+        pattern, x = node
         if x.name in self._fnames:
             for _rhs, patterns, _names, _plain in self._rules[x.name]:
                 for p, arg in zip(patterns, x.children):

@@ -501,19 +501,15 @@ class DownClosedEnumerator(Enumerator):
         got = self._memo.get(key)
         if got is not None:
             return got
-        if self._constant(expr):
+        if self._settled(expr):
             self._fit(closure_size(expr))
             result = down_closure(expr)
-        elif self.sig.is_function(expr.name):
+        elif expr.name in self._fnames:
             result = self._call_values(expr, k)
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        prev = self._memo.get((expr, k - 1)) if k > 0 else None
-        if prev is not result and prev == result:
-            result = prev
-        self._memo[key] = result
-        return result
+        return self._keep(key, (expr, k - 1), result)
 
     def _union(self, parts):
         return frozenset((BOT,)).union(*parts)
@@ -555,7 +551,7 @@ class SupportWideEnumerator(Enumerator):
         got = self._memo.get((expr, k))
         if got is not None:
             return got
-        constant = self._constant(expr)
+        constant = self._settled(expr)
         if not constant:
             self._support[expr] = None  # parents before children
         result = super().values(expr, k)

@@ -98,6 +98,24 @@ def test_the_cli_rejects_a_depth_that_is_not_a_non_negative_integer(depth, capsy
     assert "argument --depth: needs a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds,message", (
+    ("x", "needs a seed A or a range A..B of non-negative integers, not 'x'"),
+    ("5..3", "empty seed range '5..3'"),
+    ("1..", "needs a seed A or a range A..B of non-negative integers, not '1..'"),
+))
+def test_the_cli_rejects_seeds_that_are_not_a_seed_or_a_range(seeds, message, capsys):
+    with pytest.raises(SystemExit) as stop:
+        harness.main(["--suite", "compress", "--seeds", seeds])
+    assert stop.value.code == 2
+    assert "argument --seeds: " + message in capsys.readouterr().err
+
+
+def test_a_huge_seed_range_is_parsed_without_listing_its_seeds():
+    seeds = harness._seeds("1..10000000000")
+    assert isinstance(seeds, range) and len(seeds) == 10 ** 10
+    assert (seeds[0], seeds[-1]) == (1, 10 ** 10)
+
+
 def test_equal_compares_the_maximal_values_each_side_yielded():
     # a bounded set need not hold the sets of lower depths, so one stream
     # can yield c(_|_) and later c(0), and another c(0) alone: the same

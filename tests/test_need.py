@@ -108,5 +108,7 @@ def test_the_budget_trips_one_below_the_largest_set(query, values, needed):
     assert complete and len(got) == values
     stream = DenotationStream(NeedEnumerator(EXPLODING, value_budget=needed), expr, None)
     assert frozenset(stream) == got and stream.complete
-    with pytest.raises(BudgetExceeded):
+    # the calculi's message: both engines share one budget check
+    message = "value set of size %d exceeds the budget %d" % (needed, needed - 1)
+    with pytest.raises(BudgetExceeded, match=message):
         list(DenotationStream(NeedEnumerator(EXPLODING, value_budget=needed - 1), expr, None))
