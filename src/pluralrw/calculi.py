@@ -100,9 +100,10 @@ give {_|_} at k = 0. Programs can neither redefine nor annotate the
 built-ins (syntax.assemble_program), so this holds for every program.
 
 Derivations are not recorded while values are computed. build_trace
-rebuilds one from the memo afterwards: B for bottom, RR for a variable, DC
-for a constructor, and for a call, built-ins included, the first pick, in
-evaluation order, whose instantiated body holds the value one level down.
+rebuilds one from the memo and the frozen table afterwards: B for bottom,
+RR for a variable, DC for a constructor, and for a call, built-ins
+included, the first pick, in evaluation order, whose instantiated body
+holds the value one level down.
 A DenotationStream rebuilds the derivation of a value it yielded at the
 depth it yielded it; equal memo entries give equal picks, so the stream
 gives the derivation a fresh one stopped at that depth would.
@@ -121,6 +122,9 @@ without choices, and the memo, the fixpoint test and the budget trips
 come out as they would without the caches. values keeps the old object
 for a set that did not change from one depth to the next, so a call whose
 arguments stopped changing finds its choices, bodies and union at once.
+Freezing (sweep) subsumes the caches for a frozen call, a lookup that
+asks none of them; they serve a call whose arguments froze before its
+bodies did.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. A node of the
@@ -131,6 +135,8 @@ arguments up to the one it stops at, then its bodies. A call that finds
 the sets it found one depth down makes the same choices, bodies and
 union; `?` and if_then alike. An argument whose pattern is a variable the
 body ignores is left out: its one choice does not depend on its set.
+Freezing counts that argument's read too, as values reads its set, so a
+frozen call passes the budget checks it passed when it froze.
 """
 
 from __future__ import annotations
@@ -142,7 +148,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .disjsubst import (
     DisjSubst,
-    is_compressible,
     maximal_products,
     maximal_substs,
     question_combine_set,
@@ -195,20 +200,23 @@ def maximal_terms(terms: FrozenSet[Term]) -> FrozenSet[Term]:
     """The maximal elements of a set of values under approximation.
 
     A total value lies below no other, and proper approximation keeps the
-    root symbol and lowers the weight (non-bottom node count). So only
-    partial members are tested, each against the heavier members with its
-    root; _|_ is kept only alone."""
+    root symbol and lowers the weight (non-bottom node count). So the
+    members are taken heaviest first, and a partial one is tested only
+    against the members kept so far with its root; _|_ is kept only alone.
+    A dropped member lies below a kept one: its dominator is kept, or lies
+    below a heavier kept one."""
     if all(t.total for t in terms):
         return terms
-    by_root: Dict[str, List[Term]] = {}
-    for t in terms:
+    kept: Dict[str, List[Term]] = {}
+    dominated = [BOT] if BOT in terms and len(terms) > 1 else []
+    for t in sorted(terms, key=lambda t: -t.weight):
         if t.kind == APP:
-            by_root.setdefault(t.name, []).append(t)
-    dominated = [
-        t for t in terms if not t.total and (len(terms) > 1 if t is BOT else any(
-            u.weight > t.weight and approx_leq(t, u) for u in by_root[t.name]
-        ))
-    ]
+            same_root = kept.setdefault(t.name, [])
+            if t.total or not any(u.weight > t.weight and approx_leq(t, u)
+                                  for u in same_root):
+                same_root.append(t)
+            else:
+                dominated.append(t)
     return terms.difference(dominated) if dominated else terms
 
 
@@ -228,8 +236,7 @@ _MATCHER_GUARD = 48
 
 def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str, ...]:
     """How each argument of fname is passed under the mode: SG or PL."""
-    # for ? and if_then this serves only build_trace, through _unfold, and
-    # replay_trace
+    # for ? and if_then this serves only build_trace, through _unfold
     if mode == CALL_TIME or fname in ("?", "if_then"):
         return (SG,) * arity
     if mode in (ALPHA, BETA):
@@ -346,19 +353,22 @@ class Enumerator(Sweeper):
         return cached
 
     def values(self, expr: Term, k: int) -> FrozenSet[Term]:
-        key = (expr, k)
-        got = self._memo.get(key)
+        got = self._lookup(expr, k)
         if got is not None:
             return got
+        start, since = self._thaws, k
         # a function-free expression is its own maximal value at every depth
         if self._settled(expr):
             result = frozenset((expr,))
+            since = 0
         elif expr.name in self._fnames:
+            if k < 1:
+                self._thaws += 1  # _|_ at depth 0, not frozen (sweep)
             result = self._call_values(expr, k)
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        return self._keep(key, (expr, k - 1), result)
+        return self._keep((expr, k), result, start, since)
 
     def _call_values(self, expr, k):
         # the built-ins natively, by the argument in the module docstring;
@@ -376,11 +386,9 @@ class Enumerator(Sweeper):
         return self._union(parts)
 
     def _union(self, parts: List[FrozenSet[Term]]) -> FrozenSet[Term]:
-        # union the per-pick result sets by reference; repeated unions of
-        # the same parts (the common case once low levels stabilize) come
-        # out of _union_cache (one of the three caches the module docstring
-        # names) as the same object, so the unchanged-set check in values
-        # stays an identity test instead of a big-set comparison
+        # repeated unions of the same parts come out of _union_cache as the
+        # same object, so the unchanged-set check in values stays an
+        # identity test instead of a big-set comparison
         uniq = list({id(p): p for p in parts}.values())
         if not uniq:
             return _BOTTOM_ONLY
@@ -545,63 +553,6 @@ class Enumerator(Sweeper):
         )
 
 
-def replay_trace(program: Program, mode: str, node: TraceNode) -> bool:
-    """Structural validity of a derivation tree for the given calculus."""
-    sig = program.signature
-    if node.tag == "B":
-        return node.value is BOT
-    if node.tag == "RR":
-        return node.source.kind == VAR and node.value is node.source
-    if node.tag == "DC":
-        e, t = node.source, node.value
-        if e.kind != APP or t.kind != APP or e.name != t.name or sig.is_function(e.name):
-            return False
-        if len(node.children) != len(e.children):
-            return False
-        return all(
-            kid.source is e.children[i]
-            and kid.value is t.children[i]
-            and replay_trace(program, mode, kid)
-            for i, kid in enumerate(node.children)
-        )
-    if node.tag != _OR_TAG[mode]:
-        return False
-    e, rule, choices, theta = node.source, node.rule, node.choices, node.subst
-    if e.kind != APP or not sig.is_function(e.name):
-        return False
-    if not any(r is rule for _i, r in program.rules_by_root.get(e.name, ())):
-        return False
-    if len(choices) != len(rule.args):
-        return False
-    tags = _arg_tags(program, mode, e.name, len(rule.args))
-    for i, combo in enumerate(choices):
-        if not combo:
-            return False
-        if tags[i] == SG and len(combo) != 1:
-            return False
-        if mode in (BETA, COMBINED_BETA) and not is_compressible(combo):
-            return False
-    if DisjSubst.join([question_combine_set(combo) for combo in choices]) != theta:
-        return False
-    if not node.children or node.children[-1].source is not theta.apply(rule.rhs):
-        return False
-    premises = node.children[:-1]
-    expected = list(_premises(rule, choices))
-    if len(premises) != len(expected):
-        return False
-    for kid, (arg_index, premise_value) in zip(premises, expected):
-        if kid.source is not e.children[arg_index]:
-            return False
-        if kid.value is not premise_value:
-            return False
-        if not replay_trace(program, mode, kid):
-            return False
-    body = node.children[-1]
-    if body.value is not node.value:
-        return False
-    return replay_trace(program, mode, body)
-
-
 class DenotationStream:
     """Deduplicated stream of maximal values: strata by increasing depth,
     canonical term order within a stratum, totals only if asked. `depth`
@@ -654,17 +605,19 @@ class DenotationStream:
             self.done = self.complete = self.enum.confirm_fixpoint(d)
 
     def derivation(self, value: Term) -> TraceNode:
-        """A replayable derivation of a value the stream yielded, rebuilt at
-        the least swept depth whose set holds it. The entries build_trace
-        makes, of `?` and `if_then` bodies no sweep evaluates, are dropped,
-        so the memo and memo_entries stay what the sweeps make."""
-        enum, memo = self.enum, self.enum._memo
-        depth = next(d for d in range(self.swept + 1) if _holds(memo[(self.expr, d)], value))
-        size = len(memo)
+        """A derivation of a value the stream yielded, rebuilt at the least
+        swept depth whose set holds it. The memo and frozen entries
+        build_trace makes, of `?` and `if_then` bodies no sweep evaluates,
+        are dropped, so both tables stay what the sweeps make."""
+        enum = self.enum
+        depth = next(d for d in range(self.swept + 1)
+                     if _holds(enum.values(self.expr, d), value))
+        tables = enum._memo, enum._frozen
+        sizes = [len(t) for t in tables]
         trace = enum.build_trace(self.expr, depth, value)
-        for key in list(islice(reversed(memo), len(memo) - size)):
-            del memo[key]
-        assert replay_trace(enum.program, enum.mode, trace)
+        for table, size in zip(tables, sizes):
+            for key in list(islice(reversed(table), len(table) - size)):
+                del table[key]
         return trace
 
 

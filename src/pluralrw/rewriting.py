@@ -35,8 +35,8 @@ every reachable total c-term is found at some k, by the commutation
 above. Copies of a variable are evaluated apart: that is run-time
 choice.
 
-Sets and match lists grow with k, by induction on k. A node is (None, e)
-for the set of e, (p, e) for the match list of p against e, and a
+Sets and match lists grow with k, by induction on k. A node is e for
+the set of e, (p, e) for the match list of p against e, and a
 fixpoint is proven on its read-closure (sweep). A set reads its
 constructor children; a call reads its argument matches at k-1, up to
 the first argument none matches, and its bodies at k-1; a match reads
@@ -55,8 +55,9 @@ pattern instance by steps at pattern positions, following the matches;
 takes the root step to the body; and goes on in the body. A constructor
 rewrites its children left to right. A match of a call is rebuilt the
 same way, with the pattern in place of the value. The sweep that made
-an entry made every entry this reads, so the memo does not grow. The
-derivation is a real one, but not always a shortest one.
+an entry made every entry this reads, or found it frozen, and a frozen
+node reads only frozen nodes, so neither the memo nor the frozen table
+grows. The derivation is a real one, but not always a shortest one.
 """
 
 from __future__ import annotations
@@ -160,12 +161,13 @@ class NeedEnumerator(Sweeper):
     patterns have the variables its body ignores cut to _|_, a wildcard.
 
     A DenotationStream drives it by the sweep protocol, with its memo
-    keyed (expr, k) for a set and (pattern, expr, k) for a match list.
+    keyed (expr, k) for a set and ((pattern, expr), k) for a match list.
     build_path rebuilds a rewrite derivation of a value from the memo."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         super().__init__(program, value_budget)
-        self._bodies: Dict[Tuple[Term, int], FrozenSet[Term]] = {}
+        # per (call, k): its bodies, and whether their reads thawed
+        self._bodies: Dict[Tuple[Term, int], Tuple[FrozenSet[Term], bool]] = {}
         self._rules: Dict[str, list] = {}
 
     def _rule_table(self, fname: str) -> list:
@@ -191,10 +193,10 @@ class NeedEnumerator(Sweeper):
         fnames = self._fnames
         if expr.symbols.isdisjoint(fnames):
             return frozenset((expr,)) if expr.total else _NONE
-        key = (expr, k)
-        got = self._memo.get(key)
+        got = self._lookup(expr, k)
         if got is not None:
             return got
+        start = self._thaws
         if expr.name in fnames:
             out = set()
             for body in self._unfold(expr, k):
@@ -208,17 +210,18 @@ class NeedEnumerator(Sweeper):
             parts = [self.values(c, k) for c in expr.children]
             self._fit(prod(map(len, parts)))
             result = frozenset(_make(APP, expr.name, combo) for combo in product(*parts))
-        return self._keep(key, (expr, k - 1), result)
+        return self._keep((expr, k), result, start, k)
 
     def matches(self, pattern: Term, expr: Term, k: int) -> FrozenSet[tuple]:
         """The match list of a constructor pattern (an APP) against expr."""
         if expr.symbols.isdisjoint(self._fnames):
             out: list = []
             return frozenset((tuple(out),)) if _bind(pattern, expr, out) else _NONE
-        key = (pattern, expr, k)
-        got = self._memo.get(key)
+        node = pattern, expr
+        got = self._lookup(node, k)
         if got is not None:
             return got
+        start = self._thaws
         if expr.name in self._fnames:
             found = set()
             for body in self._unfold(expr, k):
@@ -230,7 +233,7 @@ class NeedEnumerator(Sweeper):
                                     for q, c in zip(pattern.children, expr.children)])
         else:
             result = _NONE
-        return self._keep(key, (pattern, expr, k - 1), result)
+        return self._keep((node, k), result, start, k)
 
     def _arg_matches(self, pattern: Term, expr: Term, k: int):
         # the match list of any pattern: one match for a variable or a
@@ -249,14 +252,18 @@ class NeedEnumerator(Sweeper):
         """The bodies r.sigma of the call at depth k, over its rules and
         the matches of its arguments at k-1; none at k = 0. Where every
         argument match list read is the object read at depth k-1, the
-        bodies are those of depth k-1."""
+        bodies are those of depth k-1: freezing does not subsume this for
+        a call whose arguments froze but whose bodies did not. A cache hit
+        counts the thaw its reads made (sweep)."""
         if k < 1:
+            self._thaws += 1
             return _NONE
         key = (call, k)
         got = self._bodies.get(key)
         if got is not None:
-            return got
-        fnames, memo = self._fnames, self._memo
+            self._thaws += got[1]
+            return got[0]
+        start, fnames = self._thaws, self._fnames
         prev = self._bodies.get((call, k - 1))
         same = prev is not None
         picks = []
@@ -269,32 +276,41 @@ class NeedEnumerator(Sweeper):
             for p, arg in zip(patterns, call.children):
                 found = self._arg_matches(p, arg, k - 1)
                 if same and p.kind == APP and not arg.symbols.isdisjoint(fnames):
-                    same = found is memo.get((p, arg, k - 2))
+                    same = found is self._lookup((p, arg), k - 2, read=False)
                 if not found:
                     break
                 lists.append(found)
             else:
                 picks.append((rhs, names, lists))
         if same:
-            got = prev
+            got = prev[0]
         else:
             out = set()
             for rhs, names, lists in picks:
                 for m in lists[0] if len(lists) == 1 else self._product(lists):
                     out.add(apply_subst(rhs, dict(zip(names, m))))
             got = frozenset(out)
-            if prev == got:
-                got = prev
-        self._bodies[key] = got
+            if prev is not None and prev[0] == got:
+                got = prev[0]
+        self._bodies[key] = got, self._thaws != start
         return got
 
-    def build_path(self, expr: Term, k: int, value: Term) -> List[Tuple[Tuple[int, ...], Term]]:
+    def build_path(self, expr: Term, k: int, value: Term) -> List[RewriteStep]:
         """A rewrite derivation of expr to a value in values(expr, k),
-        rebuilt from the memo (module docstring): its steps in order, each
-        the position rewritten and the contractum put there."""
+        rebuilt from the memo (module docstring): its steps in order. Each
+        step's matcher, which binds the variables the body ignores too, is
+        read off the term the step rewrites."""
         out: list = []
         self._path_to_value(expr, k, value, (), out)
-        return out
+        steps, node = [], expr
+        for pos, idx, contractum in out:
+            redex = node
+            for i in pos:
+                redex = redex.children[i - 1]
+            node = replace_at(node, pos, contractum)
+            m = match_value(self.program.all_rules[idx].lhs, redex)
+            steps.append(RewriteStep(idx, pos, m, node))
+        return steps
 
     def _path_to_value(self, expr, k, value, pos, out):
         if expr.symbols.isdisjoint(self._fnames):
@@ -326,8 +342,10 @@ class NeedEnumerator(Sweeper):
     def _root_step(self, call, k, pos, out, wanted):
         # the first body of the call at k that is wanted, in rule order and
         # then canonical term order of the argument matches; the steps to
-        # it go to out, and it is returned
-        for rhs, patterns, names, _plain in self._rule_table(call.name):
+        # it go to out, each as (position, rule index, contractum), and it
+        # is returned
+        for (idx, _rule), (rhs, patterns, names, _plain) in zip(
+                self.program.rules_by_root[call.name], self._rule_table(call.name)):
             lists = []
             for p, arg in zip(patterns, call.children):
                 found = self._arg_matches(p, arg, k - 1)
@@ -341,24 +359,22 @@ class NeedEnumerator(Sweeper):
                         for i, (p, arg, m) in enumerate(zip(patterns, call.children, combo), 1):
                             if p.kind == APP:
                                 self._path_to_match(p, arg, k - 1, m, pos + (i,), out)
-                        out.append((pos, body))
+                        out.append((pos, idx, body))
                         return body
         raise ValueError("no body of %s at depth %d is the one sought" % (format_term(call), k))
 
-    def _node(self, expr: Term):
-        return None, expr
-
     def _settled(self, node) -> bool:
-        return node[1].symbols.isdisjoint(self._fnames)
+        x = node if isinstance(node, Term) else node[1]
+        return x.symbols.isdisjoint(self._fnames)
 
     def _at(self, node, k: int) -> FrozenSet:
-        pattern, x = node
-        return self.values(x, k) if pattern is None else self.matches(pattern, x, k)
+        return self.values(node, k) if isinstance(node, Term) else self.matches(*node, k)
 
     def _reads(self, node, k: int):
-        """What the set (pattern None) or the match list of x at k reads,
-        for k >= 1, leaving out variable and wildcard patterns."""
-        pattern, x = node
+        """What the set of x (node x) or the match list of p against x
+        (node (p, x)) at k reads, for k >= 1, leaving out variable and
+        wildcard patterns."""
+        pattern, x = (None, node) if isinstance(node, Term) else node
         if x.name in self._fnames:
             for _rhs, patterns, _names, _plain in self._rules[x.name]:
                 for p, arg in zip(patterns, x.children):
@@ -369,10 +385,9 @@ class NeedEnumerator(Sweeper):
             # in term order, so the entries a failing check forces do not
             # depend on where the bodies lie in memory
             for body in sorted(self._unfold(x, k), key=term_key):
-                yield pattern, body
+                yield body if pattern is None else (pattern, body)
         elif pattern is None:
-            for c in x.children:
-                yield None, c
+            yield from x.children
         elif x.name == pattern.name:
             for q, c in zip(pattern.children, x.children):
                 if q.kind == APP:

@@ -26,12 +26,31 @@ root, so neither the whole support nor a sweep that changed no entry is
 needed. A check over the whole support passes only when the support is
 closed under reads at d and kept its sets; the closure lies inside it,
 so that check proves no later.
+
+Freezing applies the same induction to one node (semi-naive
+evaluation: Bancilhon and Ramakrishnan, "An amateur's introduction to
+recursive query processing strategies", SIGMOD 1986). A node is frozen
+from f when its set is the same at every depth >= f; a settled node is
+frozen from 0. While x is computed at k, the sweeper counts its reads of
+a node y at j not yet frozen from a depth <= j. If there are none, x is
+frozen from k with its set: at k+n it finds at j+n the sets it found at
+j, so it reads the same nodes, computes the same set and passes the same
+budget checks, by induction on n, again with no monotonicity. A call at
+depth 0 reads nothing yet is _|_, as no rule unfolds: it never freezes,
+nor does a node that reads it. A read behind a cache entry is counted
+again on every hit. values(x, k) of a node frozen from f <= k is a
+lookup that neither visits nor stores anything. A node freezes once.
+
+The proof skips a node frozen from a depth <= d-1, as it skips a settled
+one. Such a node reads at d only nodes frozen from <= d-1, by the same
+shift, so the walk through them could not fail: the proof passes at the
+depth it would without freezing, and a frozen root proves at once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .syntax import Program
 from .terms import Term
@@ -48,10 +67,11 @@ class BudgetExceeded(RuntimeError):
 
 
 class Sweeper:
-    """The memo, the budget and the fixpoint proof of one program's
-    enumerator (module docstring). A subclass provides values(expr, k)
-    and _reads(node, k); a node is an expression unless the subclass
-    overrides _node, _settled and _at."""
+    """The memo, the frozen table, the budget and the fixpoint proof of one
+    program's enumerator (module docstring). A subclass provides values(e,
+    k), which answers by _lookup or computes and calls _keep, and
+    _reads(node, k). The memo is keyed (node, depth); the node of e's set
+    is e, and other nodes need _settled and _at overridden."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         self.program = program
@@ -59,6 +79,10 @@ class Sweeper:
         self._budget = value_budget
         self._fnames = frozenset(program.signature.functions)
         self._memo: Dict[tuple, FrozenSet] = {}
+        # per frozen node: the depth it is frozen from, and its set
+        self._frozen: Dict[object, Tuple[int, FrozenSet]] = {}
+        # reads so far of a node not frozen at the depth read
+        self._thaws = 0
 
     # does nothing here; perfbench/layers.py counts sweeps by it, and
     # tests/oracles.SupportWideEnumerator marks its sweeps clean in it
@@ -75,18 +99,31 @@ class Sweeper:
                 "value set of size %d exceeds the budget %d" % (size, self._budget)
             )
 
-    def _keep(self, key: tuple, prev_key: tuple, result: FrozenSet) -> FrozenSet:
-        """Memoize result under key, as the object under prev_key, the
-        node's depth k-1 entry, where the two are equal."""
-        prev = self._memo.get(prev_key)
+    def _lookup(self, node, k: int, read: bool = True) -> Optional[FrozenSet]:
+        """The node's set at k, frozen or memoized, else None; a memo hit
+        read counts a thaw."""
+        got = self._frozen.get(node)
+        if got is not None and got[0] <= k:
+            return got[1]
+        got = self._memo.get((node, k))
+        if got is not None and read:
+            self._thaws += 1
+        return got
+
+    def _keep(self, key: tuple, result: FrozenSet, start: int, since: int) -> FrozenSet:
+        """Memoize result under key, (node, k), as the depth k-1 object if
+        equal. Freeze the node from since if no read thawed after start,
+        the count when its computation began; else count a thaw."""
+        node, k = key
+        prev = self._memo.get((node, k - 1))
         if prev is not result and prev == result:
             result = prev
         self._memo[key] = result
+        if self._thaws == start:
+            self._frozen.setdefault(node, (since, result))
+        else:
+            self._thaws += 1
         return result
-
-    def _node(self, expr: Term):
-        """The node of expr's own set."""
-        return expr
 
     def _settled(self, node) -> bool:
         return node.symbols.isdisjoint(self._fnames)
@@ -98,11 +135,12 @@ class Sweeper:
         """Whether values(self.root, depth + n) equals values(self.root,
         depth) for every n, by a breadth-first walk over the read-closure
         (module docstring)."""
-        seen = {self._node(self.root)}
+        seen = {self.root}
         todo = deque(seen)
         while todo:
             node = todo.popleft()
-            if self._settled(node):
+            frozen = self._frozen.get(node)
+            if self._settled(node) or (frozen is not None and frozen[0] < depth):
                 continue
             before, now = self._at(node, depth - 1), self._at(node, depth)
             if now is not before and now != before:

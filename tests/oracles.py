@@ -13,9 +13,14 @@ from math import prod
 
 from pluralrw.calculi import (
     _MATCHER_GUARD,
+    _OR_TAG,
+    BETA,
+    COMBINED_BETA,
     BudgetExceeded,
     DenotationStream,
     Enumerator,
+    _arg_tags,
+    _premises,
     enumerate_values,
 )
 from pluralrw.disjsubst import (
@@ -41,7 +46,7 @@ from pluralrw.terms import (
     term_key,
     var,
 )
-from pluralrw.rewriting import RewriteStep, _root_steps, one_step
+from pluralrw.rewriting import NeedEnumerator, RewriteStep, _root_steps, one_step
 
 
 _TERM_POOL = (
@@ -458,6 +463,28 @@ class UncachedEnumerator(Enumerator):
                     yield DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs)
 
 
+# ---- both engines as they were before a node froze once everything it
+# read was frozen ----
+
+
+class _NeverFreezes:
+    """Mixed in before an engine, computes every node at every depth
+    asked."""
+
+    def _keep(self, key, result, start, since):
+        self._thaws += 1  # a thaw before the check, so no node freezes
+        return super()._keep(key, result, start, since)
+
+
+class UnfrozenEnumerator(_NeverFreezes, Enumerator):
+    """Computes every node at every depth asked: the memo holds an entry
+    per node and depth reached."""
+
+
+class UnfrozenNeedEnumerator(_NeverFreezes, NeedEnumerator):
+    """Computes every set and match list at every depth asked."""
+
+
 # ---- calculi: every value set kept down-closed, as it was before the
 # memo kept only its maximal antichain ----
 
@@ -483,14 +510,14 @@ def sweep_maximal_terms(terms):
     return frozenset(kept)
 
 
-class DownClosedEnumerator(Enumerator):
+class DownClosedEnumerator(_NeverFreezes, Enumerator):
     """Every memoized set holds all of its values, not only the maximal
     ones: a function-free expression's set is its down-closure, a
     constructor's is _|_ and the root over the product of its children's
     sets, and a `?` or call unions its parts. Matching reads the maximal
     values, found by sweep_maximal_terms. The budget counts the members of
     the down-closed sets, and a function-free or constructor set is sized
-    before it is built."""
+    before it is built. No node freezes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -509,7 +536,7 @@ class DownClosedEnumerator(Enumerator):
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        return self._keep(key, (expr, k - 1), result)
+        return self._keep(key, result, self._thaws, k)
 
     def _union(self, parts):
         return frozenset((BOT,)).union(*parts)
@@ -530,14 +557,15 @@ class DownClosedEnumerator(Enumerator):
 # before the check walked the root's read-closure ----
 
 
-class SupportWideEnumerator(Enumerator):
+class SupportWideEnumerator(_NeverFreezes, Enumerator):
     """Keeps every non-constant expression ever evaluated (the support), in
     the order first touched, and whether the sweep made an entry that
     differs from its depth-1 counterpart (dirty). A check at depth d fails
     on a dirty sweep; otherwise it evaluates the whole support at d, again
     until the support stops growing, and passes if that made no dirty
     entry. A stream calls it only where the root's set repeats, which a
-    clean sweep implies, so it proves where the old stream proved."""
+    clean sweep implies, so it proves where the old stream proved. No
+    node freezes: the dirty test reads every node's depth k-1 entry."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -570,6 +598,67 @@ class SupportWideEnumerator(Enumerator):
                 return not self._dirty
 
 
+# ---- calculi: the replay of a derivation, which every derivation a
+# stream rebuilt once had to pass ----
+
+
+def replay_trace(program, mode, node):
+    """Structural validity of a derivation tree for the given calculus."""
+    sig = program.signature
+    if node.tag == "B":
+        return node.value is BOT
+    if node.tag == "RR":
+        return node.source.kind == VAR and node.value is node.source
+    if node.tag == "DC":
+        e, t = node.source, node.value
+        if e.kind != APP or t.kind != APP or e.name != t.name or sig.is_function(e.name):
+            return False
+        if len(node.children) != len(e.children):
+            return False
+        return all(
+            kid.source is e.children[i]
+            and kid.value is t.children[i]
+            and replay_trace(program, mode, kid)
+            for i, kid in enumerate(node.children)
+        )
+    if node.tag != _OR_TAG[mode]:
+        return False
+    e, rule, choices, theta = node.source, node.rule, node.choices, node.subst
+    if e.kind != APP or not sig.is_function(e.name):
+        return False
+    if not any(r is rule for _i, r in program.rules_by_root.get(e.name, ())):
+        return False
+    if len(choices) != len(rule.args):
+        return False
+    tags = _arg_tags(program, mode, e.name, len(rule.args))
+    for i, combo in enumerate(choices):
+        if not combo:
+            return False
+        if tags[i] == SG and len(combo) != 1:
+            return False
+        if mode in (BETA, COMBINED_BETA) and not is_compressible(combo):
+            return False
+    if DisjSubst.join([question_combine_set(combo) for combo in choices]) != theta:
+        return False
+    if not node.children or node.children[-1].source is not theta.apply(rule.rhs):
+        return False
+    premises = node.children[:-1]
+    expected = list(_premises(rule, choices))
+    if len(premises) != len(expected):
+        return False
+    for kid, (arg_index, premise_value) in zip(premises, expected):
+        if kid.source is not e.children[arg_index]:
+            return False
+        if kid.value is not premise_value:
+            return False
+        if not replay_trace(program, mode, kid):
+            return False
+    body = node.children[-1]
+    if body.value is not node.value:
+        return False
+    return replay_trace(program, mode, body)
+
+
 # ---- helpers only the tests use, over the public enumerator and stream ----
 
 
@@ -579,7 +668,9 @@ def derives(program, mode, expr, target, depth):
     stream = enumerate_values(program, mode, expr, depth)
     for value in stream:
         if approx_leq(target, value):
-            return stream.derivation(target)
+            trace = stream.derivation(target)
+            assert replay_trace(program, mode, trace)
+            return trace
     return None
 
 

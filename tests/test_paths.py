@@ -131,10 +131,10 @@ def _assert_every_value_has_a_replaying_path(program, expr, depth):
     enum = NeedEnumerator(program)
     stream = DenotationStream(enum, expr, depth, totals_only=True)
     values = list(stream)
-    entries = enum.memo_entries
+    tables = dict(enum._memo), dict(enum._frozen)
     for value in values:
         _assert_replays(program, expr, value, _find_path(enum, expr, value, stream.swept))
-    assert enum.memo_entries == entries
+    assert (enum._memo, enum._frozen) == tables
     return len(values)
 
 
