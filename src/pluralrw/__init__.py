@@ -4,7 +4,7 @@ Modules:
   terms      term representation, orderings, matching
   syntax     concrete syntax: lexer, parser, printer, programs
   disjsubst  disjunctive substitutions and compressibility
-  sweep      the sweep protocol: memo, value budget, fixpoint proof
+  sweep      the sweep protocol: memo, read record, value budget, fixpoint proof
   calculi    denotation enumerators for the five semantics
   rewriting  plain term rewriting engine, call-by-need run-time sets
   transform  the plural-to-rewriting program transformation

@@ -106,7 +106,10 @@ included, the first pick, in evaluation order, whose instantiated body
 holds the value one level down.
 A DenotationStream rebuilds the derivation of a value it yielded at the
 depth it yielded it; equal memo entries give equal picks, so the stream
-gives the derivation a fresh one stopped at that depth would.
+gives the derivation a fresh one stopped at that depth would. Every
+expression a derivation asks for was computed by the sweeps or is frozen,
+but for settled ones, so the memo, the frozen table and the read record
+stay what the sweeps made.
 
 Each enumerator keeps three caches, which live and die with it:
 _choice_cache holds an argument's matcher choices per (pattern, variables
@@ -128,15 +131,12 @@ bodies did.
 
 Sets are not monotone in depth: dropping a dominated matcher can lengthen
 a ?-chain, so a value can vanish and resurface later. A node of the
-fixpoint proof (sweep) is an expression. values(x, k) reads a
-constructor's children at k; at k-1 a `?`'s arguments, an if_then's
-condition and its branch where taken, and per rule of a call its
-arguments up to the one it stops at, then its bodies. A call that finds
-the sets it found one depth down makes the same choices, bodies and
-union; `?` and if_then alike. An argument whose pattern is a variable the
-body ignores is left out: its one choice does not depend on its set.
-Freezing counts that argument's read too, as values reads its set, so a
-frozen call passes the budget checks it passed when it froze.
+fixpoint proof (sweep) is an expression, and the proof walks the reads
+values made. A call that finds the sets it found one depth down makes the
+same choices, bodies and union; `?` and if_then alike. An argument whose
+pattern is a variable the body ignores is not evaluated: its one choice
+does not depend on its set. A function-free expression is settled (sweep):
+values answers it at once and keeps no memo entry for it.
 """
 
 from __future__ import annotations
@@ -302,8 +302,8 @@ class Enumerator(Sweeper):
 
     values may be asked for any expressions and depths; the memo is shared,
     which keeps multi-query tests cheap. A DenotationStream may use an
-    enumerator that served other queries: its fixpoint test reads set
-    values only, which no earlier entry changes.
+    enumerator that served other queries: its fixpoint test reads sets and
+    recorded reads only, which no earlier entry changes.
     """
 
     def __init__(
@@ -323,22 +323,6 @@ class Enumerator(Sweeper):
         self._choice_cache: Dict[tuple, list] = {}
         self._body_cache: Dict[tuple, Tuple[Tuple[Term, ...], bool]] = {}
 
-    def _reads(self, expr: Term, k: int):
-        """What values(expr, k) reads, for k >= 1 (module docstring)."""
-        if expr.name not in self._fnames or expr.name == "?":
-            yield from expr.children
-        elif expr.name == "if_then":
-            cond, then = expr.children
-            yield cond
-            if _TT in self.values(cond, k - 1):
-                yield then
-        else:
-            for rule, per_arg, bodies in self._unfold(expr, k):
-                for arg, pattern in zip(expr.children[: len(per_arg) + 1], rule.args):
-                    if pattern.kind != VAR or pattern.name in rule.rhs.varset:
-                        yield arg
-                yield from bodies
-
     def _rules(self, fname: str):
         cached = self._rule_cache.get(fname)
         if cached is None:
@@ -353,22 +337,22 @@ class Enumerator(Sweeper):
         return cached
 
     def values(self, expr: Term, k: int) -> FrozenSet[Term]:
+        # a function-free expression is its own maximal value at every
+        # depth, answered without a memo entry (sweep)
+        if expr.symbols.isdisjoint(self._fnames):
+            return frozenset((expr,))
         got = self._lookup(expr, k)
         if got is not None:
             return got
-        start, since = self._thaws, k
-        # a function-free expression is its own maximal value at every depth
-        if self._settled(expr):
-            result = frozenset((expr,))
-            since = 0
-        elif expr.name in self._fnames:
+        start = self._begin()
+        if expr.name in self._fnames:
             if k < 1:
                 self._thaws += 1  # _|_ at depth 0, not frozen (sweep)
             result = self._call_values(expr, k)
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        return self._keep((expr, k), result, start, since)
+        return self._keep((expr, k), result, start)
 
     def _call_values(self, expr, k):
         # the built-ins natively, by the argument in the module docstring;
@@ -411,7 +395,8 @@ class Enumerator(Sweeper):
         (rule, per argument its (matchers, ?-combination) choices, the
         instantiated bodies in the order of the choices' product). A rule
         stops, with no bodies, at its first argument, left to right, that
-        no value at depth k-1 matches. A rule whose picks overran the
+        no value at depth k-1 matches. An argument the body ignores passes
+        no value set (module docstring). A rule whose picks overran the
         budget raises once its consumer is done with the bodies built."""
         if k < 1:
             return
@@ -420,7 +405,8 @@ class Enumerator(Sweeper):
             per_arg: List[list] = []
             vsets = []
             for i, pattern in enumerate(rule.args):
-                vset = self.values(expr.children[i], kprev)
+                vset = (None if pattern.kind == VAR and not doms[i]
+                        else self.values(expr.children[i], kprev))
                 choices = self._choices(pattern, doms[i], tags[i] == SG, vset)
                 if not choices:
                     yield rule, per_arg, ()
@@ -465,7 +451,8 @@ class Enumerator(Sweeper):
         from the maximal restricted matchers and differs only in the
         matcher sets it passes."""
         if pattern.kind == VAR and pattern.name not in dom:
-            # body ignores this argument; every value matches trivially
+            # body ignores this argument, and vset is None; every value
+            # matches trivially
             return [(({},), DisjSubst({}))]
         # the maximal matchers are the matchers of the maximal values
         maximal = [m for t in sorted(vset, key=_rank)
@@ -606,19 +593,10 @@ class DenotationStream:
 
     def derivation(self, value: Term) -> TraceNode:
         """A derivation of a value the stream yielded, rebuilt at the least
-        swept depth whose set holds it. The memo and frozen entries
-        build_trace makes, of `?` and `if_then` bodies no sweep evaluates,
-        are dropped, so both tables stay what the sweeps make."""
-        enum = self.enum
+        swept depth whose set holds it."""
         depth = next(d for d in range(self.swept + 1)
-                     if _holds(enum.values(self.expr, d), value))
-        tables = enum._memo, enum._frozen
-        sizes = [len(t) for t in tables]
-        trace = enum.build_trace(self.expr, depth, value)
-        for table, size in zip(tables, sizes):
-            for key in list(islice(reversed(table), len(table) - size)):
-                del table[key]
-        return trace
+                     if _holds(self.enum.values(self.expr, d), value))
+        return self.enum.build_trace(self.expr, depth, value)
 
 
 def enumerate_values(program: Program, mode: str, expr: Term, depth: Optional[int],

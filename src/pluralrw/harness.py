@@ -612,8 +612,10 @@ def _seeds(text: str) -> range:
 
 
 def _depth(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError("needs a non-negative integer, not %r" % text)
+    # at depth 0 every set is {_|_}, at every scale: the checks would judge
+    # nothing
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError("needs a positive integer, not %r" % text)
     return int(text)
 
 

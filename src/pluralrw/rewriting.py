@@ -37,14 +37,13 @@ choice.
 
 Sets and match lists grow with k, by induction on k. A node is e for
 the set of e, (p, e) for the match list of p against e, and a
-fixpoint is proven on its read-closure (sweep). A set reads its
-constructor children; a call reads its argument matches at k-1, up to
-the first argument none matches, and its bodies at k-1; a match reads
-its children's matches, or, on a call, that call's argument matches and
-the bodies' matches. A call that finds the matches it found one depth
-down unfolds to the same bodies. Variable patterns, and the _|_
-wildcards that stand for variables a body ignores, are left out of the
-closure: their one match does not depend on the depth.
+fixpoint is proven on its recorded read-closure (sweep). A call that
+finds the matches it found one depth down unfolds to the same bodies.
+A variable pattern, and a _|_ wildcard that stands for a variable the
+body ignores, match without evaluating their argument: their one match
+does not depend on the depth. A function-free expression is settled
+(sweep): its set and match lists are answered at once, with no memo
+entry.
 
 Derivations are not recorded while sets are computed. build_path
 rebuilds one from the memo afterwards, by the argument above read
@@ -56,8 +55,9 @@ takes the root step to the body; and goes on in the body. A constructor
 rewrites its children left to right. A match of a call is rebuilt the
 same way, with the pattern in place of the value. The sweep that made
 an entry made every entry this reads, or found it frozen, and a frozen
-node reads only frozen nodes, so neither the memo nor the frozen table
-grows. The derivation is a real one, but not always a shortest one.
+node reads only frozen nodes, so neither the memo, the frozen table nor
+the read record grows. The derivation is a real one, but not always a
+shortest one.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ class NeedEnumerator(Sweeper):
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         super().__init__(program, value_budget)
-        # per (call, k): its bodies, and whether their reads thawed
-        self._bodies: Dict[Tuple[Term, int], Tuple[FrozenSet[Term], bool]] = {}
+        # per (call, k): its bodies, whether their reads thawed, and the
+        # reads
+        self._bodies: Dict[Tuple[Term, int], Tuple[Tuple[Term, ...], bool, tuple]] = {}
         self._rules: Dict[str, list] = {}
 
     def _rule_table(self, fname: str) -> list:
@@ -196,7 +197,7 @@ class NeedEnumerator(Sweeper):
         got = self._lookup(expr, k)
         if got is not None:
             return got
-        start = self._thaws
+        start = self._begin()
         if expr.name in fnames:
             out = set()
             for body in self._unfold(expr, k):
@@ -210,7 +211,7 @@ class NeedEnumerator(Sweeper):
             parts = [self.values(c, k) for c in expr.children]
             self._fit(prod(map(len, parts)))
             result = frozenset(_make(APP, expr.name, combo) for combo in product(*parts))
-        return self._keep((expr, k), result, start, k)
+        return self._keep((expr, k), result, start)
 
     def matches(self, pattern: Term, expr: Term, k: int) -> FrozenSet[tuple]:
         """The match list of a constructor pattern (an APP) against expr."""
@@ -221,7 +222,7 @@ class NeedEnumerator(Sweeper):
         got = self._lookup(node, k)
         if got is not None:
             return got
-        start = self._thaws
+        start = self._begin()
         if expr.name in self._fnames:
             found = set()
             for body in self._unfold(expr, k):
@@ -233,7 +234,7 @@ class NeedEnumerator(Sweeper):
                                     for q, c in zip(pattern.children, expr.children)])
         else:
             result = _NONE
-        return self._keep((node, k), result, start, k)
+        return self._keep((node, k), result, start)
 
     def _arg_matches(self, pattern: Term, expr: Term, k: int):
         # the match list of any pattern: one match for a variable or a
@@ -248,22 +249,26 @@ class NeedEnumerator(Sweeper):
         self._fit(prod(map(len, lists)))
         return frozenset(tuple(chain.from_iterable(combo)) for combo in product(*lists))
 
-    def _unfold(self, call: Term, k: int) -> FrozenSet[Term]:
-        """The bodies r.sigma of the call at depth k, over its rules and
-        the matches of its arguments at k-1; none at k = 0. Where every
-        argument match list read is the object read at depth k-1, the
-        bodies are those of depth k-1: freezing does not subsume this for
-        a call whose arguments froze but whose bodies did not. A cache hit
-        counts the thaw its reads made (sweep)."""
+    def _unfold(self, call: Term, k: int) -> Tuple[Term, ...]:
+        """The bodies r.sigma of the call at depth k, in term order, over
+        its rules and the matches of its arguments at k-1; none at k = 0.
+        Where every argument match list read is the object read at depth
+        k-1, the bodies are those of depth k-1: freezing does not subsume
+        this for a call whose arguments froze but whose bodies did not. A
+        cache hit counts the thaw its reads made and records them again
+        (sweep). Term order keeps the read record, and so the entries a
+        failing proof forces, apart from where the bodies lie in memory."""
         if k < 1:
             self._thaws += 1
-            return _NONE
+            return ()
         key = (call, k)
         got = self._bodies.get(key)
         if got is not None:
-            self._thaws += got[1]
-            return got[0]
-        start, fnames = self._thaws, self._fnames
+            bodies, thawed, reads = got
+            self._thaws += thawed
+            self._replay(reads)
+            return bodies
+        start, fnames = self._begin(), self._fnames
         prev = self._bodies.get((call, k - 1))
         same = prev is not None
         picks = []
@@ -289,10 +294,12 @@ class NeedEnumerator(Sweeper):
             for rhs, names, lists in picks:
                 for m in lists[0] if len(lists) == 1 else self._product(lists):
                     out.add(apply_subst(rhs, dict(zip(names, m))))
-            got = frozenset(out)
+            got = tuple(sorted(out, key=term_key))
             if prev is not None and prev[0] == got:
                 got = prev[0]
-        self._bodies[key] = got, self._thaws != start
+        reads = self._end(start)
+        self._bodies[key] = got, self._thaws != start[0], reads
+        self._replay(reads)
         return got
 
     def build_path(self, expr: Term, k: int, value: Term) -> List[RewriteStep]:
@@ -369,26 +376,3 @@ class NeedEnumerator(Sweeper):
 
     def _at(self, node, k: int) -> FrozenSet:
         return self.values(node, k) if isinstance(node, Term) else self.matches(*node, k)
-
-    def _reads(self, node, k: int):
-        """What the set of x (node x) or the match list of p against x
-        (node (p, x)) at k reads, for k >= 1, leaving out variable and
-        wildcard patterns."""
-        pattern, x = (None, node) if isinstance(node, Term) else node
-        if x.name in self._fnames:
-            for _rhs, patterns, _names, _plain in self._rules[x.name]:
-                for p, arg in zip(patterns, x.children):
-                    if p.kind == APP:
-                        yield p, arg
-                        if not self.matches(p, arg, k - 1):
-                            break
-            # in term order, so the entries a failing check forces do not
-            # depend on where the bodies lie in memory
-            for body in sorted(self._unfold(x, k), key=term_key):
-                yield body if pattern is None else (pattern, body)
-        elif pattern is None:
-            yield from x.children
-        elif x.name == pattern.name:
-            for q, c in zip(pattern.children, x.children):
-                if q.kind == APP:
-                    yield q, c

@@ -8,17 +8,20 @@ that unchanged sets compare by identity at the next depth.
 
 A node's set at depth k is computed from the nodes it reads: nodes at
 k-1, and strictly smaller nodes at k; what it finds at k-1 decides what
-it reads. A function-free node is settled: its set never changes. The
-proof is a stability check over the reads, as in chaotic iteration
-(Bourdoncle, "Efficient chaotic iteration strategies with widenings",
-1993), and needs no monotonicity in depth. The read-closure of the root
-at d holds the root and, with each unsettled node x, the nodes x reads
-at d. If each unsettled x of the closure has the same set at d as at
-d-1, then it has at d+n too, for every n, by induction on n and then on
-the size of x: at d+n+1, x finds at d+n what it found at d-1, so it reads
-the same nodes and computes the same set, and the smaller nodes it reads
-at its own depth keep theirs by the induction on size. Each engine's
-docstring lists its reads and its own step.
+it reads. A function-free node is settled: its set never changes, and
+it is answered without a memo entry. The sweeper records, for each node
+and depth it computes, the nodes that computation read, in the order it
+read them. The proof is a stability check over those reads, as in
+chaotic iteration (Bourdoncle, "Efficient chaotic iteration strategies
+with widenings", 1993), and needs no monotonicity in depth. The
+read-closure of the root at d holds the root and, with each unsettled
+node x, the nodes recorded for x at d. If each unsettled x of the
+closure has the same set at d as at d-1, then it has at d+n too, for
+every n, by induction on n and then on the size of x: at d+n+1, x finds
+at d+n what it found at d-1, so it reads the same nodes and computes the
+same set, and the smaller nodes it reads at its own depth keep theirs by
+the induction on size. A cache that stands for reads records them again
+on every hit, so the record holds every read the set depends on.
 
 The walk is breadth first and stops at the first changed set, since each
 step forces entries at depth d. Nothing outside the closure reaches the
@@ -30,16 +33,16 @@ so that check proves no later.
 Freezing applies the same induction to one node (semi-naive
 evaluation: Bancilhon and Ramakrishnan, "An amateur's introduction to
 recursive query processing strategies", SIGMOD 1986). A node is frozen
-from f when its set is the same at every depth >= f; a settled node is
-frozen from 0. While x is computed at k, the sweeper counts its reads of
-a node y at j not yet frozen from a depth <= j. If there are none, x is
-frozen from k with its set: at k+n it finds at j+n the sets it found at
-j, so it reads the same nodes, computes the same set and passes the same
-budget checks, by induction on n, again with no monotonicity. A call at
-depth 0 reads nothing yet is _|_, as no rule unfolds: it never freezes,
-nor does a node that reads it. A read behind a cache entry is counted
-again on every hit. values(x, k) of a node frozen from f <= k is a
-lookup that neither visits nor stores anything. A node freezes once.
+from f when its set is the same at every depth >= f. While x is computed
+at k, the sweeper counts its reads of a node y at j not yet frozen from
+a depth <= j. If there are none, x is frozen from k with its set: at k+n
+it finds at j+n the sets it found at j, so it reads the same nodes,
+computes the same set and passes the same budget checks, by induction
+on n, again with no monotonicity. A call at depth 0 reads nothing yet is
+_|_, as no rule unfolds: it never freezes, nor does a node that reads
+it. A read behind a cache entry is counted again on every hit.
+values(x, k) of a node frozen from f <= k is a lookup that neither
+visits nor stores anything. A node freezes once.
 
 The proof skips a node frozen from a depth <= d-1, as it skips a settled
 one. Such a node reads at d only nodes frozen from <= d-1, by the same
@@ -67,11 +70,13 @@ class BudgetExceeded(RuntimeError):
 
 
 class Sweeper:
-    """The memo, the frozen table, the budget and the fixpoint proof of one
-    program's enumerator (module docstring). A subclass provides values(e,
-    k), which answers by _lookup or computes and calls _keep, and
-    _reads(node, k). The memo is keyed (node, depth); the node of e's set
-    is e, and other nodes need _settled and _at overridden."""
+    """The memo, the frozen table, the read record, the budget and the
+    fixpoint proof of one program's enumerator (module docstring). A
+    subclass provides values(e, k), which answers a settled e at once,
+    else by _lookup, or opens a record with _begin, computes and closes
+    it with _keep. The memo and the record are keyed (node, depth); the
+    node of e's set is e, and other nodes need _settled and _at
+    overridden."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         self.program = program
@@ -81,13 +86,19 @@ class Sweeper:
         self._memo: Dict[tuple, FrozenSet] = {}
         # per frozen node: the depth it is frozen from, and its set
         self._frozen: Dict[object, Tuple[int, FrozenSet]] = {}
+        # per (node, k) computed: the nodes its computation read, in order
+        self._record: Dict[tuple, tuple] = {}
+        # the reads of the computation under way, None outside one
+        self._reading: Optional[list] = None
         # reads so far of a node not frozen at the depth read
         self._thaws = 0
 
-    # does nothing here; perfbench/layers.py counts sweeps by it, and
+    # perfbench/layers.py counts sweeps by it, and
     # tests/oracles.SupportWideEnumerator marks its sweeps clean in it
     def begin_sweep(self):
-        pass
+        """A sweep starts outside any computation: a record that an
+        exception left open is dropped."""
+        self._reading = None
 
     @property
     def memo_entries(self) -> int:
@@ -100,8 +111,11 @@ class Sweeper:
             )
 
     def _lookup(self, node, k: int, read: bool = True) -> Optional[FrozenSet]:
-        """The node's set at k, frozen or memoized, else None; a memo hit
-        read counts a thaw."""
+        """The node's set at k, frozen or memoized, else None. A read is
+        recorded for the computation under way, and a memo hit read counts
+        a thaw."""
+        if read and self._reading is not None:
+            self._reading.append(node)
         got = self._frozen.get(node)
         if got is not None and got[0] <= k:
             return got[1]
@@ -110,17 +124,36 @@ class Sweeper:
             self._thaws += 1
         return got
 
-    def _keep(self, key: tuple, result: FrozenSet, start: int, since: int) -> FrozenSet:
+    def _begin(self) -> tuple:
+        """Opens the record of a computation: what _end needs to close it."""
+        outer = self._reading
+        self._reading = []
+        return self._thaws, outer
+
+    def _end(self, start: tuple) -> tuple:
+        """Closes the record opened at start: its reads, as a tuple
+        (CPython shares the empty one)."""
+        reads = tuple(self._reading)
+        self._reading = start[1]
+        return reads
+
+    def _replay(self, reads: tuple) -> None:
+        """Records reads again, for a cache hit that stands for them."""
+        if self._reading is not None:
+            self._reading.extend(reads)
+
+    def _keep(self, key: tuple, result: FrozenSet, start: tuple) -> FrozenSet:
         """Memoize result under key, (node, k), as the depth k-1 object if
-        equal. Freeze the node from since if no read thawed after start,
-        the count when its computation began; else count a thaw."""
+        equal, with the reads recorded since start. Freeze the node from k
+        if none thawed since; else count a thaw."""
         node, k = key
         prev = self._memo.get((node, k - 1))
         if prev is not result and prev == result:
             result = prev
         self._memo[key] = result
-        if self._thaws == start:
-            self._frozen.setdefault(node, (since, result))
+        self._record[key] = self._end(start)
+        if self._thaws == start[0]:
+            self._frozen.setdefault(node, (k, result))
         else:
             self._thaws += 1
         return result
@@ -133,8 +166,8 @@ class Sweeper:
 
     def confirm_fixpoint(self, depth: int) -> bool:
         """Whether values(self.root, depth + n) equals values(self.root,
-        depth) for every n, by a breadth-first walk over the read-closure
-        (module docstring)."""
+        depth) for every n, by a breadth-first walk over the recorded
+        read-closure (module docstring)."""
         seen = {self.root}
         todo = deque(seen)
         while todo:
@@ -145,7 +178,7 @@ class Sweeper:
             before, now = self._at(node, depth - 1), self._at(node, depth)
             if now is not before and now != before:
                 return False
-            for y in self._reads(node, depth):
+            for y in self._record[node, depth]:
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)

@@ -36,6 +36,7 @@ from pluralrw.terms import (
     APP,
     BOT,
     VAR,
+    Term,
     _make,
     app,
     apply_subst,
@@ -407,7 +408,8 @@ class AllSubsetsEnumerator(Enumerator):
     does."""
 
     def _choose(self, pattern, dom, singular, vset):
-        if singular or self._alpha:
+        # an argument the body ignores passes no value set
+        if singular or self._alpha or vset is None:
             return super()._choose(pattern, dom, singular, vset)
         return reference_beta_choices(pattern, dom, down_closed(vset), self._budget)
 
@@ -448,7 +450,8 @@ class UncachedEnumerator(Enumerator):
         for rule, doms, tags in self._rules(expr.name):
             per_arg = []
             for i, pattern in enumerate(rule.args):
-                vset = self.values(expr.children[i], k - 1)
+                ignored = pattern.kind == VAR and pattern.name not in doms[i]
+                vset = None if ignored else self.values(expr.children[i], k - 1)
                 choices = self._choose(pattern, doms[i], tags[i] == SG, vset)
                 if not choices:
                     break
@@ -471,9 +474,9 @@ class _NeverFreezes:
     """Mixed in before an engine, computes every node at every depth
     asked."""
 
-    def _keep(self, key, result, start, since):
+    def _keep(self, key, result, start):
         self._thaws += 1  # a thaw before the check, so no node freezes
-        return super()._keep(key, result, start, since)
+        return super()._keep(key, result, start)
 
 
 class UnfrozenEnumerator(_NeverFreezes, Enumerator):
@@ -483,6 +486,59 @@ class UnfrozenEnumerator(_NeverFreezes, Enumerator):
 
 class UnfrozenNeedEnumerator(_NeverFreezes, NeedEnumerator):
     """Computes every set and match list at every depth asked."""
+
+
+# ---- both engines: the reads of a node, derived from its kind, as the
+# fixpoint proof walked them before the sweeper recorded them ----
+
+
+def derived_reads(enum, node, k):
+    """What the enumerator's set of node at k >= 1 reads, in the order it
+    reads them, derived from the node and the sets it finds; settled nodes
+    included, and variable patterns the body ignores left out. For a
+    NeedEnumerator the node is e (the set of e) or (p, e) (the match list
+    of the constructor pattern p against e), and wildcard patterns are
+    left out too."""
+    if isinstance(enum, Enumerator):
+        return list(_calculi_reads(enum, node, k))
+    return list(_need_reads(enum, node, k))
+
+
+def _calculi_reads(enum, expr, k):
+    if expr.name not in enum._fnames or expr.name == "?":
+        yield from expr.children
+    elif expr.name == "if_then":
+        cond, then = expr.children
+        yield cond
+        if app("tt") in enum.values(cond, k - 1):
+            yield then
+    else:
+        for rule, per_arg, bodies in enum._unfold(expr, k):
+            for arg, pattern in zip(expr.children[: len(per_arg) + 1], rule.args):
+                if pattern.kind != VAR or pattern.name in rule.rhs.varset:
+                    yield arg
+            yield from bodies
+
+
+def _need_reads(enum, node, k):
+    pattern, x = (None, node) if isinstance(node, Term) else node
+    if x.name in enum._fnames:
+        for _rhs, patterns, _names, _plain in enum._rule_table(x.name):
+            for p, arg in zip(patterns, x.children):
+                if p.kind == APP:
+                    yield p, arg
+                    if not enum.matches(p, arg, k - 1):
+                        break
+        # in term order, so the entries a failing check forces do not
+        # depend on where the bodies lie in memory
+        for body in sorted(enum._unfold(x, k), key=term_key):
+            yield body if pattern is None else (pattern, body)
+    elif pattern is None:
+        yield from x.children
+    elif x.name == pattern.name:
+        for q, c in zip(pattern.children, x.children):
+            if q.kind == APP:
+                yield q, c
 
 
 # ---- calculi: every value set kept down-closed, as it was before the
@@ -517,26 +573,27 @@ class DownClosedEnumerator(_NeverFreezes, Enumerator):
     sets, and a `?` or call unions its parts. Matching reads the maximal
     values, found by sweep_maximal_terms. The budget counts the members of
     the down-closed sets, and a function-free or constructor set is sized
-    before it is built. No node freezes."""
+    before it is built. A function-free set gets no memo entry. No node
+    freezes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._tops = {}
 
     def values(self, expr, k):
-        key = (expr, k)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
         if self._settled(expr):
             self._fit(closure_size(expr))
-            result = down_closure(expr)
-        elif expr.name in self._fnames:
+            return down_closure(expr)
+        got = self._lookup(expr, k)
+        if got is not None:
+            return got
+        start = self._begin()
+        if expr.name in self._fnames:
             result = self._call_values(expr, k)
             self._fit(len(result))
         else:
             result = self._constructor_values(expr, k)
-        return self._keep(key, result, self._thaws, k)
+        return self._keep((expr, k), result, start)
 
     def _union(self, parts):
         return frozenset((BOT,)).union(*parts)
@@ -547,6 +604,9 @@ class DownClosedEnumerator(_NeverFreezes, Enumerator):
         return frozenset((BOT,)).union(app(expr.name, combo) for combo in product(*child_sets))
 
     def _choose(self, pattern, dom, singular, vset):
+        # an argument the body ignores passes no value set
+        if vset is None:
+            return super()._choose(pattern, dom, singular, vset)
         top = self._tops.get(vset)
         if top is None:
             top = self._tops[vset] = sweep_maximal_terms(vset)
@@ -573,6 +633,7 @@ class SupportWideEnumerator(_NeverFreezes, Enumerator):
         self._dirty = True
 
     def begin_sweep(self):
+        super().begin_sweep()
         self._dirty = False
 
     def values(self, expr, k):

@@ -599,7 +599,9 @@ class _CheckedChoices(UnfrozenEnumerator):
         if not (singular or self._alpha):
             return super()._choices(pattern, dom, singular, vset)
         got = super()._choices(pattern, dom, singular, vset)
-        want = reference_maximal_matchers(pattern, dom, down_closed(vset))
+        # an argument the body ignores has no value set: one empty matcher
+        want = ([{}] if vset is None
+                else reference_maximal_matchers(pattern, dom, down_closed(vset)))
         frozen = {frozenset(m.items()) for m in want}
         if not want:
             assert got == []

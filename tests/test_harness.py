@@ -90,12 +90,13 @@ def test_deepening_computes_each_denotation_once_per_check(monkeypatch, suite, s
         assert len(calls) == len(set(calls))
 
 
-@pytest.mark.parametrize("depth", ("-1", "x"))
+@pytest.mark.parametrize("depth", ("-1", "x", "0"))
 def test_the_cli_rejects_a_depth_that_is_not_a_non_negative_integer(depth, capsys):
+    # depth 0 too: every set at it is {_|_}, so its checks judge nothing
     with pytest.raises(SystemExit) as stop:
         harness.main(["--suite", "compress", "--seeds", "1", "--depth", depth])
     assert stop.value.code == 2
-    assert "argument --depth: needs a non-negative integer" in capsys.readouterr().err
+    assert "argument --depth: needs a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seeds,message", (

@@ -7,8 +7,8 @@ query, end at the value, replay step by step through
 `oracles.reference_one_step`, and be no shorter than the breadth-first
 reference's shortest derivation. The same replay gate covers every value
 of the harness's run-time searches and of the paper programs. Printing
-paths builds no enumerator, stream or search, and leaves the memo as the
-sweeps made it."""
+paths builds no enumerator, stream or search, and leaves the memo and the
+read record as the sweeps made them."""
 
 import os
 
@@ -131,10 +131,10 @@ def _assert_every_value_has_a_replaying_path(program, expr, depth):
     enum = NeedEnumerator(program)
     stream = DenotationStream(enum, expr, depth, totals_only=True)
     values = list(stream)
-    tables = dict(enum._memo), dict(enum._frozen)
+    tables = dict(enum._memo), dict(enum._frozen), dict(enum._record)
     for value in values:
         _assert_replays(program, expr, value, _find_path(enum, expr, value, stream.swept))
-    assert (enum._memo, enum._frozen) == tables
+    assert (enum._memo, enum._frozen, enum._record) == tables
     return len(values)
 
 
@@ -198,8 +198,9 @@ def test_paths_build_no_search(built, setting):
 
 
 def test_printing_paths_leaves_the_eval_and_its_stats_as_they_were():
-    # a derivation reads `?` bodies that no sweep evaluates; their memo
-    # entries must not show in `stats` nor change what the stream does
+    # a derivation reads `?` bodies that no sweep evaluates. They are
+    # settled, so they make no memo entry nor read record: `stats` and what
+    # the stream does must not change
     outputs = []
     for path in ("path off", "path on"):
         s = _session(CLERKS, "combined-alpha", CALCULI, path)
@@ -208,7 +209,7 @@ def test_printing_paths_leaves_the_eval_and_its_stats_as_they_were():
         while lines[0].startswith("Result: "):
             results.append(lines[0])
             lines = s.execute("more")
-        outputs.append((results, s.execute("stats")))
+        outputs.append((results, s.execute("stats"), len(s._search.enum._record)))
     assert outputs[0] == outputs[1]
     assert outputs[0][1][0] == "proven complete at depth 12"
 
