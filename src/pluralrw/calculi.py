@@ -119,7 +119,8 @@ consulted); _union_cache the maximal elements of the union of each set of
 distinct parts. None loses or adds a value: the picks read nothing but
 the rule, the mode and those argument sets, the mode is fixed per
 enumerator, and a union reads nothing but its parts, so equal keys give
-equal entries. Every body still goes through values, so the same values
+equal entries. Bodies cut short by the budget are built again once it
+has been raised. Every body still goes through values, so the same values
 calls happen in the same order, with the same stop at the first argument
 without choices, and the memo, the fixpoint test and the budget trips
 come out as they would without the caches. values keeps the old object
@@ -303,7 +304,8 @@ class Enumerator(Sweeper):
     values may be asked for any expressions and depths; the memo is shared,
     which keeps multi-query tests cheap. A DenotationStream may use an
     enumerator that served other queries: its fixpoint test reads sets and
-    recorded reads only, which no earlier entry changes.
+    recorded reads only, which no earlier entry changes. So the harness
+    shares one enumerator per program and mode across a seed's checks.
     """
 
     def __init__(
@@ -416,7 +418,8 @@ class Enumerator(Sweeper):
             else:
                 key = (rule, tuple(vsets))
                 got = self._body_cache.get(key)
-                if got is None:
+                # bodies cut at a budget since raised are built again
+                if got is None or got[1] and len(got[0]) < self._budget:
                     got = self._body_cache[key] = self._instantiate(rule, per_arg)
                 bodies, overrun = got
                 yield rule, per_arg, bodies
@@ -590,6 +593,15 @@ class DenotationStream:
         if d > 0 and current == self.enum.values(self.expr, d - 1):
             self.enum.root = self.expr
             self.done = self.complete = self.enum.confirm_fixpoint(d)
+
+    def deepen(self, depth: int) -> None:
+        """Raises the bound to depth. A stream that stopped at its old
+        bound goes on, with the sweeps and proof attempts a fresh stream
+        bounded at depth makes past the old bound."""
+        if depth < self.depth:
+            raise ValueError("a bound only rises: %d to %d" % (self.depth, depth))
+        self.depth = depth
+        self.done = self.complete
 
     def derivation(self, value: Term) -> TraceNode:
         """A derivation of a value the stream yielded, rebuilt at the least

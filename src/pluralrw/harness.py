@@ -8,10 +8,13 @@ semantics pair, witness term. A command line runner drives seed ranges.
 
 Every check judges by one rule. A semantics is deepened through the
 scales of _GROW_FACTORS: its depth and its value cap grow by the same
-factor. Run-time choice, the source programs' and the pST outputs', is
-enumerated by call-by-need (rewriting.NeedEnumerator), not by a walk
-over rewrite steps, at a depth _RUN_TIME_SCALE times the check's. Any
-bounded set is a sound subset of its denotation, so coverage
+factor. A side deepens by continuing its own stream, which keeps its
+yields and sweeps on from the depth it reached, with its engine's budget
+raised; a seed's checks share one engine per program and semantics
+(_Engines, _Side). Run-time choice, the source programs' and the pST
+outputs', is enumerated by call-by-need (rewriting.NeedEnumerator), not
+by a walk over rewrite steps, at a depth _RUN_TIME_SCALE times the
+check's. Any bounded set is a sound subset of its denotation, so coverage
 at any scale proves an inclusion; only a set with a proven fixpoint can
 condemn one (equality needs both sides proven at the same scale). A set
 cut by a value cap stops the deepening. A check whose judgements were all
@@ -225,29 +228,60 @@ def witness_line(program: Program, expr: Term, pair: str, witness: Term) -> str:
 
 
 VALUE_CAP = 2_000
+# the mode under which an engine table keeps a program's NeedEnumerator
+_RUN_TIME = "run-time"
 
 
-def _denotation(program, mode, expr, depth, cap=VALUE_CAP):
-    """The maximal values the stream yielded up to the depth bound, whether
-    it proved its fixpoint (everything below the yields is then the whole
-    denotation), and whether the enumeration was abandoned because it
-    outgrew the cap, which counts the yields and each memoized antichain.
-    A capped set is still a sound subset of the real one, but proves
-    nothing about what the semantics cannot reach."""
-    return _drain(Enumerator(program, mode, value_budget=cap), expr, depth, cap)
+class _Engines:
+    """The engines of one seed's checks: an Enumerator per (program,
+    mode) and a NeedEnumerator per program, made on first use at
+    VALUE_CAP, and the pST outputs of each source program. The seed's
+    checks share their memo, frozen table and caches, which any queries
+    may share (calculi.Enumerator), and the table dies with the seed. A
+    side takes its engine out before it raises the budget (_Side), so an
+    engine found here runs at VALUE_CAP."""
+
+    __slots__ = ("_engines", "_pst")
+
+    def __init__(self):
+        self._engines = {}
+        self._pst = {}
+
+    def engine(self, program: Program, mode: str):
+        key = program, mode
+        got = self._engines.get(key)
+        if got is None:
+            got = self._engines[key] = (
+                NeedEnumerator(program, value_budget=VALUE_CAP) if mode == _RUN_TIME
+                else Enumerator(program, mode, value_budget=VALUE_CAP))
+        return got
+
+    def take(self, program: Program, mode: str, enum) -> None:
+        """Takes enum out of the table, if it is still there."""
+        if self._engines.get((program, mode)) is enum:
+            del self._engines[program, mode]
+
+    def pst(self, program: Program) -> Tuple[Program, Program]:
+        """The optimized and the simple pST output of program."""
+        got = self._pst.get(program)
+        if got is None:
+            got = self._pst[program] = pst_optimized(program).output, pst_simple(program).output
+        return got
 
 
-def _bounded_reach(program, expr, depth, cap=VALUE_CAP):
-    """The total c-terms rewriting reaches from expr, by call-by-need
-    enumeration to the depth bound, as (values, complete, capped) like
-    _denotation; the cap counts the yields, each memoized set and each
-    match list."""
-    return _drain(NeedEnumerator(program, value_budget=cap), expr, depth, cap)
-
-
-def _drain(enum, expr, depth, cap):
-    stream = DenotationStream(enum, expr, depth)
-    got: List[Term] = []
+def _drain(stream, got, depth, cap):
+    """Continues stream to the depth bound, its engine's budget raised to
+    cap, appending what it yields to got, the values of its earlier
+    bounds. Every harness query passes through here. Returns the maximal
+    values yielded so far, whether the stream proved its fixpoint
+    (everything below the yields is then the whole denotation), and
+    whether the enumeration was abandoned because it outgrew the cap,
+    which counts the yields and each memoized set, and for a
+    NeedEnumerator each match list. A capped set is still a sound subset
+    of the real one, but proves nothing about what the semantics cannot
+    reach."""
+    stream.enum.raise_budget(cap)
+    stream.deepen(depth)
     try:
         for t in stream:
             got.append(t)
@@ -270,19 +304,34 @@ _RUN_TIME_SCALE = _GROW_FACTORS[-1]
 
 
 class _Side:
-    """One semantics of one check, deepened on demand. at(f) is the
-    (values, complete, capped) of scale f, computed at most once."""
+    """One semantics of one check on one expression, deepened on demand.
+    at(f) is the (values, complete, capped) of scale f, computed at most
+    once (_drain): the stream's yields to depth*f under the value cap
+    VALUE_CAP*f. The scales are asked in increasing order. The side
+    deepens by continuing its one stream: the bound and the engine's
+    budget rise, and the yields it has are kept. A fresh stream at the
+    deeper bound and budget makes the same sweeps and proof attempts and
+    yields the same values: a set memoized under a smaller budget is the
+    one the larger budget computes. The stream starts on the seed's
+    shared engine, and the side takes that engine out of the table
+    before it raises the budget, so no query runs on an engine whose
+    budget went above the query's cap."""
 
-    __slots__ = ("_compute", "_at")
+    __slots__ = ("_engines", "_program", "_mode", "_depth", "_stream", "_got", "_at")
 
-    def __init__(self, compute):
-        self._compute = compute
+    def __init__(self, program: Program, mode: str, expr: Term, depth: int, engines: _Engines):
+        self._engines, self._program, self._mode = engines, program, mode
+        self._depth = depth
+        self._stream = DenotationStream(engines.engine(program, mode), expr, depth)
+        self._got: List[Term] = []
         self._at = {}
 
     def at(self, f: int):
         got = self._at.get(f)
         if got is None:
-            got = self._at[f] = self._compute(f)
+            if f > 1:
+                self._engines.take(self._program, self._mode, self._stream.enum)
+            got = self._at[f] = _drain(self._stream, self._got, self._depth * f, VALUE_CAP * f)
         return got
 
     def totals(self) -> FrozenSet[Term]:
@@ -290,13 +339,10 @@ class _Side:
         return _totals(self.at(1)[0])
 
 
-def _mode_side(program, mode, expr, depth) -> _Side:
-    return _Side(lambda f: _denotation(program, mode, expr, depth * f, VALUE_CAP * f))
-
-
-def _reach_side(program, expr, depth) -> _Side:
-    return _Side(lambda f: _bounded_reach(
-        program, expr, depth * _RUN_TIME_SCALE * f, VALUE_CAP * f))
+def _bounded_reach(program, expr, depth, engines) -> _Side:
+    """The total c-terms rewriting reaches from expr, by call-by-need
+    enumeration, as a side of a check."""
+    return _Side(program, _RUN_TIME, expr, depth * _RUN_TIME_SCALE, engines)
 
 
 class _Judge:
@@ -354,12 +400,12 @@ class _Judge:
         return CheckReport(name, not self.failures, self.failures)
 
 
-def check_hierarchy(program: Program, expr: Term, depth: int) -> CheckReport:
+def check_hierarchy(program: Program, expr: Term, depth: int, engines: _Engines) -> CheckReport:
     """Total values must grow along call-time, run-time, beta, alpha."""
-    ct = _mode_side(program, CALL_TIME, expr, depth)
-    rt = _reach_side(program, expr, depth)
-    beta = _mode_side(program, BETA, expr, depth)
-    alpha = _mode_side(program, ALPHA, expr, depth)
+    ct = _Side(program, CALL_TIME, expr, depth, engines)
+    rt = _bounded_reach(program, expr, depth, engines)
+    beta = _Side(program, BETA, expr, depth, engines)
+    alpha = _Side(program, ALPHA, expr, depth, engines)
     judge = _Judge(program, expr)
     judge.included("%s<=run-time" % CALL_TIME, ct.totals(), rt)
     judge.included("run-time<=%s" % BETA, rt.totals(), beta)
@@ -367,37 +413,37 @@ def check_hierarchy(program: Program, expr: Term, depth: int) -> CheckReport:
     return judge.report("hierarchy")
 
 
-def check_cab_equivalence(program: Program, expr: Term, depth: int) -> CheckReport:
+def check_cab_equivalence(program: Program, expr: Term, depth: int,
+                          engines: _Engines) -> CheckReport:
     """Alpha and beta total values agree on programs whose rules pass at
     most one variable per argument to the rhs: mutual inclusion."""
     member, _ = is_class_cab(program)
     if not member:
         return CheckReport("cab", False, refused=True)
-    alpha = _mode_side(program, ALPHA, expr, depth)
-    beta = _mode_side(program, BETA, expr, depth)
+    alpha = _Side(program, ALPHA, expr, depth, engines)
+    beta = _Side(program, BETA, expr, depth, engines)
     judge = _Judge(program, expr)
     judge.included("%s<=%s" % (ALPHA, BETA), alpha.totals(), beta)
     judge.included("%s<=%s" % (BETA, ALPHA), beta.totals(), alpha)
     return judge.report("cab")
 
 
-def check_pst_adequacy(program: Program, expr: Term, depth: int) -> CheckReport:
+def check_pst_adequacy(program: Program, expr: Term, depth: int,
+                       engines: _Engines) -> CheckReport:
     """Rewriting the transformed program must stay inside the alpha-plural
     totals of the source, and must reach all of them when both sides
     prove their fixpoints. Where both are proven, the simple and optimized
     transforms must reach identical totals."""
-    opt = pst_optimized(program).output
-    sim = pst_simple(program).output
-    rt_depth = depth * _RUN_TIME_SCALE
-    reached, complete, _capped = _bounded_reach(opt, expr, rt_depth)
-    alpha = _mode_side(program, ALPHA, expr, depth)
+    opt, sim = engines.pst(program)
+    reached, complete, _capped = _bounded_reach(opt, expr, depth, engines).at(1)
+    alpha = _Side(program, ALPHA, expr, depth, engines)
     judge = _Judge(program, expr)
     judge.included("pst-reach<=%s" % ALPHA, reached, alpha)
     if complete and alpha.at(1)[1]:  # alpha proved its fixpoint
         judge.condemn("%s<=pst-reach" % ALPHA, alpha.totals() - reached)
     if complete:
         # an unproven set cannot be judged equal to anything
-        plain, plain_complete, _capped = _bounded_reach(sim, expr, rt_depth)
+        plain, plain_complete, _capped = _bounded_reach(sim, expr, depth, engines).at(1)
         if plain_complete:
             judge.condemn("pst-simple=pst-optimized", plain ^ reached)
     return judge.report("pst")
@@ -429,7 +475,8 @@ def plug(context: Term, filler: Term) -> Term:
     return apply_subst(context, {HOLE_NAME: filler})
 
 
-def check_bubbling(program: Program, context: Term, e1: Term, e2: Term, depth: int) -> CheckReport:
+def check_bubbling(program: Program, context: Term, e1: Term, e2: Term, depth: int,
+                   engines: _Engines) -> CheckReport:
     """A choice below a constructor context may bubble to the top: the
     value sets of C[e1?e2] and C[e1]?C[e2] agree under the plural modes.
     Contexts containing function symbols are refused, the law does not
@@ -442,9 +489,9 @@ def check_bubbling(program: Program, context: Term, e1: Term, e2: Term, depth: i
     for mode in (ALPHA, BETA):
         # equality, not inclusion: the rootward choice shifts depths, so
         # bounded sets differ transiently
-        a = _mode_side(program, mode, inside, depth)
+        a = _Side(program, mode, inside, depth, engines)
         # a bare hole makes both sides one interned expression
-        b = a if outside is inside else _mode_side(program, mode, outside, depth)
+        b = a if outside is inside else _Side(program, mode, outside, depth, engines)
         judge.equal("bubbling-%s" % mode, a, b)
     return judge.report("bubbling")
 
@@ -501,7 +548,8 @@ def check_compress(seed: int) -> CheckReport:
     return CheckReport("compress", False, (line,))
 
 
-def check_right_linear(program: Program, expr: Term, depth: int) -> CheckReport:
+def check_right_linear(program: Program, expr: Term, depth: int,
+                       engines: _Engines) -> CheckReport:
     """Exploratory: on right-linear programs call-time and beta-plural
     totals are expected to agree. Counterexamples are reported for study
     and never gate anything."""
@@ -509,8 +557,8 @@ def check_right_linear(program: Program, expr: Term, depth: int) -> CheckReport:
 
     if not all(is_linear((r.rhs,)) for r in program.rules):
         return CheckReport("rightlinear", False, refused=True)
-    ct = _mode_side(program, CALL_TIME, expr, depth)
-    beta = _mode_side(program, BETA, expr, depth)
+    ct = _Side(program, CALL_TIME, expr, depth, engines)
+    beta = _Side(program, BETA, expr, depth, engines)
     if ct.at(1)[2] or beta.at(1)[2]:  # either set outgrew the value cap
         return CheckReport("rightlinear", False, refused=True)
     judge = _Judge(program, expr)
@@ -548,25 +596,30 @@ def run_suite(suite: str, seeds: Sequence[int], depth: int, out=None) -> Tuple[i
             cfg.shared_var_prob = 0.0
         program = gen_program(cfg)
         rng = _expr_rng(seed)
+        # the seed's checks share its engines, passed last and by position,
+        # as perfbench/worker.py forwards positional arguments only
+        engines = _Engines()
         if suite == "hierarchy":
             for _ in range(3):
-                record(check_hierarchy(program, gen_ground_expr(program, rng), depth))
+                record(check_hierarchy(program, gen_ground_expr(program, rng), depth, engines))
         elif suite == "cab":
             for _ in range(3):
-                record(check_cab_equivalence(program, gen_ground_expr(program, rng), depth))
+                record(check_cab_equivalence(
+                    program, gen_ground_expr(program, rng), depth, engines))
         elif suite == "pst":
             # shallow expressions: the transforms copy routed arguments, and
             # each copy of a nested choice is evaluated apart
             for _ in range(2):
-                record(check_pst_adequacy(program, gen_ground_expr(program, rng, 2), depth))
+                record(check_pst_adequacy(
+                    program, gen_ground_expr(program, rng, 2), depth, engines))
         elif suite == "bubbling":
             ctx = _gen_context(program, rng)
             e1 = gen_ground_expr(program, rng, 2)
             e2 = gen_ground_expr(program, rng, 2)
-            record(check_bubbling(program, ctx, e1, e2, depth))
+            record(check_bubbling(program, ctx, e1, e2, depth, engines))
         elif suite == "rightlinear":
             for _ in range(3):
-                record(check_right_linear(program, gen_ground_expr(program, rng), depth))
+                record(check_right_linear(program, gen_ground_expr(program, rng), depth, engines))
         else:
             raise ValueError("unknown suite %r" % suite)
     return checked, failed

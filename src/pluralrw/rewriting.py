@@ -170,6 +170,9 @@ class NeedEnumerator(Sweeper):
         # reads
         self._bodies: Dict[Tuple[Term, int], Tuple[Tuple[Term, ...], bool, tuple]] = {}
         self._rules: Dict[str, list] = {}
+        # one (pattern, expr) object per match-list node, which the read
+        # record then keeps once, not once per read
+        self._pairs: Dict[Tuple[Term, Term], Tuple[Term, Term]] = {}
 
     def _rule_table(self, fname: str) -> list:
         """Per rule of fname: its body, its patterns with the variables
@@ -219,6 +222,7 @@ class NeedEnumerator(Sweeper):
             out: list = []
             return frozenset((tuple(out),)) if _bind(pattern, expr, out) else _NONE
         node = pattern, expr
+        node = self._pairs.setdefault(node, node)
         got = self._lookup(node, k)
         if got is not None:
             return got

@@ -76,7 +76,8 @@ class Sweeper:
     else by _lookup, or opens a record with _begin, computes and closes
     it with _keep. The memo and the record are keyed (node, depth); the
     node of e's set is e, and other nodes need _settled and _at
-    overridden."""
+    overridden. A budget only rises (raise_budget); what was memoized
+    under a smaller one stays valid."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         self.program = program
@@ -103,6 +104,16 @@ class Sweeper:
     @property
     def memo_entries(self) -> int:
         return len(self._memo)
+
+    def raise_budget(self, budget: int) -> None:
+        """Raises the value budget of a budgeted sweeper to budget. A
+        budget only rises; what was memoized under a smaller one stays
+        valid, as a set is kept only once it fits, and one that fits is
+        computed alike under any larger budget. So is a frozen node's set
+        at every later depth."""
+        if self._budget is None or budget < self._budget:
+            raise ValueError("a budget only rises: %s to %d" % (self._budget, budget))
+        self._budget = budget
 
     def _fit(self, size: int) -> None:
         if self._budget is not None and size > self._budget:

@@ -659,6 +659,30 @@ class SupportWideEnumerator(_NeverFreezes, Enumerator):
                 return not self._dirty
 
 
+# ---- both engines: one harness query on an engine of its own, as the
+# harness asked each before a seed's checks shared their engines ----
+
+
+def fresh_query(enum, expr, depth, cap):
+    """(values, complete, capped) of expr on a fresh engine with enum's
+    program and mode at the budget cap, drained by a fresh stream to depth
+    unless it yields more than cap values or trips the budget."""
+    if isinstance(enum, NeedEnumerator):
+        fresh = NeedEnumerator(enum.program, value_budget=cap)
+    else:
+        fresh = Enumerator(enum.program, enum.mode, value_budget=cap)
+    stream = DenotationStream(fresh, expr, depth)
+    got = set()
+    try:
+        for t in stream:
+            got.add(t)
+            if len(got) > cap:
+                return frozenset(got), False, True
+    except BudgetExceeded:
+        return frozenset(got), False, True
+    return frozenset(got), stream.complete, False
+
+
 # ---- calculi: the replay of a derivation, which every derivation a
 # stream rebuilt once had to pass ----
 

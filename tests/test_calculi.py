@@ -28,6 +28,7 @@ from pluralrw.harness import (
     gen_program,
     run_suite,
 )
+from pluralrw.rewriting import NeedEnumerator
 from pluralrw.syntax import (
     BUILTIN_RULES,
     SG,
@@ -560,6 +561,24 @@ def test_an_antichain_over_the_budget_raises():
         list(stream(5 ** 5 - 1))
 
 
+def test_a_raised_budget_rebuilds_the_bodies_it_cut():
+    # g's call-time picks are 3 x 3 matchers at depth 4, but every body
+    # evaluates to 0: the picks overrun a budget of 4 that no set reaches.
+    # The cut bodies stay cached; served again, they would trip again
+    p = prog("g(X, Y) -> h(X, Y) .\nh(X, Y) -> 0 .\nk(X) -> c(X) .")
+    e = ex(p, "g(0 ? 1 ? k(0), 0 ? 1 ? k(1))")
+    enum = Enumerator(p, CALL_TIME, value_budget=4)
+    assert enum.values(e, 3) == {app("0")}
+    with pytest.raises(BudgetExceeded, match="substitution picks overrun the budget"):
+        enum.values(e, 4)
+    assert any(overrun for _bodies, overrun in enum._body_cache.values())
+    enum.raise_budget(9)
+    fresh = Enumerator(p, CALL_TIME, value_budget=9)
+    assert [enum.values(e, k) for k in range(7)] == [fresh.values(e, k) for k in range(7)]
+    with pytest.raises(ValueError, match="a budget only rises"):
+        enum.raise_budget(4)
+
+
 def test_every_value_of_harness_programs_has_a_replayable_derivation():
     # sets past the budget are skipped, as the harness refuses them: seed
     # 23's f2(f2(0)) outgrows it in every mode but the two pure plural
@@ -816,10 +835,18 @@ def _kept(memo):
 
 def _harness_asked(monkeypatch):
     """(program, mode, expr, depth, cap) per denotation that the hierarchy,
-    pst, cab and bubbling suites ask for on seeds 1..10, 21 and 32."""
+    pst, cab and bubbling suites ask for on seeds 1..10, 21 and 32, at
+    every scale."""
     asked = []
-    denotation = harness._denotation
-    monkeypatch.setattr(harness, "_denotation", lambda *args: asked.append(args) or denotation(*args))
+    drain = harness._drain
+
+    def noted(stream, got, depth, cap):
+        enum = stream.enum
+        if not isinstance(enum, NeedEnumerator):
+            asked.append((enum.program, enum.mode, stream.expr, depth, cap))
+        return drain(stream, got, depth, cap)
+
+    monkeypatch.setattr(harness, "_drain", noted)
     for suite in ("hierarchy", "pst", "cab", "bubbling"):
         run_suite(suite, list(range(1, 11)) + [21, 32], 4, out=lambda line: None)
     return asked

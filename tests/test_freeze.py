@@ -39,14 +39,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from paperjobs import PAPER_DENOTE, PAPER_REWRITE  # noqa: E402
 
 
-def _like(enum, unfrozen=False):
-    """A fresh engine with enum's program, mode and budget, unfrozen if
-    asked."""
+def _like(enum, unfrozen=False, budget=None):
+    """A fresh engine with enum's program and mode, unfrozen if asked, at
+    budget, by default enum's."""
+    budget = enum._budget if budget is None else budget
     if isinstance(enum, Enumerator):
         cls = UnfrozenEnumerator if unfrozen else Enumerator
-        return cls(enum.program, enum.mode, value_budget=enum._budget)
+        return cls(enum.program, enum.mode, value_budget=budget)
     cls = UnfrozenNeedEnumerator if unfrozen else NeedEnumerator
-    return cls(enum.program, value_budget=enum._budget)
+    return cls(enum.program, value_budget=budget)
 
 
 def _run(enum, expr, depth, cap=None, totals_only=False):
@@ -96,15 +97,17 @@ def _assert_recorded_reads_are_derived(enum):
 
 def _harness_runs(monkeypatch, check):
     """Runs check(enum, expr, depth, cap) on every denotation and run-time
-    search the harness suites ask for on seeds 1..40 at depth 4, before
-    the harness runs it; returns how many of each there were."""
+    search the harness suites ask for on seeds 1..40 at depth 4, at every
+    scale, before the harness runs it: enum is a fresh engine like the
+    harness's, at the query's cap. Returns how many of each there were."""
     drain = harness._drain
     counts = {"calculi": 0, "need": 0}
 
-    def checked(enum, expr, depth, cap):
-        check(enum, expr, depth, cap)
+    def checked(stream, got, depth, cap):
+        enum = stream.enum
+        check(_like(enum, budget=cap), stream.expr, depth, cap)
         counts["calculi" if isinstance(enum, Enumerator) else "need"] += 1
-        return drain(enum, expr, depth, cap)
+        return drain(stream, got, depth, cap)
 
     monkeypatch.setattr(harness, "_drain", checked)
     for suite in ("hierarchy", "pst", "cab", "bubbling", "rightlinear"):
@@ -114,7 +117,7 @@ def _harness_runs(monkeypatch, check):
 
 def test_freezing_changes_no_harness_denotation_or_search(monkeypatch):
     def paired(enum, expr, depth, cap):
-        _assert_agree(lambda: _like(enum), expr, depth, cap)
+        _assert_agree(lambda: enum, expr, depth, cap)
 
     # pinned, so that a change to the inputs shows
     assert _harness_runs(monkeypatch, paired) == {"calculi": 1050, "need": 280}
@@ -123,9 +126,8 @@ def test_freezing_changes_no_harness_denotation_or_search(monkeypatch):
 def test_the_record_holds_the_derived_reads_of_every_harness_denotation_and_search(
         monkeypatch):
     def recorded(enum, expr, depth, cap):
-        fresh = _like(enum)
-        _run(fresh, expr, depth, cap)
-        _assert_recorded_reads_are_derived(fresh)
+        _run(enum, expr, depth, cap)
+        _assert_recorded_reads_are_derived(enum)
 
     assert _harness_runs(monkeypatch, recorded) == {"calculi": 1050, "need": 280}
 

@@ -2,8 +2,12 @@
 
 import pytest
 
+from oracles import fresh_query
 from pluralrw import harness, terms
+from pluralrw.calculi import DenotationStream, Enumerator
 from pluralrw.harness import SUITES, run_suite
+from pluralrw.sweep import Sweeper
+from pluralrw.syntax import format_term
 from pluralrw.terms import BOT, app
 
 SEEDS = (6, 8, 10)
@@ -62,32 +66,139 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize(
-    "suite,seed",
-    [("hierarchy", 23), ("hierarchy", 30), ("hierarchy", 32), ("cab", 23), ("pst", 23), ("bubbling", 2)],
-)
-def test_deepening_computes_each_denotation_once_per_check(monkeypatch, suite, seed):
-    # on these seeds an inclusion misses at the check's own depth, and the
-    # deepening retry used to enumerate that depth's set a second time;
-    # bubbling seed 2 has a bare-hole context, so its two sides coincide
+@pytest.mark.parametrize("suite,seed,deepened", [
+    ("hierarchy", 23, 2), ("hierarchy", 30, 1), ("hierarchy", 32, 0), ("cab", 23, 0),
+    ("pst", 23, 2), ("bubbling", 2, 0), ("bubbling", 23, 4),
+])
+def test_deepening_continues_one_stream_per_side(monkeypatch, suite, seed, deepened):
+    # where a side is deepened, a judgement missed at the check's own
+    # depth; the other cases are judged there. Bubbling seed 2 has a
+    # bare-hole context, so its two sides coincide. Each side opens one
+    # stream, every stream a check sweeps is one of its sides', and each
+    # sweeps each depth once: a deepened side goes on from the depth it
+    # reached
     per_check = []
-    denotation = harness._denotation
     check = getattr(harness, CHECKS[suite])
+    advance = DenotationStream._advance
+    init = harness._Side.__init__
 
-    def counted(program, mode, expr, depth, cap=harness.VALUE_CAP):
-        per_check[-1].append((mode, expr, depth, cap))
-        return denotation(program, mode, expr, depth, cap)
+    def noted_init(side, *args):
+        init(side, *args)
+        per_check[-1][side._stream] = side, []
+
+    def noted_advance(stream):
+        advance(stream)
+        assert stream in per_check[-1]
+        depths = per_check[-1][stream][1]
+        if stream.swept not in depths[-1:]:
+            depths.append(stream.swept)
 
     def fresh_check(*args):
-        per_check.append([])
+        per_check.append({})
         return check(*args)
 
-    monkeypatch.setattr(harness, "_denotation", counted)
+    monkeypatch.setattr(harness._Side, "__init__", noted_init)
+    monkeypatch.setattr(DenotationStream, "_advance", noted_advance)
     monkeypatch.setattr(harness, CHECKS[suite], fresh_check)
     run_suite(suite, [seed], 4, out=lambda line: None)
     assert per_check
-    for calls in per_check:
-        assert len(calls) == len(set(calls))
+    opened = [pair for sides in per_check for pair in sides.values()]
+    for _side, depths in opened:
+        assert depths == list(range(len(depths)))
+    # pinned, so that a change to the inputs shows
+    assert sum(max(side._at, default=1) > 1 for side, _depths in opened) == deepened
+
+
+class _Fixed:
+    """An engine whose root set at depth k is sets[k], or the last one,
+    where the stream proves its fixpoint."""
+
+    def __init__(self, *sets):
+        self.sets = [frozenset(s) for s in sets]
+
+    def begin_sweep(self):
+        pass
+
+    def raise_budget(self, budget):
+        pass
+
+    def values(self, expr, k):
+        return self.sets[min(k, len(self.sets) - 1)]
+
+    def confirm_fixpoint(self, depth):
+        return True
+
+
+class _Lending(harness._Engines):
+    """Lends one engine for every program and mode."""
+
+    def __init__(self, enum):
+        super().__init__()
+        self.enum = enum
+
+    def engine(self, program, mode):
+        return self.enum
+
+
+def test_equal_compares_the_maximal_values_each_side_yielded():
+    # a bounded set need not hold the sets of lower depths, so one stream
+    # can yield c(_|_) and later c(0), and another c(0) alone: the same
+    # down-closed denotation
+    zero = app("0")
+    program = harness.gen_program(harness.GenConfig(seed=1))
+    expr = app("c", (zero,))
+
+    def side(*sets):
+        return harness._Side(program, harness.ALPHA, expr, 4, _Lending(_Fixed(*sets)))
+
+    judge = harness._Judge(program, expr)
+    judge.equal("same", side({BOT, app("c", (BOT,))}, {expr}), side({expr}))
+    assert not judge.inconclusive and judge.failures == []
+    # c(_|_) is maximal on the right, but lies below c(0) on the left
+    judge.equal("differ", side({BOT, app("c", (BOT,))}, {expr}), side({app("c", (BOT,)), app("1")}))
+    assert [line.rsplit("\t", 1)[1] for line in judge.failures] == ["1", "c(0)"]
+
+
+def _gate(monkeypatch, suites, seeds):
+    """Runs the suites at depth 4 with every query checked against a fresh
+    engine at its depth and cap: the same (values, complete, capped), on
+    an engine whose budget never went above the cap. Returns the number of
+    calculi and of run-time queries."""
+    drain = harness._drain
+    counts = {"calculi": 0, "need": 0}
+
+    def checked(stream, got, depth, cap):
+        enum = stream.enum
+        answer = drain(stream, got, depth, cap)
+        assert enum._budget == cap, (format_term(stream.expr), depth, cap)
+        assert answer == fresh_query(enum, stream.expr, depth, cap), (
+            format_term(stream.expr), depth, cap)
+        counts["calculi" if isinstance(enum, Enumerator) else "need"] += 1
+        return answer
+
+    monkeypatch.setattr(harness, "_drain", checked)
+    for suite in suites:
+        run_suite(suite, seeds, 4, out=lambda line: None)
+    return counts
+
+
+def test_shared_engines_and_continued_sides_answer_as_fresh_ones(monkeypatch):
+    # every side the suites build on seeds 1..40, at every scale asked;
+    # pinned, so that a change to the inputs shows
+    suites = ("hierarchy", "pst", "cab", "bubbling", "rightlinear")
+    assert _gate(monkeypatch, suites, range(1, 41)) == {"calculi": 1050, "need": 280}
+
+
+def test_the_gate_fails_a_scale_1_query_served_by_a_raised_engine(monkeypatch):
+    # a table that keeps a raised engine, and a budget that does not
+    # refuse to fall: seed 23's first hierarchy check deepens beta-plural
+    # to scale 4, and the next one finds that engine
+    monkeypatch.setattr(harness._Engines, "take", lambda *args: None)
+    monkeypatch.setattr(
+        Sweeper, "raise_budget",
+        lambda enum, budget: setattr(enum, "_budget", max(enum._budget, budget)))
+    with pytest.raises(AssertionError):
+        _gate(monkeypatch, ("hierarchy",), [23])
 
 
 @pytest.mark.parametrize("depth", ("-1", "x", "0"))
@@ -115,22 +226,3 @@ def test_a_huge_seed_range_is_parsed_without_listing_its_seeds():
     seeds = harness._seeds("1..10000000000")
     assert isinstance(seeds, range) and len(seeds) == 10 ** 10
     assert (seeds[0], seeds[-1]) == (1, 10 ** 10)
-
-
-def test_equal_compares_the_maximal_values_each_side_yielded():
-    # a bounded set need not hold the sets of lower depths, so one stream
-    # can yield c(_|_) and later c(0), and another c(0) alone: the same
-    # down-closed denotation
-    zero = app("0")
-    program = harness.gen_program(harness.GenConfig(seed=1))
-    expr = app("c", (zero,))
-
-    def side(*values):
-        return harness._Side(lambda f: (frozenset(values), True, False))
-
-    judge = harness._Judge(program, expr)
-    judge.equal("same", side(BOT, app("c", (BOT,)), expr), side(expr))
-    assert not judge.inconclusive and judge.failures == []
-    # c(_|_) is maximal on the right, but lies below c(0) on the left
-    judge.equal("differ", side(BOT, app("c", (BOT,)), expr), side(app("c", (BOT,)), app("1")))
-    assert [line.rsplit("\t", 1)[1] for line in judge.failures] == ["1", "c(0)"]

@@ -112,3 +112,14 @@ def test_the_budget_trips_one_below_the_largest_set(query, values, needed):
     message = "value set of size %d exceeds the budget %d" % (needed, needed - 1)
     with pytest.raises(BudgetExceeded, match=message):
         list(DenotationStream(NeedEnumerator(EXPLODING, value_budget=needed - 1), expr, None))
+
+
+def test_the_read_record_keeps_one_pair_per_match_list_node():
+    # pST escapeHow at depth 40 records about 75,000 reads of 1,015
+    # distinct match-list nodes: each node is one (pattern, expr) object
+    program = pst_optimized(_paper("dungeon.plural")).output
+    enum = NeedEnumerator(program)
+    list(DenotationStream(enum, parse_expression("escapeHow", program.signature), 40))
+    pairs = [y for reads in enum._record.values() for y in reads if isinstance(y, tuple)]
+    assert len(pairs) > 50 * len(set(pairs))
+    assert len({id(y) for y in pairs}) == len(set(pairs)) == 1015
