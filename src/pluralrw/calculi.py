@@ -119,8 +119,7 @@ consulted); _union_cache the maximal elements of the union of each set of
 distinct parts. None loses or adds a value: the picks read nothing but
 the rule, the mode and those argument sets, the mode is fixed per
 enumerator, and a union reads nothing but its parts, so equal keys give
-equal entries. Bodies cut short by the budget are built again once it
-has been raised. Every body still goes through values, so the same values
+equal entries. Every body still goes through values, so the same values
 calls happen in the same order, with the same stop at the first argument
 without choices, and the memo, the fixpoint test and the budget trips
 come out as they would without the caches. values keeps the old object
@@ -343,18 +342,12 @@ class Enumerator(Sweeper):
         # depth, answered without a memo entry (sweep)
         if expr.symbols.isdisjoint(self._fnames):
             return frozenset((expr,))
-        got = self._lookup(expr, k)
-        if got is not None:
-            return got
-        start = self._begin()
+        return self._eval(expr, k)
+
+    def _compute(self, expr, k):
         if expr.name in self._fnames:
-            if k < 1:
-                self._thaws += 1  # _|_ at depth 0, not frozen (sweep)
-            result = self._call_values(expr, k)
-            self._fit(len(result))
-        else:
-            result = self._constructor_values(expr, k)
-        return self._keep((expr, k), result, start)
+            return self._call_values(expr, k)
+        return self._constructor_values(expr, k)
 
     def _call_values(self, expr, k):
         # the built-ins natively, by the argument in the module docstring;
@@ -418,8 +411,7 @@ class Enumerator(Sweeper):
             else:
                 key = (rule, tuple(vsets))
                 got = self._body_cache.get(key)
-                # bodies cut at a budget since raised are built again
-                if got is None or got[1] and len(got[0]) < self._budget:
+                if got is None:
                     got = self._body_cache[key] = self._instantiate(rule, per_arg)
                 bodies, overrun = got
                 yield rule, per_arg, bodies
@@ -594,21 +586,25 @@ class DenotationStream:
             self.enum.root = self.expr
             self.done = self.complete = self.enum.confirm_fixpoint(d)
 
-    def deepen(self, depth: int) -> None:
-        """Raises the bound to depth. A stream that stopped at its old
-        bound goes on, with the sweeps and proof attempts a fresh stream
-        bounded at depth makes past the old bound."""
-        if depth < self.depth:
-            raise ValueError("a bound only rises: %d to %d" % (self.depth, depth))
+    def deepen(self, depth: Optional[int]) -> None:
+        """Raises the bound to depth, None for no bound. A stream that
+        stopped at its old bound goes on, with the sweeps and proof
+        attempts a fresh stream bounded at depth makes past the old
+        bound."""
+        if depth is not None and (self.depth is None or depth < self.depth):
+            raise ValueError("a bound only rises: %s to %d" % (self.depth, depth))
         self.depth = depth
         self.done = self.complete
 
     def derivation(self, value: Term) -> TraceNode:
         """A derivation of a value the stream yielded, rebuilt at the least
-        swept depth whose set holds it."""
-        depth = next(d for d in range(self.swept + 1)
-                     if _holds(self.enum.values(self.expr, d), value))
-        return self.enum.build_trace(self.expr, depth, value)
+        swept depth whose set holds it. Raises ValueError when no swept
+        depth does."""
+        for depth in range(self.swept + 1):
+            if _holds(self.enum.values(self.expr, depth), value):
+                return self.enum.build_trace(self.expr, depth, value)
+        raise ValueError("%s is not a value of %s at depth %d or below" % (
+            format_term(value), format_term(self.expr), self.swept))
 
 
 def enumerate_values(program: Program, mode: str, expr: Term, depth: Optional[int],

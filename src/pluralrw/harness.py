@@ -7,19 +7,18 @@ machine-readable witness lines, one per line: program text, expression,
 semantics pair, witness term. A command line runner drives seed ranges.
 
 Every check judges by one rule. A semantics is deepened through the
-scales of _GROW_FACTORS: its depth and its value cap grow by the same
-factor. A side deepens by continuing its own stream, which keeps its
-yields and sweeps on from the depth it reached, with its engine's budget
-raised; a seed's checks share one engine per program and semantics
-(_Engines, _Side). Run-time choice, the source programs' and the pST
-outputs', is enumerated by call-by-need (rewriting.NeedEnumerator), not
-by a walk over rewrite steps, at a depth _RUN_TIME_SCALE times the
-check's. Any bounded set is a sound subset of its denotation, so coverage
-at any scale proves an inclusion; only a set with a proven fixpoint can
-condemn one (equality needs both sides proven at the same scale). A set
-cut by a value cap stops the deepening. A check whose judgements were all
-cut short, and that found no violation, refuses to judge rather than cry
-wolf.
+scales of _GROW_FACTORS, which multiply its depth; its value cap stays
+VALUE_CAP. A side deepens by continuing its own stream, which keeps its
+yields and sweeps on from the depth it reached; a seed's checks share
+one engine per program and semantics (_Engines, _Side). Run-time choice,
+the source programs' and the pST outputs', is enumerated by call-by-need
+(rewriting.NeedEnumerator), not by a walk over rewrite steps, at a depth
+_RUN_TIME_SCALE times the check's. Any bounded set is a sound subset of
+its denotation, so coverage at any scale proves an inclusion; only a set
+with a proven fixpoint can condemn one (equality needs both sides proven
+at the same scale). A set cut by a value cap stops the deepening. A
+check whose judgements were all cut short, and that found no violation,
+refuses to judge rather than cry wolf.
 """
 
 from __future__ import annotations
@@ -237,9 +236,7 @@ class _Engines:
     mode) and a NeedEnumerator per program, made on first use at
     VALUE_CAP, and the pST outputs of each source program. The seed's
     checks share their memo, frozen table and caches, which any queries
-    may share (calculi.Enumerator), and the table dies with the seed. A
-    side takes its engine out before it raises the budget (_Side), so an
-    engine found here runs at VALUE_CAP."""
+    may share (calculi.Enumerator), and the table dies with the seed."""
 
     __slots__ = ("_engines", "_pst")
 
@@ -256,11 +253,6 @@ class _Engines:
                 else Enumerator(program, mode, value_budget=VALUE_CAP))
         return got
 
-    def take(self, program: Program, mode: str, enum) -> None:
-        """Takes enum out of the table, if it is still there."""
-        if self._engines.get((program, mode)) is enum:
-            del self._engines[program, mode]
-
     def pst(self, program: Program) -> Tuple[Program, Program]:
         """The optimized and the simple pST output of program."""
         got = self._pst.get(program)
@@ -269,23 +261,21 @@ class _Engines:
         return got
 
 
-def _drain(stream, got, depth, cap):
-    """Continues stream to the depth bound, its engine's budget raised to
-    cap, appending what it yields to got, the values of its earlier
-    bounds. Every harness query passes through here. Returns the maximal
-    values yielded so far, whether the stream proved its fixpoint
-    (everything below the yields is then the whole denotation), and
-    whether the enumeration was abandoned because it outgrew the cap,
-    which counts the yields and each memoized set, and for a
-    NeedEnumerator each match list. A capped set is still a sound subset
-    of the real one, but proves nothing about what the semantics cannot
-    reach."""
-    stream.enum.raise_budget(cap)
+def _drain(stream, got, depth):
+    """Continues stream to the depth bound, appending what it yields to
+    got, the values of its earlier bounds. Every harness query passes
+    through here. Returns the maximal values yielded so far, whether the
+    stream proved its fixpoint (everything below the yields is then the
+    whole denotation), and whether the enumeration was abandoned because
+    it outgrew VALUE_CAP, which counts the yields and, as the engine's
+    budget, each memoized set, and for a NeedEnumerator each match list.
+    A capped set is still a sound subset of the real one, but proves
+    nothing about what the semantics cannot reach."""
     stream.deepen(depth)
     try:
         for t in stream:
             got.append(t)
-            if len(got) > cap:
+            if len(got) > VALUE_CAP:
                 return frozenset(got), False, True
     except BudgetExceeded:
         return frozenset(got), False, True
@@ -306,21 +296,15 @@ _RUN_TIME_SCALE = _GROW_FACTORS[-1]
 class _Side:
     """One semantics of one check on one expression, deepened on demand.
     at(f) is the (values, complete, capped) of scale f, computed at most
-    once (_drain): the stream's yields to depth*f under the value cap
-    VALUE_CAP*f. The scales are asked in increasing order. The side
-    deepens by continuing its one stream: the bound and the engine's
-    budget rise, and the yields it has are kept. A fresh stream at the
-    deeper bound and budget makes the same sweeps and proof attempts and
-    yields the same values: a set memoized under a smaller budget is the
-    one the larger budget computes. The stream starts on the seed's
-    shared engine, and the side takes that engine out of the table
-    before it raises the budget, so no query runs on an engine whose
-    budget went above the query's cap."""
+    once (_drain): the stream's yields to depth*f. The scales are asked in
+    increasing order. The side deepens by continuing its one stream, on
+    the seed's shared engine: the bound rises, and the yields it has are
+    kept. A fresh stream at the deeper bound makes the same sweeps and
+    proof attempts and yields the same values."""
 
-    __slots__ = ("_engines", "_program", "_mode", "_depth", "_stream", "_got", "_at")
+    __slots__ = ("_depth", "_stream", "_got", "_at")
 
     def __init__(self, program: Program, mode: str, expr: Term, depth: int, engines: _Engines):
-        self._engines, self._program, self._mode = engines, program, mode
         self._depth = depth
         self._stream = DenotationStream(engines.engine(program, mode), expr, depth)
         self._got: List[Term] = []
@@ -329,9 +313,7 @@ class _Side:
     def at(self, f: int):
         got = self._at.get(f)
         if got is None:
-            if f > 1:
-                self._engines.take(self._program, self._mode, self._stream.enum)
-            got = self._at[f] = _drain(self._stream, self._got, self._depth * f, VALUE_CAP * f)
+            got = self._at[f] = _drain(self._stream, self._got, self._depth * f)
         return got
 
     def totals(self) -> FrozenSet[Term]:

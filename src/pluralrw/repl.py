@@ -87,9 +87,12 @@ def _find_path(enum: NeedEnumerator, start: Term, target: Term,
                depth: int) -> List[RewriteStep]:
     """A rewrite derivation of target from start, rebuilt from the
     enumerator's memo at the least depth up to `depth` whose set holds
-    target."""
-    least = next(d for d in range(depth + 1) if target in enum.values(start, d))
-    return enum.build_path(start, least, target)
+    target. Raises ValueError when none does."""
+    for least in range(depth + 1):
+        if target in enum.values(start, least):
+            return enum.build_path(start, least, target)
+    raise ValueError("%s is not a value of %s at depth %d or below" % (
+        format_term(target), format_term(start), depth))
 
 
 class Session:

@@ -167,7 +167,7 @@ class NeedEnumerator(Sweeper):
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         super().__init__(program, value_budget)
         # per (call, k): its bodies, whether their reads thawed, and the
-        # reads
+        # reads (Sweeper._replayed)
         self._bodies: Dict[Tuple[Term, int], Tuple[Tuple[Term, ...], bool, tuple]] = {}
         self._rules: Dict[str, list] = {}
         # one (pattern, expr) object per match-list node, which the read
@@ -194,27 +194,9 @@ class NeedEnumerator(Sweeper):
         return got
 
     def values(self, expr: Term, k: int) -> FrozenSet[Term]:
-        fnames = self._fnames
-        if expr.symbols.isdisjoint(fnames):
+        if expr.symbols.isdisjoint(self._fnames):
             return frozenset((expr,)) if expr.total else _NONE
-        got = self._lookup(expr, k)
-        if got is not None:
-            return got
-        start = self._begin()
-        if expr.name in fnames:
-            out = set()
-            for body in self._unfold(expr, k):
-                if not body.symbols.isdisjoint(fnames):
-                    out.update(self.values(body, k - 1))
-                elif body.total:
-                    out.add(body)
-            self._fit(len(out))
-            result = frozenset(out)
-        else:
-            parts = [self.values(c, k) for c in expr.children]
-            self._fit(prod(map(len, parts)))
-            result = frozenset(_make(APP, expr.name, combo) for combo in product(*parts))
-        return self._keep((expr, k), result, start)
+        return self._eval(expr, k)
 
     def matches(self, pattern: Term, expr: Term, k: int) -> FrozenSet[tuple]:
         """The match list of a constructor pattern (an APP) against expr."""
@@ -222,23 +204,35 @@ class NeedEnumerator(Sweeper):
             out: list = []
             return frozenset((tuple(out),)) if _bind(pattern, expr, out) else _NONE
         node = pattern, expr
-        node = self._pairs.setdefault(node, node)
-        got = self._lookup(node, k)
-        if got is not None:
-            return got
-        start = self._begin()
-        if expr.name in self._fnames:
+        return self._eval(self._pairs.setdefault(node, node), k)
+
+    def _expr(self, node) -> Term:
+        return node if isinstance(node, Term) else node[1]
+
+    def _compute(self, node, k: int) -> FrozenSet:
+        fnames = self._fnames
+        if isinstance(node, Term):
+            if node.name in fnames:
+                out = set()
+                for body in self._unfold(node, k):
+                    if not body.symbols.isdisjoint(fnames):
+                        out.update(self.values(body, k - 1))
+                    elif body.total:
+                        out.add(body)
+                return frozenset(out)
+            parts = [self.values(c, k) for c in node.children]
+            self._fit(prod(map(len, parts)))
+            return frozenset(_make(APP, node.name, combo) for combo in product(*parts))
+        pattern, expr = node
+        if expr.name in fnames:
             found = set()
             for body in self._unfold(expr, k):
                 found.update(self.matches(pattern, body, k - 1))
-            self._fit(len(found))
-            result = frozenset(found)
-        elif expr.name == pattern.name:
-            result = self._product([self._arg_matches(q, c, k)
-                                    for q, c in zip(pattern.children, expr.children)])
-        else:
-            result = _NONE
-        return self._keep((node, k), result, start)
+            return frozenset(found)
+        if expr.name == pattern.name:
+            return self._product([self._arg_matches(q, c, k)
+                                  for q, c in zip(pattern.children, expr.children)])
+        return _NONE
 
     def _arg_matches(self, pattern: Term, expr: Term, k: int):
         # the match list of any pattern: one match for a variable or a
@@ -263,16 +257,11 @@ class NeedEnumerator(Sweeper):
         (sweep). Term order keeps the read record, and so the entries a
         failing proof forces, apart from where the bodies lie in memory."""
         if k < 1:
-            self._thaws += 1
             return ()
-        key = (call, k)
-        got = self._bodies.get(key)
-        if got is not None:
-            bodies, thawed, reads = got
-            self._thaws += thawed
-            self._replay(reads)
-            return bodies
-        start, fnames = self._begin(), self._fnames
+        return self._replayed(self._bodies, (call, k), self._build_bodies)
+
+    def _build_bodies(self, call: Term, k: int) -> Tuple[Term, ...]:
+        fnames = self._fnames
         prev = self._bodies.get((call, k - 1))
         same = prev is not None
         picks = []
@@ -285,26 +274,20 @@ class NeedEnumerator(Sweeper):
             for p, arg in zip(patterns, call.children):
                 found = self._arg_matches(p, arg, k - 1)
                 if same and p.kind == APP and not arg.symbols.isdisjoint(fnames):
-                    same = found is self._lookup((p, arg), k - 2, read=False)
+                    same = found is self._lookup((p, arg), k - 2)
                 if not found:
                     break
                 lists.append(found)
             else:
                 picks.append((rhs, names, lists))
         if same:
-            got = prev[0]
-        else:
-            out = set()
-            for rhs, names, lists in picks:
-                for m in lists[0] if len(lists) == 1 else self._product(lists):
-                    out.add(apply_subst(rhs, dict(zip(names, m))))
-            got = tuple(sorted(out, key=term_key))
-            if prev is not None and prev[0] == got:
-                got = prev[0]
-        reads = self._end(start)
-        self._bodies[key] = got, self._thaws != start[0], reads
-        self._replay(reads)
-        return got
+            return prev[0]
+        out = set()
+        for rhs, names, lists in picks:
+            for m in lists[0] if len(lists) == 1 else self._product(lists):
+                out.add(apply_subst(rhs, dict(zip(names, m))))
+        got = tuple(sorted(out, key=term_key))
+        return prev[0] if prev is not None and prev[0] == got else got
 
     def build_path(self, expr: Term, k: int, value: Term) -> List[RewriteStep]:
         """A rewrite derivation of expr to a value in values(expr, k),
@@ -373,10 +356,3 @@ class NeedEnumerator(Sweeper):
                         out.append((pos, idx, body))
                         return body
         raise ValueError("no body of %s at depth %d is the one sought" % (format_term(call), k))
-
-    def _settled(self, node) -> bool:
-        x = node if isinstance(node, Term) else node[1]
-        return x.symbols.isdisjoint(self._fnames)
-
-    def _at(self, node, k: int) -> FrozenSet:
-        return self.values(node, k) if isinstance(node, Term) else self.matches(*node, k)

@@ -71,13 +71,13 @@ class BudgetExceeded(RuntimeError):
 
 class Sweeper:
     """The memo, the frozen table, the read record, the budget and the
-    fixpoint proof of one program's enumerator (module docstring). A
-    subclass provides values(e, k), which answers a settled e at once,
-    else by _lookup, or opens a record with _begin, computes and closes
-    it with _keep. The memo and the record are keyed (node, depth); the
-    node of e's set is e, and other nodes need _settled and _at
-    overridden. A budget only rises (raise_budget); what was memoized
-    under a smaller one stays valid."""
+    fixpoint proof of one program's enumerator (module docstring). Only
+    this class writes them. A subclass provides values(e, k), which
+    answers a settled e at once, else by _eval, and _compute(node, k),
+    the set of an unsettled node at k from the sets it reads. The memo
+    and the record are keyed (node, depth); the node of e's set is e, and
+    other nodes need _expr overridden. The budget is fixed when the
+    sweeper is built."""
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         self.program = program
@@ -105,75 +105,82 @@ class Sweeper:
     def memo_entries(self) -> int:
         return len(self._memo)
 
-    def raise_budget(self, budget: int) -> None:
-        """Raises the value budget of a budgeted sweeper to budget. A
-        budget only rises; what was memoized under a smaller one stays
-        valid, as a set is kept only once it fits, and one that fits is
-        computed alike under any larger budget. So is a frozen node's set
-        at every later depth."""
-        if self._budget is None or budget < self._budget:
-            raise ValueError("a budget only rises: %s to %d" % (self._budget, budget))
-        self._budget = budget
-
     def _fit(self, size: int) -> None:
         if self._budget is not None and size > self._budget:
             raise BudgetExceeded(
                 "value set of size %d exceeds the budget %d" % (size, self._budget)
             )
 
-    def _lookup(self, node, k: int, read: bool = True) -> Optional[FrozenSet]:
-        """The node's set at k, frozen or memoized, else None. A read is
-        recorded for the computation under way, and a memo hit read counts
-        a thaw."""
-        if read and self._reading is not None:
-            self._reading.append(node)
+    def _expr(self, node) -> Term:
+        """The expression whose set or match list node stands for."""
+        return node
+
+    def _settled(self, node) -> bool:
+        return self._expr(node).symbols.isdisjoint(self._fnames)
+
+    def _lookup(self, node, k: int) -> Optional[FrozenSet]:
+        """The node's set at k, frozen or memoized, else None. Records no
+        read and counts no thaw."""
         got = self._frozen.get(node)
         if got is not None and got[0] <= k:
             return got[1]
-        got = self._memo.get((node, k))
-        if got is not None and read:
-            self._thaws += 1
-        return got
+        return self._memo.get((node, k))
 
-    def _begin(self) -> tuple:
-        """Opens the record of a computation: what _end needs to close it."""
+    def _eval(self, node, k: int) -> FrozenSet:
+        """The set of an unsettled node at k, read by the computation under
+        way: frozen, memoized (a thaw), or computed by _compute under a
+        record of its own, fitted to the budget, and memoized as the depth
+        k-1 object if equal. The node freezes from k if none of its reads
+        thawed; else a thaw is counted. A call is _|_ at depth 0, as no
+        rule unfolds, yet never freezes (module docstring)."""
         outer = self._reading
-        self._reading = []
-        return self._thaws, outer
-
-    def _end(self, start: tuple) -> tuple:
-        """Closes the record opened at start: its reads, as a tuple
-        (CPython shares the empty one)."""
-        reads = tuple(self._reading)
-        self._reading = start[1]
-        return reads
-
-    def _replay(self, reads: tuple) -> None:
-        """Records reads again, for a cache hit that stands for them."""
-        if self._reading is not None:
-            self._reading.extend(reads)
-
-    def _keep(self, key: tuple, result: FrozenSet, start: tuple) -> FrozenSet:
-        """Memoize result under key, (node, k), as the depth k-1 object if
-        equal, with the reads recorded since start. Freeze the node from k
-        if none thawed since; else count a thaw."""
-        node, k = key
+        if outer is not None:
+            outer.append(node)
+        got = self._frozen.get(node)
+        if got is not None and got[0] <= k:
+            return got[1]
+        key = node, k
+        got = self._memo.get(key)
+        if got is not None:
+            self._thaws += 1
+            return got
+        thaws = self._thaws
+        self._reading = reads = []
+        if k < 1 and self._expr(node).name in self._fnames:
+            self._thaws += 1
+        result = self._compute(node, k)
+        self._reading = outer
+        if self._budget is not None:
+            self._fit(len(result))
         prev = self._memo.get((node, k - 1))
         if prev is not result and prev == result:
             result = prev
         self._memo[key] = result
-        self._record[key] = self._end(start)
-        if self._thaws == start[0]:
+        # CPython shares the empty tuple
+        self._record[key] = tuple(reads)
+        if self._thaws == thaws:
             self._frozen.setdefault(node, (k, result))
         else:
             self._thaws += 1
         return result
 
-    def _settled(self, node) -> bool:
-        return node.symbols.isdisjoint(self._fnames)
-
-    def _at(self, node, k: int) -> FrozenSet:
-        return self.values(node, k)
+    def _replayed(self, cache: dict, key: tuple, fn):
+        """fn(*key), kept in cache under key with whether its reads
+        thawed and the reads themselves, for a cache that stands for
+        reads. A hit counts that thaw, and a hit or a miss records the
+        reads for the computation under way (module docstring)."""
+        got = cache.get(key)
+        if got is None:
+            outer, thaws = self._reading, self._thaws
+            self._reading = []
+            value = fn(*key)
+            got = cache[key] = value, self._thaws != thaws, tuple(self._reading)
+            self._reading = outer
+        else:
+            self._thaws += got[1]
+        if self._reading is not None:
+            self._reading.extend(got[2])
+        return got[0]
 
     def confirm_fixpoint(self, depth: int) -> bool:
         """Whether values(self.root, depth + n) equals values(self.root,
@@ -186,7 +193,7 @@ class Sweeper:
             frozen = self._frozen.get(node)
             if self._settled(node) or (frozen is not None and frozen[0] < depth):
                 continue
-            before, now = self._at(node, depth - 1), self._at(node, depth)
+            before, now = self._eval(node, depth - 1), self._eval(node, depth)
             if now is not before and now != before:
                 return False
             for y in self._record[node, depth]:

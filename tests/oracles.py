@@ -474,9 +474,9 @@ class _NeverFreezes:
     """Mixed in before an engine, computes every node at every depth
     asked."""
 
-    def _keep(self, key, result, start):
-        self._thaws += 1  # a thaw before the check, so no node freezes
-        return super()._keep(key, result, start)
+    def _compute(self, node, k):
+        self._thaws += 1  # a thaw in every computation, so no node freezes
+        return super()._compute(node, k)
 
 
 class UnfrozenEnumerator(_NeverFreezes, Enumerator):
@@ -584,16 +584,7 @@ class DownClosedEnumerator(_NeverFreezes, Enumerator):
         if self._settled(expr):
             self._fit(closure_size(expr))
             return down_closure(expr)
-        got = self._lookup(expr, k)
-        if got is not None:
-            return got
-        start = self._begin()
-        if expr.name in self._fnames:
-            result = self._call_values(expr, k)
-            self._fit(len(result))
-        else:
-            result = self._constructor_values(expr, k)
-        return self._keep((expr, k), result, start)
+        return self._eval(expr, k)
 
     def _union(self, parts):
         return frozenset((BOT,)).union(*parts)

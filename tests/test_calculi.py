@@ -561,22 +561,26 @@ def test_an_antichain_over_the_budget_raises():
         list(stream(5 ** 5 - 1))
 
 
-def test_a_raised_budget_rebuilds_the_bodies_it_cut():
-    # g's call-time picks are 3 x 3 matchers at depth 4, but every body
-    # evaluates to 0: the picks overrun a budget of 4 that no set reaches.
-    # The cut bodies stay cached; served again, they would trip again
-    p = prog("g(X, Y) -> h(X, Y) .\nh(X, Y) -> 0 .\nk(X) -> c(X) .")
-    e = ex(p, "g(0 ? 1 ? k(0), 0 ? 1 ? k(1))")
-    enum = Enumerator(p, CALL_TIME, value_budget=4)
-    assert enum.values(e, 3) == {app("0")}
-    with pytest.raises(BudgetExceeded, match="substitution picks overrun the budget"):
-        enum.values(e, 4)
-    assert any(overrun for _bodies, overrun in enum._body_cache.values())
-    enum.raise_budget(9)
-    fresh = Enumerator(p, CALL_TIME, value_budget=9)
-    assert [enum.values(e, k) for k in range(7)] == [fresh.values(e, k) for k in range(7)]
-    with pytest.raises(ValueError, match="a budget only rises"):
-        enum.raise_budget(4)
+def test_a_derivation_of_a_value_never_yielded_is_refused():
+    # call-time pairs each clerk with themself
+    expr, value = ex(CLERKS, "twoclerks"), ex(CLERKS, "p(maria,laura)")
+    stream = DenotationStream(Enumerator(CLERKS, CALL_TIME), expr, None)
+    assert value not in set(stream) and stream.complete
+    with pytest.raises(ValueError, match=r"^p\(maria,laura\) is not a value of twoclerks"):
+        stream.derivation(value)
+
+
+def test_deepen_lifts_a_bound_to_none_and_never_lowers_one():
+    expr = ex(CLERKS, "twoclerks")
+    stream = DenotationStream(Enumerator(CLERKS, ALPHA), expr, 1)
+    got = list(stream)
+    assert not stream.complete
+    stream.deepen(None)
+    got += stream
+    fresh = DenotationStream(Enumerator(CLERKS, ALPHA), expr, None)
+    assert got == list(fresh) and stream.complete
+    with pytest.raises(ValueError, match="a bound only rises: None to 3"):
+        stream.deepen(3)
 
 
 def test_every_value_of_harness_programs_has_a_replayable_derivation():
@@ -734,7 +738,7 @@ def test_native_builtins_agree_with_unfolding_their_rules():
             got = _sweeps(native, expr, depths)
             assert got == _sweeps(picked, expr, depths), (format_term(expr), mode)
             for (node, k), vset in native._memo.items():
-                assert picked._lookup(node, k, read=False) == vset, (format_term(node), k, mode)
+                assert picked._lookup(node, k) == vset, (format_term(node), k, mode)
             capped += got[-1] is None
     # pinned, so that a change to the inputs shows
     assert capped == 3
@@ -840,11 +844,11 @@ def _harness_asked(monkeypatch):
     asked = []
     drain = harness._drain
 
-    def noted(stream, got, depth, cap):
+    def noted(stream, got, depth):
         enum = stream.enum
         if not isinstance(enum, NeedEnumerator):
-            asked.append((enum.program, enum.mode, stream.expr, depth, cap))
-        return drain(stream, got, depth, cap)
+            asked.append((enum.program, enum.mode, stream.expr, depth, VALUE_CAP))
+        return drain(stream, got, depth)
 
     monkeypatch.setattr(harness, "_drain", noted)
     for suite in ("hierarchy", "pst", "cab", "bubbling"):

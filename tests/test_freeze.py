@@ -39,15 +39,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from paperjobs import PAPER_DENOTE, PAPER_REWRITE  # noqa: E402
 
 
-def _like(enum, unfrozen=False, budget=None):
-    """A fresh engine with enum's program and mode, unfrozen if asked, at
-    budget, by default enum's."""
-    budget = enum._budget if budget is None else budget
+def _like(enum, unfrozen=False):
+    """A fresh engine with enum's program, mode and budget, unfrozen if
+    asked."""
     if isinstance(enum, Enumerator):
         cls = UnfrozenEnumerator if unfrozen else Enumerator
-        return cls(enum.program, enum.mode, value_budget=budget)
+        return cls(enum.program, enum.mode, value_budget=enum._budget)
     cls = UnfrozenNeedEnumerator if unfrozen else NeedEnumerator
-    return cls(enum.program, value_budget=budget)
+    return cls(enum.program, value_budget=enum._budget)
 
 
 def _run(enum, expr, depth, cap=None, totals_only=False):
@@ -78,7 +77,7 @@ def _assert_agree(make, expr, depth, cap=None, totals_only=False):
     assert got == want
     assert (stream.swept, stream.complete) == (twin_stream.swept, twin_stream.complete)
     for (node, k), entry in unfrozen._memo.items():
-        assert frozen._lookup(node, k, read=False) == entry, (node, k)
+        assert frozen._lookup(node, k) == entry, (node, k)
     return stream
 
 
@@ -99,15 +98,16 @@ def _harness_runs(monkeypatch, check):
     """Runs check(enum, expr, depth, cap) on every denotation and run-time
     search the harness suites ask for on seeds 1..40 at depth 4, at every
     scale, before the harness runs it: enum is a fresh engine like the
-    harness's, at the query's cap. Returns how many of each there were."""
+    harness's, and cap is VALUE_CAP. Returns how many of each there
+    were."""
     drain = harness._drain
     counts = {"calculi": 0, "need": 0}
 
-    def checked(stream, got, depth, cap):
+    def checked(stream, got, depth):
         enum = stream.enum
-        check(_like(enum, budget=cap), stream.expr, depth, cap)
+        check(_like(enum), stream.expr, depth, harness.VALUE_CAP)
         counts["calculi" if isinstance(enum, Enumerator) else "need"] += 1
-        return drain(stream, got, depth, cap)
+        return drain(stream, got, depth)
 
     monkeypatch.setattr(harness, "_drain", checked)
     for suite in ("hierarchy", "pst", "cab", "bubbling", "rightlinear"):

@@ -1,6 +1,8 @@
 """The layering of the package, read from its sources: the sweep
 protocol depends on neither engine, the rewriting engine does not depend
-on the calculi, and only the sweep protocol writes its tables."""
+on the calculi, only the sweep protocol writes its tables and its
+bookkeeping of reads, and the value budget is set once, when a sweeper
+is built."""
 
 import ast
 from pathlib import Path
@@ -39,9 +41,10 @@ def test_the_reader_finds_the_imports_that_are_there():
     assert "sweep" in _imported("rewriting")
 
 
-# the sweep protocol's tables: the memo, the frozen table, the read record
-_TABLES = {"_memo", "_frozen", "_record"}
-_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
+# the sweep protocol's state: the memo, the frozen table, the read
+# record, the reads of the computation under way and the thaw count
+_TABLES = {"_memo", "_frozen", "_record", "_reading", "_thaws"}
+_MUTATORS = {"append", "clear", "extend", "pop", "popitem", "setdefault", "update"}
 
 
 def _table(node):
@@ -76,3 +79,36 @@ def test_only_the_sweep_protocol_writes_its_tables():
     assert {name for name, writes in writers.items() if writes} == {"sweep.py"}
     # else the test above would pass on a scanner that finds nothing
     assert {table for table, _line in writers["sweep.py"]} == _TABLES
+
+
+def _budget_writes(path):
+    """(class, function) per assignment to a `_budget` attribute in a
+    source, through any object."""
+    found = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(isinstance(t, ast.Attribute) and t.attr == "_budget" for t in targets):
+                found.append((cls, fn))
+            visit(child, cls, fn)
+
+    visit(ast.parse(path.read_text()), None, None)
+    return found
+
+
+def test_the_value_budget_is_set_only_when_a_sweeper_is_built():
+    writes = {path.name: _budget_writes(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in writes.items() if found} == {
+        "sweep.py": [("Sweeper", "__init__")]}

@@ -50,6 +50,18 @@ REWRITE_QUERIES = (
 )
 
 
+def test_a_path_to_a_value_never_reached_is_refused():
+    # run-time choice pairs each clerk with themself
+    with open(CLERKS) as f:
+        program = parse_program(f.read())
+    expr = parse_expression("twoclerks", program.signature)
+    value = parse_expression("p(maria,laura)", program.signature)
+    stream = DenotationStream(NeedEnumerator(program), expr, None)
+    assert value not in set(stream) and stream.complete
+    with pytest.raises(ValueError, match=r"^p\(maria,laura\) is not a value of twoclerks"):
+        _find_path(stream.enum, expr, value, stream.swept)
+
+
 def _session(program, semantics, engine, *settings):
     s = Session()
     for line in ("load " + program, "semantics " + semantics, "engine " + engine) + settings:
