@@ -32,6 +32,7 @@ a rewrite path is rebuilt from that enumerator's memo.
 """
 
 import argparse
+import gc
 import re
 import sys
 from typing import Iterator, List, Optional
@@ -196,6 +197,12 @@ class Session:
                 "passes %d variables through plural argument %d."
                 % (format_rule(rule), len(shared), arg)
             )
+        # what a load builds lives as long as the session: move every live
+        # object to the oldest generation, scanning none, so that young
+        # collections during queries do not walk it (freeze alone would
+        # hide it from gc.get_objects and never collect its cycles)
+        gc.freeze()
+        gc.unfreeze()
         return lines
 
     def _pst_program(self) -> Program:

@@ -13,6 +13,16 @@ argument). Identifiers are alphanumeric with interior hyphens; an
 uppercase first letter makes a variable. `?` is infix right-associative,
 `if E then E` is mixfix sugar for the binary function if_then, and the
 undefined value is written `bot` (or `_|_`) on input and `_|_` on output.
+Expressions follow
+
+    expr := 'if' expr 'then' expr | atom ('?' atom)*
+    atom := '(' expr ')' | 'bot' | ident | ident '(' ')'
+          | ident '(' expr (',' expr)* ')'
+
+The lexer is one regular-expression scan to a list of token kinds, which
+the parser indexes: punctuation and keywords are their own kind. Tokens
+carry no position; a `ParseError` finds its token's line and column by
+scanning again, so positions cost nothing unless the input is rejected.
 
 Symbols are classified by use: rule roots are functions, everything else
 applied is a constructor. The two rules for `?` and the one for `if_then`
@@ -22,7 +32,8 @@ are part of every program and are appended after the user rules.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
 from .terms import (
     BOT,
@@ -33,8 +44,6 @@ from .terms import (
     is_linear,
     var,
 )
-
-KEYWORDS = frozenset(("plural", "is", "endp", "if", "then", "singular", "bot"))
 
 SG, PL = "sg", "pl"
 
@@ -54,137 +63,106 @@ class ProgramError(ValueError):
         self.diagnostics = list(diagnostics)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+# A match starts at its token and takes the whitespace after it, so a
+# search skips leading whitespace in linear time. A character no token
+# starts with matches alone and leaves the group empty.
+_TOKEN_RE = re.compile(r"(?:([A-Za-z0-9]+(?:-[A-Za-z0-9]+)*|->|_\|_|[().,?=])|\S)\s*")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "Token(%s, %r)" % (self.kind, self.text)
+# kind of every token text that is not an identifier; "" closes the input
+_KINDS = {t: t for t in ("plural", "is", "endp", "if", "then", "singular", "bot",
+                         "(", ")", ".", ",", "?", "=")}
+_KINDS.update({"->": "arrow", "_|_": "bot", "": "eof"})
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z0-9]+(?:-[A-Za-z0-9]+)*)
-      | (?P<arrow>->)
-      | (?P<bottom>_\|_)
-      | (?P<punct>[().,?=])
-    """,
-    re.VERBOSE,
-)
+def lex(text: str) -> Tuple[List[str], List[str]]:
+    """The kinds and texts of the tokens of `text`, each list closed by an
+    end-of-input entry (kind "eof", text "")."""
+    texts = _TOKEN_RE.findall(text)
+    if "" in texts:
+        start = _token_start(text, texts.index(""))
+        raise ParseError("unexpected character %r" % text[start], *_line_col(text, start))
+    texts.append("")
+    return list(map(_KINDS.get, texts, repeat("ident"))), texts
 
 
-def lex(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    pos = 0
-    line = 1
-    bol = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, pos - bol + 1)
-        col = pos - bol + 1
-        kind = m.lastgroup
-        word = m.group()
-        if kind == "ws":
-            nl = word.count("\n")
-            if nl:
-                line += nl
-                bol = pos + word.rindex("\n") + 1
-        elif kind == "ident":
-            if word in KEYWORDS:
-                tokens.append(Token("kw", word, line, col))
-            else:
-                tokens.append(Token("ident", word, line, col))
-        elif kind == "bottom":
-            tokens.append(Token("kw", "bot", line, col))
-        else:
-            tokens.append(Token(kind, word, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - bol + 1))
-    return tokens
+def _token_start(text: str, index: int) -> int:
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        if n == index:
+            return m.start()
+    return len(text)
+
+
+def _line_col(text: str, offset: int) -> Tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token kinds; `i` indexes the next token."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts = lex(text)
+        self.i = 0
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, *_line_col(self.text, _token_start(self.text, self.i)))
 
-    def error(self, message: str) -> "ParseError":
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            found = "bot" if self.kinds[i] == "bot" else self.texts[i] or "end of input"
+            raise self.error("expected %r, found %r" % (kind, found))
+        self.i = i + 1
+        return self.texts[i]
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise self.error("expected %r, found %r" % (want, self.peek().text or "end of input"))
-        return self.advance()
-
-    # expression grammar:
-    #   expr := 'if' expr 'then' expr | disj
-    #   disj := atom ('?' disj)?
-    #   atom := '(' expr ')' | 'bot' | ident | ident '(' expr (',' expr)* ')'
     def expr(self) -> Term:
-        if self.at("kw", "if"):
-            self.advance()
+        kinds = self.kinds
+        if kinds[self.i] == "if":
+            self.i += 1
             cond = self.expr()
-            self.expect("kw", "then")
+            self.expect("then")
             return app("if_then", (cond, self.expr()))
-        return self.disj()
-
-    def disj(self) -> Term:
-        left = self.atom()
-        if self.at("punct", "?"):
-            self.advance()
-            return app("?", (left, self.disj()))
-        return left
+        t = self.atom()
+        if kinds[self.i] != "?":
+            return t
+        alternatives = [t]
+        while kinds[self.i] == "?":
+            self.i += 1
+            alternatives.append(self.atom())
+        t = alternatives.pop()
+        while alternatives:
+            t = app("?", (alternatives.pop(), t))
+        return t
 
     def atom(self) -> Term:
-        if self.at("kw", "bot"):
-            self.advance()
-            return BOT
-        if self.at("punct", "("):
-            self.advance()
+        kinds = self.kinds
+        i = self.i
+        kind = kinds[i]
+        if kind == "ident":
+            name = self.texts[i]
+            if kinds[i + 1] != "(":
+                self.i = i + 1
+                return var(name) if name[0].isupper() else app(name)
+            if name[0].isupper():
+                raise self.error("variable %s cannot take arguments" % name)
+            if kinds[i + 2] == ")":  # nullary application written f()
+                self.i = i + 3
+                return app(name)
+            self.i = i + 2
+            args = [self.expr()]
+            while kinds[self.i] == ",":
+                self.i += 1
+                args.append(self.expr())
+            self.expect(")")
+            return app(name, tuple(args))
+        if kind == "(":
+            self.i = i + 1
             inner = self.expr()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        if self.at("ident"):
-            tok = self.advance()
-            if self.at("punct", "("):
-                if tok.text[0].isupper():
-                    raise ParseError(
-                        "variable %s cannot take arguments" % tok.text, tok.line, tok.col
-                    )
-                self.advance()
-                if self.at("punct", ")"):  # nullary application written f()
-                    self.advance()
-                    return app(tok.text)
-                args = [self.expr()]
-                while self.at("punct", ","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect("punct", ")")
-                return app(tok.text, tuple(args))
-            if tok.text[0].isupper():
-                return var(tok.text)
-            return app(tok.text)
+        if kind == "bot":
+            self.i = i + 1
+            return BOT
         raise self.error("expected an expression")
 
 
@@ -352,31 +330,32 @@ def assemble_program(
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(lex(text))
-    p.expect("kw", "plural")
-    name = p.expect("ident").text
-    p.expect("kw", "is")
+    p = _Parser(text)
+    kinds, texts = p.kinds, p.texts
+    p.expect("plural")
+    name = p.expect("ident")
+    p.expect("is")
     raw_rules: List[Tuple[Term, Term]] = []
     annotations: List[Tuple[str, str]] = []
-    while not p.at("kw", "endp"):
-        if p.at("eof"):
+    while kinds[p.i] != "endp":
+        i = p.i
+        if kinds[i] == "eof":
             raise p.error("missing endp")
-        if p.at("ident") and p.peek(1).kind == "kw" and p.peek(1).text == "is":
-            fname = p.advance().text
-            p.advance()
-            if p.at("kw", "singular") or p.at("kw", "plural") or p.at("ident"):
-                annotations.append((fname, p.advance().text))
-            else:
+        if kinds[i] == "ident" and kinds[i + 1] == "is":
+            p.i = i + 2
+            if kinds[i + 2] not in ("singular", "plural", "ident"):
                 raise p.error("expected singular, plural, or an s/p string")
-            p.expect("punct", ".")
+            annotations.append((texts[i], texts[i + 2]))
+            p.i = i + 3
+            p.expect(".")
             continue
         lhs = p.expr()
         p.expect("arrow")
         rhs = p.expr()
-        p.expect("punct", ".")
+        p.expect(".")
         raw_rules.append((lhs, rhs))
-    p.expect("kw", "endp")
-    if not p.at("eof"):
+    p.i += 1
+    if kinds[p.i] != "eof":
         raise p.error("trailing input after endp")
     return assemble_program(name, raw_rules, annotations)
 
@@ -386,31 +365,35 @@ def parse_expression(text: str, sig: Signature) -> Term:
 
     Unknown symbols applied to arguments are errors; unknown bare
     lowercase identifiers are registered as fresh constants so queries can
-    mention ad-hoc atoms (seeds, probe values).
+    mention ad-hoc atoms (seeds, probe values), once the whole expression
+    has resolved: a rejected query leaves the signature as it was.
     """
-    p = _Parser(lex(text))
+    p = _Parser(text)
     t = p.expr()
-    if not p.at("eof"):
+    if p.kinds[p.i] != "eof":
         raise p.error("trailing input after expression")
-    _resolve(t, sig)
+    fresh: List[str] = []
+    _resolve(t, sig, fresh)
+    for name in fresh:
+        sig.ensure_constant(name)
     return t
 
 
-def _resolve(t: Term, sig: Signature) -> None:
+def _resolve(t: Term, sig: Signature, fresh: List[str]) -> None:
     if t.kind != 2:
         return
     arity = sig.arity(t.name)
     if arity is None:
         if t.children:
             raise ProgramError(["unknown symbol %s" % t.name])
-        sig.ensure_constant(t.name)
+        fresh.append(t.name)
     elif arity != len(t.children):
         raise ProgramError(
             ["%s takes %d argument%s, given %d"
              % (t.name, arity, "" if arity == 1 else "s", len(t.children))]
         )
     for c in t.children:
-        _resolve(c, sig)
+        _resolve(c, sig, fresh)
 
 
 # printing: level 0 admits if_then, level 1 admits ?, level 2 only atoms

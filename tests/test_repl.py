@@ -583,3 +583,20 @@ def test_the_proving_depth_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(outputs) == 1
     states = [line for line in outputs.pop().splitlines() if line.startswith("proven")]
     assert states == ["proven complete at depth 3", "proven complete at depth 7"]
+
+
+def test_input_300_deep_still_answers():
+    s = Session()
+    s.execute("load programs/clerks.plural")
+    assert s.execute("eval take(" + "s(" * 300 + "z" + ")" * 300 + ", nil)") == ["No solution."]
+
+
+def test_a_rejected_query_leaves_the_signature_as_it_was():
+    s = Session()
+    s.execute("load programs/clerks.plural")
+    before = dict(s.program.signature.constructors)
+    with pytest.raises(CommandError, match="take takes 2 arguments, given 1"):
+        s.execute("eval cons(zzz, take(z))")
+    assert s.program.signature.constructors == before
+    assert s.execute("eval cons(zzz, nil)") == ["Result: cons(zzz,nil)"]
+    assert s.program.signature.constructors["zzz"] == 0

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from pluralrw.harness import GenConfig, gen_program
 from pluralrw.terms import BOT, Signature, app, var
 from pluralrw.syntax import (
     BUILTIN_RULES,
@@ -119,12 +120,76 @@ def test_syntax_error_reports_location():
         parse_program("plural M is endp trailing")
 
 
+# (program text, line:col: message); the parse stops at the first error
+PROGRAM_ERRORS = [
+    ("plural M is f(X) -> X ; endp", "1:23: unexpected character ';'"),
+    ("plural M is\r\nf(X) -> \u00e9 . endp", "2:9: unexpected character '\u00e9'"),
+    ("plural M is f(X)--> X . endp", "1:17: unexpected character '-'"),
+    ("plural M is _ endp", "1:13: unexpected character '_'"),
+    ("plural M is f(X) -> X .", "1:24: missing endp"),
+    ("plural M is f(X) -> X .\n\n", "3:1: missing endp"),
+    ("plural M is endp trailing", "1:18: trailing input after endp"),
+    ("plural M is f(X) -> X . endp\n\n\nextra", "4:1: trailing input after endp"),
+    ("plural M is f(X) -> X . endp ?", "1:30: trailing input after endp"),
+    ("plural M is f(X) -> G(X) . endp", "1:21: variable G cannot take arguments"),
+    ("plural M is f is ? . endp", "1:18: expected singular, plural, or an s/p string"),
+    ("plural M is f is . endp", "1:18: expected singular, plural, or an s/p string"),
+    ("plural M is f is plural endp", "1:25: expected '.', found 'endp'"),
+    ("", "1:1: expected 'plural', found 'end of input'"),
+    ("   \n\t ", "2:3: expected 'plural', found 'end of input'"),
+    ("plural is endp", "1:8: expected 'ident', found 'is'"),
+    ("plural M is\nf(X) -> . endp", "2:9: expected an expression"),
+    ("plural M is f(X -> X . endp", "1:17: expected ')', found '->'"),
+    ("plural M is f(X) X . endp", "1:18: expected 'arrow', found 'X'"),
+    ("plural M is\n  f(c(X)) -> d(X,\n     X . endp", "3:8: expected ')', found '.'"),
+    ("plural M is f(X,) -> X . endp", "1:17: expected an expression"),
+    ("plural M is if X -> X . endp", "1:18: expected 'then', found '->'"),
+    ("plural M is f(X) -> if X . endp", "1:26: expected 'then', found '.'"),
+    ("plural M is f(X _|_) -> X . endp", "1:17: expected ')', found 'bot'"),
+]
+
+# (query text, line:col: message), against sig_p1
+EXPRESSION_ERRORS = [
+    ("@", "1:1: unexpected character '@'"),
+    ("X(0)", "1:1: variable X cannot take arguments"),
+    ("f(\n  X(1))", "2:3: variable X cannot take arguments"),
+    ("", "1:1: expected an expression"),
+    ("then", "1:1: expected an expression"),
+    ("0 ?", "1:4: expected an expression"),
+    ("0 ? ?", "1:5: expected an expression"),
+    ("0 ?\n\n", "3:1: expected an expression"),
+    ("f(0,", "1:5: expected an expression"),
+    ("(0", "1:3: expected ')', found 'end of input'"),
+    ("c(0 1)", "1:5: expected ')', found '1'"),
+    ("f(0) 1", "1:6: trailing input after expression"),
+    ("0 ->", "1:3: trailing input after expression"),
+    ("f()(", "1:4: trailing input after expression"),
+]
+
+
+@pytest.mark.parametrize("text, message", PROGRAM_ERRORS)
+def test_program_parse_error_texts(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert str(e.value) == message
+    line, col = message.split(":")[:2]
+    assert (e.value.line, e.value.col) == (int(line), int(col))
+
+
+@pytest.mark.parametrize("text, message", EXPRESSION_ERRORS)
+def test_expression_parse_error_texts(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_expression(text, sig_p1())
+    assert str(e.value) == message
+
+
 def test_lexer_splits_arrow_from_hyphenated_names():
-    kinds = [(t.kind, t.text) for t in lex("treasure-map->X-1")]
-    assert kinds[:3] == [
+    kinds, texts = lex("treasure-map->X-1")
+    assert list(zip(kinds, texts)) == [
         ("ident", "treasure-map"),
         ("arrow", "->"),
         ("ident", "X-1"),
+        ("eof", ""),
     ]
 
 
@@ -215,13 +280,18 @@ def test_fixture_programs_load_cleanly():
 
 
 def test_format_program_reparses():
-    for fname in ("clerks.plural", "dungeon.plural"):
-        p = parse_program((PROGRAMS / fname).read_text())
+    programs = [parse_program((PROGRAMS / f).read_text())
+                for f in ("clerks.plural", "dungeon.plural")]
+    programs += [gen_program(GenConfig(seed, force_cab=cab))
+                 for seed in range(1, 401) for cab in (False, True)]
+    for p in programs:
         again = parse_program(format_program(p))
-        assert len(again.rules) == len(p.rules)
+        assert again.name == p.name
+        # terms are interned and compare by identity
+        assert [(r.lhs, r.rhs) for r in again.rules] == [(r.lhs, r.rhs) for r in p.rules]
+        assert set(again.signature.functions) == set(p.signature.functions)
         for fn in p.signature.functions:
             assert again.plurality_of(fn) == p.plurality_of(fn)
-        assert [format_rule(r) for r in again.rules] == [format_rule(r) for r in p.rules]
 
 
 # round-trip: printing then parsing is the identity
