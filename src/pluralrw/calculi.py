@@ -116,7 +116,11 @@ _choice_cache holds an argument's matcher choices per (pattern, variables
 used, singular, value set); _body_cache a rule's instantiated bodies, in
 the order of the choices' product, per (rule, value sets of the arguments
 consulted); _union_cache the maximal elements of the union of each set of
-distinct parts. None loses or adds a value: the picks read nothing but
+distinct parts. A body is built by its rule's builder (terms.instantiator),
+made once per rule per enumerator with the rule's entry in _rule_cache,
+under the merged ?-chains of the pick's choices (DisjSubst.chains): the
+term DisjSubst.join of the choices would apply, with no join, hash or
+chain built per pick. None loses or adds a value: the picks read nothing but
 the rule, the mode and those argument sets, the mode is fixed per
 enumerator, and a union reads nothing but its parts, so equal keys give
 equal entries. Every body still goes through values, so the same values
@@ -162,10 +166,12 @@ from .terms import (
     BOT,
     VAR,
     Term,
+    _make,
     app,
     apply_subst,
     approx_leq,
     down_closure,
+    instantiator,
     match_value,
     term_key,
     var,
@@ -242,6 +248,14 @@ def _arg_tags(program: Program, mode: str, fname: str, arity: int) -> Tuple[str,
     if mode in (ALPHA, BETA):
         return (PL,) * arity
     return program.plurality_of(fname)
+
+
+def _merged(pick) -> dict:
+    # the ?-chains of a pick's choices, over their disjoint domains
+    out: dict = {}
+    for _, ds in pick:
+        out.update(ds.chains)
+    return out
 
 
 def _premises(rule, choices):
@@ -333,7 +347,7 @@ class Enumerator(Sweeper):
                     frozenset(p.varset & rule.rhs.varset) for p in rule.args
                 )
                 tags = _arg_tags(self.program, self.mode, fname, len(rule.args))
-                cached.append((rule, doms, tags))
+                cached.append((rule, doms, tags, instantiator(rule.rhs)))
             self._rule_cache[fname] = cached
         return cached
 
@@ -383,7 +397,8 @@ class Enumerator(Sweeper):
     def _constructor_values(self, expr, k):
         child_sets = [self.values(c, k) for c in expr.children]
         self._fit(prod(map(len, child_sets)))
-        return frozenset(app(expr.name, combo) for combo in product(*child_sets))
+        name = expr.name
+        return frozenset(_make(APP, name, combo) for combo in product(*child_sets))
 
     def _unfold(self, expr, k):
         """Every rule of the call expr at depth k, in evaluation order:
@@ -396,7 +411,7 @@ class Enumerator(Sweeper):
         if k < 1:
             return
         kprev = k - 1
-        for rule, doms, tags in self._rules(expr.name):
+        for rule, doms, tags, build in self._rules(expr.name):
             per_arg: List[list] = []
             vsets = []
             for i, pattern in enumerate(rule.args):
@@ -412,23 +427,29 @@ class Enumerator(Sweeper):
                 key = (rule, tuple(vsets))
                 got = self._body_cache.get(key)
                 if got is None:
-                    got = self._body_cache[key] = self._instantiate(rule, per_arg)
+                    got = self._body_cache[key] = self._instantiate(rule, build, per_arg)
                 bodies, overrun = got
                 yield rule, per_arg, bodies
                 if overrun:
                     raise BudgetExceeded("substitution picks overrun the budget")
 
-    def _instantiate(self, rule, per_arg):
+    def _instantiate(self, rule, build, per_arg):
         """The rule's body under each pick of one choice per argument, in
         product order, and whether there were more picks than the budget;
-        then only the first budget many are built."""
+        then only the first budget many are built. build is the body's
+        builder, and a pick's substitution is the merged ?-chains of its
+        choices: the arguments bind disjoint variables, a linear
+        left-hand side's."""
         picks = product(*per_arg)
         overrun = False
         if self._budget is not None:
             picks = list(islice(picks, self._budget + 1))
             overrun = len(picks) > self._budget
             del picks[self._budget:]
-        bodies = tuple(DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs) for pick in picks)
+        if len(per_arg) == 1:
+            bodies = tuple(build(ds.chains) for ((_, ds),) in picks)
+        else:
+            bodies = tuple(build(_merged(pick)) for pick in picks)
         return bodies, overrun
 
     def _choices(self, pattern, dom, singular, vset):

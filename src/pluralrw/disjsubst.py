@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .terms import Term, app, apply_subst, approx_leq, term_key, var
+from .terms import VAR, Term, app, apply_subst, approx_leq, term_key, var
 
 PSubst = Dict[str, Term]
 
@@ -74,52 +74,49 @@ class DisjSubst:
 
     Stored canonicalized: alternatives sorted by the canonical term order
     with duplicates collapsed; a variable bound only to itself is dropped
-    from the domain. Hashable, so substitution choices deduplicate.
+    from the domain. Hashable, so substitution choices deduplicate. Each
+    variable's ?-chain is built once, with the DisjSubst: `chains` maps
+    every bound variable to it, and is the plain substitution that
+    instantiates a body under this DisjSubst.
     """
 
-    __slots__ = ("alts", "_hash")
+    __slots__ = ("alts", "chains", "_hash")
 
     def __init__(self, alts: Mapping[str, Sequence[Term]]):
         canon: Dict[str, Tuple[Term, ...]] = {}
         for name, terms in alts.items():
             if not terms:
                 raise ValueError("empty disjunction for %s" % name)
-            unique = sorted(set(terms), key=term_key)
-            if len(unique) == 1 and unique[0] is var(name):
+            unique = (terms[0],) if len(terms) == 1 else tuple(sorted(set(terms), key=term_key))
+            if len(unique) == 1 and unique[0].kind == VAR and unique[0].name == name:
                 continue
-            canon[name] = tuple(unique)
+            canon[name] = unique
         self.alts = canon
+        self.chains = {name: _chain(ts) for name, ts in canon.items()}
         self._hash = hash(tuple(sorted((n, ts) for n, ts in canon.items())))
 
     @classmethod
     def join(cls, parts: Sequence["DisjSubst"]) -> "DisjSubst":
         """The union of DisjSubsts over disjoint domains, such as the
         per-argument choices of a linear left-hand side. The parts are
-        canonical already, so no alternative list is sorted again; the
-        result equals, and hashes as, DisjSubst of the merged
-        alternatives."""
+        canonical already, so no alternative list is sorted again and no
+        chain is built again; the result equals, and hashes as, DisjSubst
+        of the merged alternatives."""
         if len(parts) == 1:
             return parts[0]
         alts: Dict[str, Tuple[Term, ...]] = {}
+        chains: Dict[str, Term] = {}
         for part in parts:
             alts.update(part.alts)
+            chains.update(part.chains)
         out = cls.__new__(cls)
         out.alts = alts
+        out.chains = chains
         out._hash = hash(tuple(sorted(alts.items())))
         return out
 
-    def chain(self, name: str) -> Term:
-        """The alternatives of one variable as a right-nested ?-term."""
-        ts = self.alts.get(name)
-        if ts is None:
-            return var(name)
-        out = ts[-1]
-        for t in reversed(ts[:-1]):
-            out = app("?", (t, out))
-        return out
-
     def apply(self, t: Term) -> Term:
-        return apply_subst(t, {x: self.chain(x) for x in self.alts})
+        return apply_subst(t, self.chains)
 
     def __eq__(self, other):
         return isinstance(other, DisjSubst) and self.alts == other.alts
@@ -135,6 +132,14 @@ class DisjSubst:
         return "[%s]" % inner
 
 
+def _chain(ts: Tuple[Term, ...]) -> Term:
+    # the alternatives as a right-nested ?-term
+    out = ts[-1]
+    for t in reversed(ts[:-1]):
+        out = app("?", (t, out))
+    return out
+
+
 def question_combine_set(thetas: Sequence[Mapping[str, Term]]) -> DisjSubst:
     """?-combine a set of plain substitutions.
 
@@ -147,6 +152,9 @@ def question_combine_set(thetas: Sequence[Mapping[str, Term]]) -> DisjSubst:
     """
     if not thetas:
         raise ValueError("cannot ?-combine an empty set")
+    if len(thetas) == 1:
+        # every variable is bound by every substitution, once
+        return DisjSubst({x: (t,) for x, t in thetas[0].items()})
     alts: Dict[str, List[Term]] = {}
     for x in set().union(*thetas):
         images = [t[x] for t in thetas if x in t]

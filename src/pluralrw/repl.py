@@ -24,7 +24,9 @@ Evaluation is driven by the active semantics and engine: the calculi
 engine enumerates denotations directly, `engine rewrite-via-pST` rewrites
 the transformed program instead (faithful for alpha-plural; for
 beta-plural only on programs the load banner approves), and `semantics
-run-time` always means plain rewriting of the loaded rules. Both kinds
+run-time` always means plain rewriting of the loaded rules. The `engine`
+and `semantics` replies say so when the pST engine is selected under a
+semantics other than those two; results and paths never do. Both kinds
 of rewriting are answered by call-by-need enumeration of the reachable
 total c-terms (rewriting.NeedEnumerator), driven by the same
 DenotationStream as the calculi, so `stats` reads alike for every engine;
@@ -38,6 +40,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from .calculi import (
+    ALPHA,
     COMBINED_ALPHA,
     MODES,
     DenotationStream,
@@ -68,6 +71,9 @@ DEFAULT_DEPTH = 12
 PROMPT = "pluralrw> "
 
 BANNER_OK = "Both alpha and beta plural semantics supported for this program."
+
+PST_NOTICE = ("Note: engine %s computes alpha-plural rewriting of the pST output; "
+              "under semantics %s its results can differ from the calculi's.")
 
 _UNSET = object()
 
@@ -314,7 +320,7 @@ class Session:
                 % (rest, ", ".join(MODES + (RUN_TIME,)))
             )
         self.semantics = rest
-        return []
+        return self._pst_notice()
 
     def _cmd_engine(self, rest: str) -> List[str]:
         if rest == ENGINE_CALCULI:
@@ -325,6 +331,13 @@ class Session:
             raise CommandError(
                 "unknown engine %r (one of %s, %s)" % (rest, ENGINE_CALCULI, ENGINE_PST)
             )
+        return self._pst_notice()
+
+    def _pst_notice(self) -> List[str]:
+        # pST is faithful to alpha-plural, and run-time means plain
+        # rewriting of the loaded rules whatever the engine
+        if self.engine == ENGINE_PST and self.semantics not in (ALPHA, RUN_TIME):
+            return [PST_NOTICE % (ENGINE_PST, self.semantics)]
         return []
 
     def _cmd_depth(self, rest: str) -> List[str]:
@@ -418,7 +431,8 @@ def main(argv=None) -> int:
         if args.semantics:
             session.execute("semantics " + args.semantics)
         if args.engine:
-            session.execute("engine " + args.engine)
+            for out in session.execute("engine " + args.engine):
+                print(out)
         if args.depth:
             session.execute("depth " + args.depth)
     except CommandError as exc:

@@ -75,6 +75,7 @@ from .terms import (
     Term,
     _make,
     apply_subst,
+    instantiator,
     match_value,
     replace_at,
     term_key,
@@ -175,10 +176,10 @@ class NeedEnumerator(Sweeper):
         self._pairs: Dict[Tuple[Term, Term], Tuple[Term, Term]] = {}
 
     def _rule_table(self, fname: str) -> list:
-        """Per rule of fname: its body, its patterns with the variables
-        the body ignores cut to _|_, their variables in order, and whether
-        every pattern is a variable or _|_ (then its one match list does
-        not depend on the depth)."""
+        """Per rule of fname: its body's builder (terms.instantiator), its
+        patterns with the variables the body ignores cut to _|_, their
+        variables in order, and whether every pattern is a variable or
+        _|_ (then its one match list does not depend on the depth)."""
         got = self._rules.get(fname)
         if got is None:
             got = self._rules[fname] = []
@@ -190,7 +191,8 @@ class NeedEnumerator(Sweeper):
                     for p in rule.args
                 )
                 names = [x for p in patterns for x in _pattern_vars(p)]
-                got.append((rhs, patterns, names, all(p.kind != APP for p in patterns)))
+                got.append((instantiator(rhs), patterns, names,
+                            all(p.kind != APP for p in patterns)))
         return got
 
     def values(self, expr: Term, k: int) -> FrozenSet[Term]:
@@ -265,9 +267,9 @@ class NeedEnumerator(Sweeper):
         prev = self._bodies.get((call, k - 1))
         same = prev is not None
         picks = []
-        for rhs, patterns, names, plain in self._rule_table(call.name):
+        for build, patterns, names, plain in self._rule_table(call.name):
             if plain:
-                picks.append((rhs, names, [(tuple(
+                picks.append((build, names, [(tuple(
                     a for p, a in zip(patterns, call.children) if p.kind == VAR),)]))
                 continue
             lists = []
@@ -279,13 +281,13 @@ class NeedEnumerator(Sweeper):
                     break
                 lists.append(found)
             else:
-                picks.append((rhs, names, lists))
+                picks.append((build, names, lists))
         if same:
             return prev[0]
         out = set()
-        for rhs, names, lists in picks:
+        for build, names, lists in picks:
             for m in lists[0] if len(lists) == 1 else self._product(lists):
-                out.add(apply_subst(rhs, dict(zip(names, m))))
+                out.add(build(dict(zip(names, m))))
         got = tuple(sorted(out, key=term_key))
         return prev[0] if prev is not None and prev[0] == got else got
 
@@ -338,7 +340,7 @@ class NeedEnumerator(Sweeper):
         # then canonical term order of the argument matches; the steps to
         # it go to out, each as (position, rule index, contractum), and it
         # is returned
-        for (idx, _rule), (rhs, patterns, names, _plain) in zip(
+        for (idx, _rule), (build, patterns, names, _plain) in zip(
                 self.program.rules_by_root[call.name], self._rule_table(call.name)):
             lists = []
             for p, arg in zip(patterns, call.children):
@@ -348,7 +350,7 @@ class NeedEnumerator(Sweeper):
                 lists.append(sorted(found, key=_match_key))
             else:
                 for combo in product(*lists):
-                    body = apply_subst(rhs, dict(zip(names, chain.from_iterable(combo))))
+                    body = build(dict(zip(names, chain.from_iterable(combo))))
                     if wanted(body):
                         for i, (p, arg, m) in enumerate(zip(patterns, call.children, combo), 1):
                             if p.kind == APP:

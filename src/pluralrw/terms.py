@@ -13,8 +13,16 @@ equality and the hash are those of identity. Frequently needed facts
 on the node at construction time, in one pass over its children. The
 canonical sort key is built the first time the term is sorted
 (`term_key`): the rewriting engine never sorts its states. This is what
-keeps the enumerator and the rewrite search affordable. Interning is not thread safe; build terms from one thread and
-share them read-only afterwards.
+keeps the enumerator and the rewrite search affordable. Interning is not
+thread safe; build terms from one thread and share them read-only
+afterwards.
+
+A term is instantiated in one of two ways. apply_subst walks the term
+and tests the mapping at every node; it serves one-off substitutions.
+instantiator compiles a term once into a builder of its instances, a
+tree of closures over the subterms that hold a variable, which the
+engines make for each rule body they unfold and call for every
+instance. Both give the same interned term.
 
 The intern table holds one dict per node kind, from name to a dict keyed
 by the children tuple that the term itself keeps, so a term costs one
@@ -32,7 +40,7 @@ enumerator shares it.
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 BOTTOM, VAR, APP = 0, 1, 2
 
@@ -222,6 +230,31 @@ def apply_subst(t: Term, mapping: Mapping[str, Term]) -> Term:
     if t.kind == VAR:
         return mapping.get(t.name, t)
     return _make(APP, t.name, tuple(apply_subst(c, mapping) for c in t.children))
+
+
+def instantiator(t: Term) -> Callable[[Mapping[str, Term]], Term]:
+    """The builder of t's instances: instantiator(t)(mapping) is the term
+    apply_subst(t, mapping) returns, interned terms being one object per
+    structure. It is made once per term and then tests nothing: a ground
+    subterm is returned as it is, a variable looks itself up, and an
+    application interns its rebuilt children."""
+    if not t.varset:
+        return lambda mapping: t
+    if t.kind == VAR:
+        name = t.name
+        return lambda mapping: mapping.get(name, t)
+    name = t.name
+    parts = tuple(map(instantiator, t.children))
+    if len(parts) == 1:
+        (a,) = parts
+        return lambda mapping: _make(APP, name, (a(mapping),))
+    if len(parts) == 2:
+        a, b = parts
+        return lambda mapping: _make(APP, name, (a(mapping), b(mapping)))
+    if len(parts) == 3:
+        a, b, c = parts
+        return lambda mapping: _make(APP, name, (a(mapping), b(mapping), c(mapping)))
+    return lambda mapping: _make(APP, name, tuple([p(mapping) for p in parts]))
 
 
 def match_value(pattern: Term, value: Term) -> Optional[dict]:

@@ -8,7 +8,7 @@ definitions, by different algorithms than the package uses.
 import random
 import sys
 from collections import deque
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 from pluralrw.calculi import (
@@ -447,7 +447,7 @@ class UncachedEnumerator(Enumerator):
     def _uncached_bodies(self, expr, k):
         if k < 1:
             return
-        for rule, doms, tags in self._rules(expr.name):
+        for rule, doms, tags, _build in self._rules(expr.name):
             per_arg = []
             for i, pattern in enumerate(rule.args):
                 ignored = pattern.kind == VAR and pattern.name not in doms[i]
@@ -464,6 +464,57 @@ class UncachedEnumerator(Enumerator):
                         if picks > self._budget:
                             raise BudgetExceeded("substitution picks overrun the budget")
                     yield DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs)
+
+
+# ---- both engines: every body built from its rule's builder, checked
+# against the join and generic substitution it replaced ----
+
+
+class JoinedBodiesEnumerator(Enumerator):
+    """Checks that every body _instantiate builds is the one that
+    DisjSubst.join of its pick's ?-combinations applies to the rule's
+    body, pick by pick in product order, the budget cutting both alike;
+    `checked` counts the bodies."""
+
+    checked = 0
+
+    def _instantiate(self, rule, build, per_arg):
+        bodies, overrun = super()._instantiate(rule, build, per_arg)
+        picks = product(*per_arg)
+        if self._budget is not None:
+            picks = islice(picks, self._budget + 1)
+        want = [DisjSubst.join([ds for _, ds in pick]).apply(rule.rhs) for pick in picks]
+        assert overrun == (self._budget is not None and len(want) > self._budget)
+        assert len(bodies) == len(want[:self._budget])
+        assert all(got is body for got, body in zip(bodies, want))
+        self.checked += len(bodies)
+        return bodies, overrun
+
+
+class SubstitutedBodiesNeedEnumerator(NeedEnumerator):
+    """Each rule's builder checks every body it builds, for
+    _build_bodies and for build_path alike, against apply_subst of the
+    rule's body under the same match; `checked` counts the bodies."""
+
+    checked = 0
+
+    def _rule_table(self, fname):
+        fresh = fname not in self._rules
+        table = super()._rule_table(fname)
+        if fresh:
+            rules = self.program.rules_by_root.get(fname, ())
+            table[:] = [(self._checked(build, rule.rhs), patterns, names, plain)
+                        for (_i, rule), (build, patterns, names, plain) in zip(rules, table)]
+        return table
+
+    def _checked(self, build, rhs):
+        def checked(mapping):
+            got = build(mapping)
+            assert got is apply_subst(rhs, mapping)
+            self.checked += 1
+            return got
+
+        return checked
 
 
 # ---- both engines as they were before a node froze once everything it

@@ -48,12 +48,15 @@ from pluralrw.terms import (
     term_key,
     var,
 )
+from pluralrw.transform import pst_optimized
 
 from oracles import (
     AllSubsetsEnumerator,
     DownClosedEnumerator,
+    JoinedBodiesEnumerator,
     OracleGaveUp,
     PickedBuiltinsEnumerator,
+    SubstitutedBodiesNeedEnumerator,
     SupportWideEnumerator,
     UncachedEnumerator,
     UnfrozenEnumerator,
@@ -213,7 +216,7 @@ def _choice_reprs(program, mode, fname, arg_text, k=2):
     # the ?-combinations the first rule of fname passes for its first
     # argument, given the values of arg_text at depth k
     enum = Enumerator(program, mode)
-    rule, doms, tags = enum._rules(fname)[0]
+    rule, doms, tags, _build = enum._rules(fname)[0]
     vset = enum.values(ex(program, arg_text), k)
     return [repr(ds) for _, ds in enum._choices(rule.args[0], doms[0], tags[0] == SG, vset)]
 
@@ -1117,8 +1120,8 @@ class _CountedWork(Enumerator):
         self.chosen.append(got)
         return got
 
-    def _instantiate(self, rule, per_arg):
-        got = super()._instantiate(rule, per_arg)
+    def _instantiate(self, rule, build, per_arg):
+        got = super()._instantiate(rule, build, per_arg)
         self.built.append(got)
         return got
 
@@ -1162,3 +1165,63 @@ def test_choices_and_bodies_are_built_once_per_key_on_a_harness_seed(monkeypatch
         _assert_built_once_per_key(enum)
     # 207 lookups for 144 choices
     assert sum(e.lookups for e in made) > 1.4 * sum(len(e.chosen) for e in made)
+
+
+def _drain_capped(stream):
+    """What a stream yields to its bound or proof, or None where its
+    engine's budget trips."""
+    try:
+        return list(stream)
+    except BudgetExceeded:
+        return None
+
+
+def _checked_bodies(program, exprs, depth):
+    """The bodies built for exprs on every calculi mode at depth and by
+    run-time rewriting of program and of its pST output at four times
+    depth, each body checked by the engine (oracles); and how many
+    streams ended at their bound or proof. A path is rebuilt to each
+    rewriting stream's last value, which builds bodies again."""
+    calculi = need = ended = 0
+    for mode in MODES:
+        enum = JoinedBodiesEnumerator(program, mode, value_budget=VALUE_CAP)
+        for expr in exprs:
+            ended += _drain_capped(DenotationStream(enum, expr, depth)) is not None
+        calculi += enum.checked
+    for target in (program, pst_optimized(program).output):
+        enum = SubstitutedBodiesNeedEnumerator(target, value_budget=VALUE_CAP)
+        for expr in exprs:
+            stream = DenotationStream(enum, expr, 4 * depth)
+            got = _drain_capped(stream)
+            ended += got is not None
+            if got:
+                enum.build_path(expr, stream.swept, got[-1])
+        need += enum.checked
+    return calculi, need, ended
+
+
+def test_every_body_is_the_one_joined_and_substituted_on_harness_seeds():
+    # seeds 1..400 of the harness's generator, two expressions each
+    calculi = need = ended = 0
+    for seed in range(1, 401):
+        program = gen_program(GenConfig(seed=seed))
+        rng = _expr_rng(seed)
+        exprs = [gen_ground_expr(program, rng) for _ in range(2)]
+        got = _checked_bodies(program, exprs, 4)
+        calculi, need, ended = calculi + got[0], need + got[1], ended + got[2]
+    # every stream reached its bound or its proof; 8,719 and 11,241
+    # bodies were checked when this was written
+    assert ended == 400 * 2 * (len(MODES) + 2)
+    assert calculi > 4000 and need > 4000
+
+
+def test_every_body_is_the_one_joined_and_substituted_on_the_paper_programs():
+    # escapeHow is proven at depth 19 under combined-alpha; 640 and 20,542
+    # bodies were checked when this was written
+    calculi, need, ended = _checked_bodies(DUNGEON, [ex(DUNGEON, "escapeHow")], 20)
+    assert ended == len(MODES) + 2 and calculi > 300 and need > 10000
+    # pure beta overruns the budget on both nClerks queries at depth 12;
+    # 3,298 and 440 bodies
+    calculi, need, ended = _checked_bodies(
+        CLERKS, [ex(CLERKS, q) for q in ("twoclerks", "nClerks(s(s(z)))", "nClerksNG(s(z))")], 12)
+    assert ended == 3 * (len(MODES) + 2) - 2 and calculi > 1500 and need > 200

@@ -43,6 +43,7 @@ def test_question_combine_all_domains_agree():
 def test_question_combine_singleton_is_identity():
     ds = question_combine_set([T01])
     assert ds.alts == {"X": (zero,), "Y": (one,)}
+    assert question_combine_set([{"X": X, "Y": one}]).alts == {"Y": (one,)}
 
 
 def test_question_combine_missing_variable_adds_identity_alternative():
@@ -73,14 +74,17 @@ def test_disjsubst_canonicalizes():
 
 def test_disjsubst_drops_identity_singleton():
     assert set(DisjSubst({"X": (X,), "Y": (zero,)}).alts) == {"Y"}
+    assert DisjSubst({"X": [X, X]}).alts == {}
     with pytest.raises(ValueError):
         DisjSubst({"X": ()})
 
 
 def test_disjsubst_chain_and_apply():
+    # a chain per bound variable, built with the DisjSubst
     ds = question_combine_set([T00, T11])
-    assert ds.chain("X") is app("?", (zero, one))
-    assert ds.chain("Z") is var("Z")
+    assert ds.chains == {"X": app("?", (zero, one)), "Y": app("?", (zero, one))}
+    assert question_combine_set([T00, {"X": zero}]).chains == {
+        "X": zero, "Y": app("?", (Y, zero))}
     t = ds.apply(app("d", (X, Y)))
     assert t is app("d", (app("?", (zero, one)), app("?", (zero, one))))
 
@@ -257,6 +261,7 @@ def test_join_equals_disjsubst_of_the_merged_alternatives():
         assert got == want and want == got, seed
         assert hash(got) == hash(want), seed
         assert got.alts == want.alts, seed
+        assert got.chains == want.chains, seed
         body = app("l", tuple(var(x) for x in sorted(merged)) + (var("W"),))
         assert got.apply(body) is want.apply(body), seed
         assert len({got, want}) == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pluralrw.calculi import DenotationStream, Enumerator, enumerate_values
-from pluralrw.repl import BANNER_OK, CommandError, Session, _interact, main
+from pluralrw.repl import BANNER_OK, PST_NOTICE, CommandError, Session, _interact, main
 from pluralrw.rewriting import NeedEnumerator
 from pluralrw.syntax import parse_expression
 from pluralrw.transform import pst
@@ -133,6 +133,42 @@ def test_pst_engine_agrees_with_plural_calculi(tmp_path):
     first_b = b.execute("eval f(c(0) ? c(1))")
     rewriting = {first_b[0][len("Result: "):]} | set(drain(b))
     assert calculi == rewriting == {"d(0,0)", "d(0,1)", "d(1,0)", "d(1,1)"}
+
+
+def test_the_pst_engine_says_what_it_computes_under_another_semantics():
+    # pST rewriting is faithful to alpha-plural; the session's default
+    # semantics is combined-alpha
+    s = Session()
+    s.execute("load programs/dungeon.plural")
+    notice = PST_NOTICE % ("rewrite-via-pST", "combined-alpha")
+    assert s.execute("engine rewrite-via-pST") == [notice]
+    assert s.execute("semantics call-time") == [PST_NOTICE % ("rewrite-via-pST", "call-time")]
+    assert s.execute("semantics alpha-plural") == []
+    assert s.execute("semantics run-time") == []
+    assert s.execute("semantics beta-plural") == [PST_NOTICE % ("rewrite-via-pST", "beta-plural")]
+    assert s.execute("engine calculi") == []
+    assert s.execute("semantics combined-beta") == []
+    s.execute("semantics combined-alpha")
+    assert s.execute("engine rewrite-via-pST") == [notice]
+    # only the settings replies carry it: results, paths and the end of
+    # the stream read as they did
+    replies = [s.execute("path on"), s.execute("eval depth = 4 escapeHow")]
+    while replies[-1][0].startswith("Result: "):
+        replies.append(s.execute("more"))
+    replies.append(s.execute("show path"))
+    assert replies[-2] == ["No more solutions."]
+    assert not any(line.startswith("Note:") for reply in replies for line in reply)
+
+
+def test_the_engine_flag_prints_the_pst_notice(tmp_path, capsys):
+    script = tmp_path / "probe.cmd"
+    script.write_text("load programs/dungeon.plural\n")
+    assert main(["--run", str(script), "--engine", "rewrite-via-pST"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        PST_NOTICE % ("rewrite-via-pST", "combined-alpha"))
+    assert main(["--run", str(script), "--semantics", "alpha-plural",
+                 "--engine", "rewrite-via-pST"]) == 0
+    assert "Note:" not in capsys.readouterr().out
 
 
 def test_depth_clause_and_parenthesized_form(tmp_path):

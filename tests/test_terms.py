@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pluralrw.terms import (
     APP,
@@ -12,6 +12,7 @@ from pluralrw.terms import (
     approx_leq,
     apply_subst,
     down_closure,
+    instantiator,
     is_linear,
     match_value,
     replace_at,
@@ -312,3 +313,28 @@ def test_match_recovers_applied_substitution(t, binding):
     assert got is not None
     assert apply_subst(pattern, got) is image
     assert set(got) <= pattern.varset
+
+
+# images a substitution may bind: partial c-terms, _|_, variables and
+# ?-chains of them, as a DisjSubst's chains are
+images = st.one_of(
+    cterms,
+    st.lists(cterms, min_size=2, max_size=3).map(
+        lambda ts: app("?", (ts[0], ts[1])) if len(ts) == 2
+        else app("?", (ts[0], app("?", (ts[1], ts[2]))))
+    ),
+)
+
+
+@given(anyterms, st.dictionaries(st.sampled_from(["X", "Y", "Z"]), images))
+@example(d(X, X), {"X": app("?", (zero, one))})
+@example(d(X, c(zero, Y)), {"X": BOT})
+@example(c(X, Y), {"Y": one})
+@example(c(zero, one), {"X": one})
+@example(f(d(X, Y)), {})
+@example(app("e", (X, zero, d(Y, X), var("Z"))), {"X": one, "Z": BOT})
+def test_instantiator_builds_what_apply_subst_returns(t, mapping):
+    # repeated variables, ground subterms, variables outside the mapping,
+    # _|_ images and an empty mapping all give the very same term
+    assert instantiator(t)(mapping) is apply_subst(t, mapping)
+
