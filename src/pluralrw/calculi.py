@@ -104,12 +104,12 @@ rebuilds one from the memo and the frozen table afterwards: B for bottom,
 RR for a variable, DC for a constructor, and for a call, built-ins
 included, the first pick, in evaluation order, whose instantiated body
 holds the value one level down.
-A DenotationStream rebuilds the derivation of a value it yielded at the
-depth it yielded it; equal memo entries give equal picks, so the stream
-gives the derivation a fresh one stopped at that depth would. Every
-expression a derivation asks for was computed by the sweeps or is frozen,
-but for settled ones, so the memo, the frozen table and the read record
-stay what the sweeps made.
+derivation(stream, value) rebuilds the derivation of a value a stream
+yielded at the depth it yielded it; equal memo entries give equal picks,
+so it gives the derivation a fresh stream stopped at that depth would.
+Every expression a derivation asks for was computed by the sweeps or is
+frozen, but for settled ones, so the memo, the frozen table and the read
+record stay what the sweeps made.
 
 Each enumerator keeps three caches, which live and die with it:
 _choice_cache holds an argument's matcher choices per (pattern, variables
@@ -145,7 +145,6 @@ values answers it at once and keeps no memo entry for it.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice, product
 from math import prod
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -159,7 +158,7 @@ from .disjsubst import (
 # compressible_subsets is bound here for perfbench/layers.py, which traces
 # it by module
 from .disjsubst import compressible_subsets  # noqa: F401
-from .sweep import BudgetExceeded, Sweeper
+from .sweep import BudgetExceeded, DenotationStream, Sweeper
 from .syntax import PL, SG, Program, format_term
 from .terms import (
     APP,
@@ -556,76 +555,15 @@ class Enumerator(Sweeper):
         )
 
 
-class DenotationStream:
-    """Deduplicated stream of maximal values: strata by increasing depth,
-    canonical term order within a stratum, totals only if asked. `depth`
-    bounds the sweeps; None means unbounded (the stream then ends only on
-    a proven fixpoint). `swept` is the deepest depth swept so far, -1
-    before the first sweep. `complete` is set when the stream proved at
-    depth `swept` that it can never yield more (fixpoint), as opposed to
-    hitting the bound."""
-
-    def __init__(self, enum: Sweeper, expr: Term, depth: Optional[int],
-                 totals_only: bool = False):
-        if depth is not None and depth < 0:
-            raise ValueError("depth must be non-negative")
-        self.enum = enum
-        self.expr = expr
-        self.depth = depth
-        self.totals_only = totals_only
-        self.swept = -1
-        self._yielded: set = set()
-        self._buffer: deque = deque()
-        self.done = False
-        self.complete = False
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Term:
-        while not self._buffer and not self.done:
-            self._advance()
-        if self._buffer:
-            return self._buffer.popleft()
-        raise StopIteration
-
-    def _advance(self):
-        d = self.swept + 1
-        if self.depth is not None and d > self.depth:
-            self.done = True
-            return
-        self.enum.begin_sweep()
-        current = self.enum.values(self.expr, d)
-        fresh = current - self._yielded
-        if self.totals_only:
-            fresh = [t for t in fresh if t.total]
-        stratum = sorted(fresh, key=term_key)
-        self._yielded.update(stratum)
-        self._buffer.extend(stratum)
-        self.swept = d
-        if d > 0 and current == self.enum.values(self.expr, d - 1):
-            self.enum.root = self.expr
-            self.done = self.complete = self.enum.confirm_fixpoint(d)
-
-    def deepen(self, depth: Optional[int]) -> None:
-        """Raises the bound to depth, None for no bound. A stream that
-        stopped at its old bound goes on, with the sweeps and proof
-        attempts a fresh stream bounded at depth makes past the old
-        bound."""
-        if depth is not None and (self.depth is None or depth < self.depth):
-            raise ValueError("a bound only rises: %s to %d" % (self.depth, depth))
-        self.depth = depth
-        self.done = self.complete
-
-    def derivation(self, value: Term) -> TraceNode:
-        """A derivation of a value the stream yielded, rebuilt at the least
-        swept depth whose set holds it. Raises ValueError when no swept
-        depth does."""
-        for depth in range(self.swept + 1):
-            if _holds(self.enum.values(self.expr, depth), value):
-                return self.enum.build_trace(self.expr, depth, value)
-        raise ValueError("%s is not a value of %s at depth %d or below" % (
-            format_term(value), format_term(self.expr), self.swept))
+def derivation(stream: DenotationStream, value: Term) -> TraceNode:
+    """A derivation of a value a stream over an Enumerator yielded,
+    rebuilt at the least swept depth whose set holds it. Raises ValueError
+    when no swept depth does."""
+    for depth in range(stream.swept + 1):
+        if _holds(stream.enum.values(stream.expr, depth), value):
+            return stream.enum.build_trace(stream.expr, depth, value)
+    raise ValueError("%s is not a value of %s at depth %d or below" % (
+        format_term(value), format_term(stream.expr), stream.swept))
 
 
 def enumerate_values(program: Program, mode: str, expr: Term, depth: Optional[int],

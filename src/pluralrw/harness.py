@@ -34,7 +34,6 @@ from .calculi import (
     BETA,
     BudgetExceeded,
     CALL_TIME,
-    DenotationStream,
     Enumerator,
     maximal_terms,
 )
@@ -42,6 +41,7 @@ from .disjsubst import image_of, is_compressible
 from .rewriting import NeedEnumerator
 # one_step is bound here for perfbench/layers.py, which traces it by module
 from .rewriting import one_step  # noqa: F401
+from .sweep import DenotationStream
 from .syntax import Program, assemble_program, format_program, format_term
 from .terms import APP, BOT, Term, app, apply_subst, term_key, var
 from .transform import is_class_cab, pst_optimized, pst_simple

@@ -39,16 +39,11 @@ import re
 import sys
 from typing import Iterator, List, Optional
 
-from .calculi import (
-    ALPHA,
-    COMBINED_ALPHA,
-    MODES,
-    DenotationStream,
-    enumerate_values,
-)
+from .calculi import ALPHA, COMBINED_ALPHA, MODES, derivation, enumerate_values
 from .rewriting import NeedEnumerator, RewriteStep
 # one_step is bound here for perfbench/layers.py, which traces it by module
 from .rewriting import one_step  # noqa: F401
+from .sweep import DenotationStream
 from .syntax import (
     ParseError,
     Program,
@@ -279,7 +274,7 @@ class Session:
         if value is None:
             raise CommandError("no result to show a path for")
         if not isinstance(search.enum, NeedEnumerator):
-            return search.derivation(value).render().splitlines()
+            return derivation(search, value).render().splitlines()
         lines = [format_term(search.expr)]
         for step in _find_path(search.enum, search.expr, value, search.swept):
             where = ".".join(str(i) for i in step.position) or "root"

@@ -37,13 +37,15 @@ choice.
 
 Sets and match lists grow with k, by induction on k. A node is e for
 the set of e, (p, e) for the match list of p against e, and a
-fixpoint is proven on its recorded read-closure (sweep). A call that
-finds the matches it found one depth down unfolds to the same bodies.
-A variable pattern, and a _|_ wildcard that stands for a variable the
-body ignores, match without evaluating their argument: their one match
-does not depend on the depth. A function-free expression is settled
-(sweep): its set and match lists are answered at once, with no memo
-entry.
+fixpoint is proven on its recorded read-closure (sweep). A call reads
+its arguments' match lists on every unfolding, and its bodies are kept
+per call and the constructor-pattern lists read, which is all they
+depend on: a call that finds the lists it found one depth down unfolds
+to the same bodies at once. A variable pattern, and a _|_ wildcard that
+stands for a variable the body ignores, match without evaluating their
+argument: their one match does not depend on the depth. A function-free
+expression is settled (sweep): its set and match lists are answered at
+once, with no memo entry.
 
 Derivations are not recorded while sets are computed. build_path
 rebuilds one from the memo afterwards, by the argument above read
@@ -167,9 +169,8 @@ class NeedEnumerator(Sweeper):
 
     def __init__(self, program: Program, value_budget: Optional[int] = None):
         super().__init__(program, value_budget)
-        # per (call, k): its bodies, whether their reads thawed, and the
-        # reads (Sweeper._replayed)
-        self._bodies: Dict[Tuple[Term, int], Tuple[Tuple[Term, ...], bool, tuple]] = {}
+        # per (call, its constructor-pattern match lists read): its bodies
+        self._bodies: Dict[Tuple[Term, tuple], Tuple[Term, ...]] = {}
         self._rules: Dict[str, list] = {}
         # one (pattern, expr) object per match-list node, which the read
         # record then keeps once, not once per read
@@ -252,44 +253,41 @@ class NeedEnumerator(Sweeper):
     def _unfold(self, call: Term, k: int) -> Tuple[Term, ...]:
         """The bodies r.sigma of the call at depth k, in term order, over
         its rules and the matches of its arguments at k-1; none at k = 0.
-        Where every argument match list read is the object read at depth
-        k-1, the bodies are those of depth k-1: freezing does not subsume
-        this for a call whose arguments froze but whose bodies did not. A
-        cache hit counts the thaw its reads made and records them again
-        (sweep). Term order keeps the read record, and so the entries a
-        failing proof forces, apart from where the bodies lie in memory."""
+        The constructor patterns' match lists are read on every
+        unfolding, each rule's left to right up to its first empty one, and
+        the bodies are built only where _bodies holds none for the call and
+        the lists read: a hit stands for no read (sweep). Term order keeps
+        the read record, and so the entries a failing proof forces, apart
+        from where the bodies lie in memory."""
         if k < 1:
             return ()
-        return self._replayed(self._bodies, (call, k), self._build_bodies)
-
-    def _build_bodies(self, call: Term, k: int) -> Tuple[Term, ...]:
-        fnames = self._fnames
-        prev = self._bodies.get((call, k - 1))
-        same = prev is not None
-        picks = []
-        for build, patterns, names, plain in self._rule_table(call.name):
+        rules = self._rule_table(call.name)
+        picks, read = [], []
+        for build, patterns, names, plain in rules:
             if plain:
-                picks.append((build, names, [(tuple(
-                    a for p, a in zip(patterns, call.children) if p.kind == VAR),)]))
                 continue
             lists = []
             for p, arg in zip(patterns, call.children):
                 found = self._arg_matches(p, arg, k - 1)
-                if same and p.kind == APP and not arg.symbols.isdisjoint(fnames):
-                    same = found is self._lookup((p, arg), k - 2)
+                if p.kind == APP:
+                    read.append(found)
                 if not found:
                     break
                 lists.append(found)
             else:
                 picks.append((build, names, lists))
-        if same:
-            return prev[0]
-        out = set()
-        for build, names, lists in picks:
-            for m in lists[0] if len(lists) == 1 else self._product(lists):
-                out.add(build(dict(zip(names, m))))
-        got = tuple(sorted(out, key=term_key))
-        return prev[0] if prev is not None and prev[0] == got else got
+        key = call, tuple(read)
+        got = self._bodies.get(key)
+        if got is None:
+            # a plain rule's one match binds the arguments at its variables
+            out = {build(dict(zip(names, (a for p, a in zip(patterns, call.children)
+                                          if p.kind == VAR))))
+                   for build, patterns, names, plain in rules if plain}
+            for build, names, lists in picks:
+                for m in lists[0] if len(lists) == 1 else self._product(lists):
+                    out.add(build(dict(zip(names, m))))
+            got = self._bodies[key] = tuple(sorted(out, key=term_key))
+        return got
 
     def build_path(self, expr: Term, k: int, value: Term) -> List[RewriteStep]:
         """A rewrite derivation of expr to a value in values(expr, k),

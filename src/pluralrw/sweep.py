@@ -20,8 +20,9 @@ closure has the same set at d as at d-1, then it has at d+n too, for
 every n, by induction on n and then on the size of x: at d+n+1, x finds
 at d+n what it found at d-1, so it reads the same nodes and computes the
 same set, and the smaller nodes it reads at its own depth keep theirs by
-the induction on size. A cache that stands for reads records them again
-on every hit, so the record holds every read the set depends on.
+the induction on size. An engine's caches are keyed on the program and
+on sets the computation has read, so a hit stands for no read, and the
+record holds every read the set depends on.
 
 The walk is breadth first and stops at the first changed set, since each
 step forces entries at depth d. Nothing outside the closure reaches the
@@ -40,8 +41,7 @@ it finds at j+n the sets it found at j, so it reads the same nodes,
 computes the same set and passes the same budget checks, by induction
 on n, again with no monotonicity. A call at depth 0 reads nothing yet is
 _|_, as no rule unfolds: it never freezes, nor does a node that reads
-it. A read behind a cache entry is counted again on every hit.
-values(x, k) of a node frozen from f <= k is a lookup that neither
+it. values(x, k) of a node frozen from f <= k is a lookup that neither
 visits nor stores anything. A node freezes once.
 
 The proof skips a node frozen from a depth <= d-1, as it skips a settled
@@ -56,7 +56,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .syntax import Program
-from .terms import Term
+from .terms import Term, term_key
 
 
 class BudgetExceeded(RuntimeError):
@@ -118,14 +118,6 @@ class Sweeper:
     def _settled(self, node) -> bool:
         return self._expr(node).symbols.isdisjoint(self._fnames)
 
-    def _lookup(self, node, k: int) -> Optional[FrozenSet]:
-        """The node's set at k, frozen or memoized, else None. Records no
-        read and counts no thaw."""
-        got = self._frozen.get(node)
-        if got is not None and got[0] <= k:
-            return got[1]
-        return self._memo.get((node, k))
-
     def _eval(self, node, k: int) -> FrozenSet:
         """The set of an unsettled node at k, read by the computation under
         way: frozen, memoized (a thaw), or computed by _compute under a
@@ -164,24 +156,6 @@ class Sweeper:
             self._thaws += 1
         return result
 
-    def _replayed(self, cache: dict, key: tuple, fn):
-        """fn(*key), kept in cache under key with whether its reads
-        thawed and the reads themselves, for a cache that stands for
-        reads. A hit counts that thaw, and a hit or a miss records the
-        reads for the computation under way (module docstring)."""
-        got = cache.get(key)
-        if got is None:
-            outer, thaws = self._reading, self._thaws
-            self._reading = []
-            value = fn(*key)
-            got = cache[key] = value, self._thaws != thaws, tuple(self._reading)
-            self._reading = outer
-        else:
-            self._thaws += got[1]
-        if self._reading is not None:
-            self._reading.extend(got[2])
-        return got[0]
-
     def confirm_fixpoint(self, depth: int) -> bool:
         """Whether values(self.root, depth + n) equals values(self.root,
         depth) for every n, by a breadth-first walk over the recorded
@@ -201,3 +175,65 @@ class Sweeper:
                     seen.add(y)
                     todo.append(y)
         return True
+
+
+class DenotationStream:
+    """Deduplicated stream of maximal values: strata by increasing depth,
+    canonical term order within a stratum, totals only if asked. `depth`
+    bounds the sweeps; None means unbounded (the stream then ends only on
+    a proven fixpoint). `swept` is the deepest depth swept so far, -1
+    before the first sweep. `complete` is set when the stream proved at
+    depth `swept` that it can never yield more (fixpoint), as opposed to
+    hitting the bound."""
+
+    def __init__(self, enum: Sweeper, expr: Term, depth: Optional[int],
+                 totals_only: bool = False):
+        if depth is not None and depth < 0:
+            raise ValueError("depth must be non-negative")
+        self.enum = enum
+        self.expr = expr
+        self.depth = depth
+        self.totals_only = totals_only
+        self.swept = -1
+        self._yielded: set = set()
+        self._buffer: deque = deque()
+        self.done = False
+        self.complete = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> Term:
+        while not self._buffer and not self.done:
+            self._advance()
+        if self._buffer:
+            return self._buffer.popleft()
+        raise StopIteration
+
+    def _advance(self):
+        d = self.swept + 1
+        if self.depth is not None and d > self.depth:
+            self.done = True
+            return
+        self.enum.begin_sweep()
+        current = self.enum.values(self.expr, d)
+        fresh = current - self._yielded
+        if self.totals_only:
+            fresh = [t for t in fresh if t.total]
+        stratum = sorted(fresh, key=term_key)
+        self._yielded.update(stratum)
+        self._buffer.extend(stratum)
+        self.swept = d
+        if d > 0 and current == self.enum.values(self.expr, d - 1):
+            self.enum.root = self.expr
+            self.done = self.complete = self.enum.confirm_fixpoint(d)
+
+    def deepen(self, depth: Optional[int]) -> None:
+        """Raises the bound to depth, None for no bound. A stream that
+        stopped at its old bound goes on, with the sweeps and proof
+        attempts a fresh stream bounded at depth makes past the old
+        bound."""
+        if depth is not None and (self.depth is None or depth < self.depth):
+            raise ValueError("a bound only rises: %s to %d" % (self.depth, depth))
+        self.depth = depth
+        self.done = self.complete

@@ -17,10 +17,10 @@ from pluralrw.calculi import (
     BETA,
     COMBINED_BETA,
     BudgetExceeded,
-    DenotationStream,
     Enumerator,
     _arg_tags,
     _premises,
+    derivation,
     enumerate_values,
 )
 from pluralrw.disjsubst import (
@@ -48,6 +48,7 @@ from pluralrw.terms import (
     var,
 )
 from pluralrw.rewriting import NeedEnumerator, RewriteStep, _root_steps, one_step
+from pluralrw.sweep import DenotationStream
 
 
 _TERM_POOL = (
@@ -493,7 +494,7 @@ class JoinedBodiesEnumerator(Enumerator):
 
 class SubstitutedBodiesNeedEnumerator(NeedEnumerator):
     """Each rule's builder checks every body it builds, for
-    _build_bodies and for build_path alike, against apply_subst of the
+    _unfold and for build_path alike, against apply_subst of the
     rule's body under the same match; `checked` counts the bodies."""
 
     checked = 0
@@ -537,6 +538,15 @@ class UnfrozenEnumerator(_NeverFreezes, Enumerator):
 
 class UnfrozenNeedEnumerator(_NeverFreezes, NeedEnumerator):
     """Computes every set and match list at every depth asked."""
+
+
+def held(enum, node, k):
+    """The set of node at k that the engine holds, frozen or memoized,
+    else None; read without recording a read or counting a thaw."""
+    got = enum._frozen.get(node)
+    if got is not None and got[0] <= k:
+        return got[1]
+    return enum._memo.get((node, k))
 
 
 # ---- both engines: the reads of a node, derived from its kind, as the
@@ -795,7 +805,7 @@ def derives(program, mode, expr, target, depth):
     stream = enumerate_values(program, mode, expr, depth)
     for value in stream:
         if approx_leq(target, value):
-            trace = stream.derivation(target)
+            trace = derivation(stream, target)
             assert replay_trace(program, mode, trace)
             return trace
     return None

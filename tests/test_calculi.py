@@ -13,8 +13,8 @@ from pluralrw.calculi import (
     MODES,
     _OR_TAG,
     BudgetExceeded,
-    DenotationStream,
     Enumerator,
+    derivation,
     enumerate_values,
     maximal_terms,
 )
@@ -29,6 +29,7 @@ from pluralrw.harness import (
     run_suite,
 )
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import (
     BUILTIN_RULES,
     SG,
@@ -62,6 +63,7 @@ from oracles import (
     UnfrozenEnumerator,
     derives,
     down_closed,
+    held,
     positions,
     reference_maximal_matchers,
     replay_trace,
@@ -570,7 +572,7 @@ def test_a_derivation_of_a_value_never_yielded_is_refused():
     stream = DenotationStream(Enumerator(CLERKS, CALL_TIME), expr, None)
     assert value not in set(stream) and stream.complete
     with pytest.raises(ValueError, match=r"^p\(maria,laura\) is not a value of twoclerks"):
-        stream.derivation(value)
+        derivation(stream, value)
 
 
 def test_deepen_lifts_a_bound_to_none_and_never_lowers_one():
@@ -741,7 +743,7 @@ def test_native_builtins_agree_with_unfolding_their_rules():
             got = _sweeps(native, expr, depths)
             assert got == _sweeps(picked, expr, depths), (format_term(expr), mode)
             for (node, k), vset in native._memo.items():
-                assert picked._lookup(node, k) == vset, (format_term(node), k, mode)
+                assert held(picked, node, k) == vset, (format_term(node), k, mode)
             capped += got[-1] is None
     # pinned, so that a change to the inputs shows
     assert capped == 3

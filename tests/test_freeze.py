@@ -22,14 +22,16 @@ from oracles import (
     UnfrozenEnumerator,
     UnfrozenNeedEnumerator,
     derived_reads,
+    held,
     is_reference_step,
     replay_trace,
 )
 from pluralrw import harness
-from pluralrw.calculi import BudgetExceeded, DenotationStream, Enumerator
+from pluralrw.calculi import BudgetExceeded, Enumerator, derivation
 from pluralrw.harness import run_suite
 from pluralrw.repl import _find_path
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import format_term, parse_expression, parse_program
 from pluralrw.transform import pst
 
@@ -77,7 +79,7 @@ def _assert_agree(make, expr, depth, cap=None, totals_only=False):
     assert got == want
     assert (stream.swept, stream.complete) == (twin_stream.swept, twin_stream.complete)
     for (node, k), entry in unfrozen._memo.items():
-        assert frozen._lookup(node, k) == entry, (node, k)
+        assert held(frozen, node, k) == entry, (node, k)
     return stream
 
 
@@ -171,7 +173,7 @@ def test_freezing_changes_no_paper_job(job):
     tables = dict(enum._memo), dict(enum._frozen), dict(enum._record)
     for value in enum.values(expr, stream.swept):
         if isinstance(enum, Enumerator):
-            assert replay_trace(enum.program, enum.mode, stream.derivation(value))
+            assert replay_trace(enum.program, enum.mode, derivation(stream, value))
             continue
         steps = _find_path(enum, expr, value, stream.swept)
         assert steps[-1].result is value
@@ -195,41 +197,40 @@ endp""")
 
 def test_a_read_behind_a_cached_unfolding_still_counts():
     # f1's two patterns are matched in turn against the inner call
-    # f1(0 ? 0) at the same depth. The first match list unfolds it and
-    # caches its bodies; the second finds them cached. At depth 1, `0 ? 0`
-    # has no value at depth 0, so the inner call has no bodies and both
-    # lists are empty. Unless the cache hit counts the first list's read of
-    # `0 ? 0` at depth 0, which is not frozen, the second list freezes
-    # empty from depth 1 and the outer call never reaches 0 (harness seed
-    # 3, source program)
+    # f1(0 ? 0) at the same depth, and each match list unfolds it. At
+    # depth 1, `0 ? 0` has no value at depth 0, so the inner call has no
+    # bodies and both lists are empty. Unless the second unfolding reads
+    # the match list of `0 ? 0` at depth 0 again, which is not frozen, and
+    # so counts its thaw, the second list freezes empty from depth 1 and
+    # the outer call never reaches 0 (harness seed 3, source program)
     expr = parse_expression("f1(f1(0 ? 0))", GEN_3.signature)
     stream = _assert_agree(lambda: NeedEnumerator(GEN_3), expr, 16)
     assert [format_term(t) for t in stream.enum.values(expr, stream.swept)] == ["0"]
     assert stream.complete
 
 
-class _ForgetfulBodies(dict):
+class _CallKeyedBodies(dict):
+    # a call's bodies under the call alone, whatever match lists it read
     def get(self, key, default=None):
-        got = super().get(key, default)
-        return got if got is None else got[:2] + ((),)
+        return super().get(key[0], default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
 
 
-class _NoReplayNeedEnumerator(NeedEnumerator):
-    """A mutant: a cached unfolding records none of the argument reads
-    it stands for."""
+class _CallKeyedNeedEnumerator(NeedEnumerator):
+    """A mutant: a call unfolds to the bodies it first unfolded to, at
+    every depth."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._bodies = _ForgetfulBodies()
+        self._bodies = _CallKeyedBodies()
 
 
-def test_the_record_gate_catches_a_cached_unfolding_that_records_no_reads():
-    # the second match list of f1(0 ? 0) in f1(f1(0 ? 0)) finds the
-    # bodies cached: unless the hit records the first list's reads again,
-    # its record misses the matches against `0 ? 0`
+def test_the_agreement_gate_catches_bodies_kept_per_call_alone():
+    # the inner call f1(0 ? 0) has no bodies at depth 1, as `0 ? 0` has
+    # no value at depth 0; kept per call alone, it never gets any, and
+    # the outer call never reaches 0
     expr = parse_expression("f1(f1(0 ? 0))", GEN_3.signature)
-    good = _run(NeedEnumerator(GEN_3), expr, 16)[1].enum
-    _assert_recorded_reads_are_derived(good)
-    mutant = _run(_NoReplayNeedEnumerator(GEN_3), expr, 16)[1].enum
     with pytest.raises(AssertionError):
-        _assert_recorded_reads_are_derived(mutant)
+        _assert_agree(lambda: _CallKeyedNeedEnumerator(GEN_3), expr, 16)

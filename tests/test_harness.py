@@ -4,8 +4,9 @@ import pytest
 
 from oracles import fresh_query
 from pluralrw import harness, terms
-from pluralrw.calculi import DenotationStream, Enumerator
+from pluralrw.calculi import Enumerator
 from pluralrw.harness import SUITES, run_suite
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import format_term
 from pluralrw.terms import BOT, app
 

@@ -1,8 +1,8 @@
 """The layering of the package, read from its sources: the sweep
 protocol depends on neither engine, the rewriting engine does not depend
 on the calculi, only the sweep protocol writes its tables and its
-bookkeeping of reads, and the value budget is set once, when a sweeper
-is built."""
+bookkeeping of reads, the latter only where a node is evaluated, and the
+value budget is set once, when a sweeper is built."""
 
 import ast
 from pathlib import Path
@@ -81,9 +81,10 @@ def test_only_the_sweep_protocol_writes_its_tables():
     assert {table for table, _line in writers["sweep.py"]} == _TABLES
 
 
-def _budget_writes(path):
-    """(class, function) per assignment to a `_budget` attribute in a
-    source, through any object."""
+def _writes_in(path, attrs):
+    """(class, function) per assignment to, deletion from or mutating
+    call on an attribute named in attrs, in a source, through any
+    object."""
     found = []
 
     def visit(node, cls, fn):
@@ -94,14 +95,20 @@ def _budget_writes(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, cls, child.name)
                 continue
-            if isinstance(child, ast.Assign):
+            if isinstance(child, (ast.Assign, ast.Delete)):
                 targets = child.targets
             elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
                 targets = [child.target]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in _MUTATORS):
+                targets = [child.func.value]
             else:
                 targets = []
-            if any(isinstance(t, ast.Attribute) and t.attr == "_budget" for t in targets):
-                found.append((cls, fn))
+            for t in targets:
+                if isinstance(t, ast.Subscript):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and t.attr in attrs:
+                    found.append((cls, fn))
             visit(child, cls, fn)
 
     visit(ast.parse(path.read_text()), None, None)
@@ -109,6 +116,14 @@ def _budget_writes(path):
 
 
 def test_the_value_budget_is_set_only_when_a_sweeper_is_built():
-    writes = {path.name: _budget_writes(path) for path in sorted(SRC.glob("*.py"))}
+    writes = {path.name: _writes_in(path, {"_budget"}) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in writes.items() if found} == {
         "sweep.py": [("Sweeper", "__init__")]}
+
+
+def test_reads_are_recorded_and_thaws_counted_only_where_a_node_is_evaluated():
+    # so no cache stands for reads: a read is recorded and its thaw
+    # counted by Sweeper._eval alone, and begin_sweep only drops a
+    # record an exception left open
+    writers = set(_writes_in(SRC / "sweep.py", {"_reading", "_thaws"}))
+    assert writers == {("Sweeper", "__init__"), ("Sweeper", "begin_sweep"), ("Sweeper", "_eval")}

@@ -11,9 +11,9 @@ import os
 import pytest
 
 from oracles import capped_runtime_denotation
-from pluralrw.calculi import BudgetExceeded, DenotationStream
 from pluralrw.harness import GenConfig, _expr_rng, gen_ground_expr, gen_program
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import BudgetExceeded, DenotationStream
 from pluralrw.syntax import parse_expression, parse_program
 from pluralrw.transform import pst_optimized, pst_simple
 

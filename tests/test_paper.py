@@ -13,11 +13,11 @@ from pluralrw.calculi import (
     BETA,
     COMBINED_ALPHA,
     COMBINED_BETA,
-    DenotationStream,
     enumerate_values,
 )
 from pluralrw.repl import Session
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import format_term, parse_expression, parse_program
 from pluralrw.transform import pst_optimized
 

@@ -15,9 +15,10 @@ import os
 import pytest
 
 from oracles import derives, is_reference_step, reference_find_path
-from pluralrw.calculi import DenotationStream, Enumerator
+from pluralrw.calculi import Enumerator
 from pluralrw.repl import Session, _find_path
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import format_term, parse_expression, parse_program
 from pluralrw.transform import pst, pst_optimized, pst_simple
 from test_need import DEPTH, _searches

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from pluralrw.calculi import DenotationStream, Enumerator, enumerate_values
+from pluralrw.calculi import Enumerator, enumerate_values
 from pluralrw.repl import BANNER_OK, PST_NOTICE, CommandError, Session, _interact, main
 from pluralrw.rewriting import NeedEnumerator
+from pluralrw.sweep import DenotationStream
 from pluralrw.syntax import parse_expression
 from pluralrw.transform import pst
 
